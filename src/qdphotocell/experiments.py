@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import ConfigError, OutputExistsError, QdpcError
-from .model import INFINITE, params_from_scaled
+from .model import INFINITE, ModelParams, params_from_scaled, scaled_energies
 from .optimize import efficiency_at_max_power_curve, maximize_power, steady_observables_grid
 
 __all__ = [
@@ -229,11 +229,21 @@ def run_fig2(r_grid=None, *, temp: float = 295.0, temp_p: float = 5780.0,
 
 # ---- efficiency-at-max-power curves ----------------------------------------
 
-def _curve_rows(label_name, label_value, base, eta_c_grid, opt_kwargs):
+def _curve_rows(job):
+    """Rows of one efficiency-at-max-power curve, labelled by one parameter.
+
+    The base point is the default scaled operating point of
+    :class:`ModelParams` at the default lead temperature of
+    :func:`params_from_scaled`; ``params`` supplies every other knob.
+    """
+    label_name, label_value, params, eta_c_grid, opt_kwargs = job
+    base = params_from_scaled(*scaled_energies(ModelParams()),
+                              **params, **{label_name: label_value})
+    label = _tau_jsonable(label_value) if label_name == "tau" else label_value
     rows = []
     for pt in efficiency_at_max_power_curve(base, eta_c_grid, **opt_kwargs):
         rows.append({
-            label_name: _tau_jsonable(label_value) if label_name == "tau" else label_value,
+            label_name: label,
             "eta_c": pt.eta_c, "temp": (1.0 - pt.eta_c) * base.temp_p,
             "temp_p": base.temp_p, "eta_at_pmax": pt.eta_at_pmax,
             "eta_ca": pt.eta_ca, "p_max": pt.p_max,
@@ -242,20 +252,6 @@ def _curve_rows(label_name, label_value, base, eta_c_grid, opt_kwargs):
             "converged": pt.converged, "error": pt.error,
         })
     return rows
-
-
-def _fig3a_jobs(job):
-    r_l, r_p, tau, temp_p, gamma, eta_c_grid, opt_kwargs = job
-    base = params_from_scaled(2.0, 0.0, 0.0, temp=295.0, temp_p=temp_p,
-                              gamma=gamma, r_p=r_p, r_l=r_l, tau=tau)
-    return _curve_rows("r_l", r_l, base, eta_c_grid, opt_kwargs)
-
-
-def _fig3b_jobs(job):
-    tau, r_p, r_l, temp_p, gamma, eta_c_grid, opt_kwargs = job
-    base = params_from_scaled(2.0, 0.0, 0.0, temp=295.0, temp_p=temp_p,
-                              gamma=gamma, r_p=r_p, r_l=r_l, tau=tau)
-    return _curve_rows("tau", tau, base, eta_c_grid, opt_kwargs)
 
 
 _CURVE_COLUMNS_TAIL = (
@@ -271,9 +267,9 @@ def run_fig3a(r_l_values=(0.0, 0.3, 0.9), eta_c_grid=None, *, r_p: float = 0.9,
               workers=None, **opt_kwargs) -> SweepTable:
     """Efficiency at maximum power vs Carnot efficiency for several r_l."""
     eta_c_grid = list(eta_c_grid) if eta_c_grid is not None else default_eta_c_grid()
-    jobs = [(float(r_l), r_p, tau, temp_p, gamma, eta_c_grid, opt_kwargs)
-            for r_l in r_l_values]
-    groups = _map_rows(_fig3a_jobs, jobs, min(_resolve_workers(workers), len(jobs)))
+    params = {"r_p": r_p, "tau": tau, "temp_p": temp_p, "gamma": gamma}
+    jobs = [("r_l", float(r_l), params, eta_c_grid, opt_kwargs) for r_l in r_l_values]
+    groups = _map_rows(_curve_rows, jobs, min(_resolve_workers(workers), len(jobs)))
     rows = [row for group in groups for row in group]
     columns = (("r_l", "1"),) + _CURVE_COLUMNS_TAIL
     config = {"sweep": "fig3a", "r_p": r_p, "tau": tau,
@@ -289,9 +285,9 @@ def run_fig3b(tau_values=(0.0, 1.0, 10.0, INFINITE), eta_c_grid=None, *,
               gamma: float = 1.0, workers=None, **opt_kwargs) -> SweepTable:
     """Efficiency at maximum power vs Carnot efficiency for several tau."""
     eta_c_grid = list(eta_c_grid) if eta_c_grid is not None else default_eta_c_grid()
-    jobs = [(float(tau), r_p, r_l, temp_p, gamma, eta_c_grid, opt_kwargs)
-            for tau in tau_values]
-    groups = _map_rows(_fig3b_jobs, jobs, min(_resolve_workers(workers), len(jobs)))
+    params = {"r_p": r_p, "r_l": r_l, "temp_p": temp_p, "gamma": gamma}
+    jobs = [("tau", float(tau), params, eta_c_grid, opt_kwargs) for tau in tau_values]
+    groups = _map_rows(_curve_rows, jobs, min(_resolve_workers(workers), len(jobs)))
     rows = [row for group in groups for row in group]
     columns = (("tau", "gamma_p"),) + _CURVE_COLUMNS_TAIL
     config = {"sweep": "fig3b", "r_p": r_p, "r_l": r_l,

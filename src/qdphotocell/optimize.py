@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NoUniqueSteadyStateError
-from .model import INFINITE, ModelParams, _bose_array, _fermi_array, params_from_scaled
+from .model import (
+    INFINITE,
+    ModelParams,
+    _bose_array,
+    _fermi_array,
+    bose_occupation,
+    fermi_occupation,
+    params_from_scaled,
+)
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -51,15 +59,104 @@ _NU_MARGIN = 1e-9
 # reported as active bounds.
 _BOUND_FLAG_FRACTION = 1e-6
 
+# The closed-form steady state is refused when its trace falls below this
+# fraction of the product of the row norms it is built from.
+_SINGULAR_REL = 1e-12
+
+
+def _degenerate_steady(params: ModelParams, x_g, x_l, x_r, n, fl, fr):
+    """Closed-form steady state of the degenerate dot, elementwise.
+
+    Works alike on Python floats and on broadcast numpy arrays; ``n``, ``fl``
+    and ``fr`` are the Bose and Fermi occupations at x_g, x_l and x_r.  With
+    delta21 = 0 the two ground rows of the generator coincide, so
+    rho1 = rho2 = g and Im rho12 = 0, and the steady state is the null
+    vector of the ground, excited and coherence rows in (g, rho_e, rho0, u),
+    u = Re rho12.  That vector is their signed 3x3 cofactors, normalized by
+    the trace 2 g + rho_e + rho0; every component, rho0 included, comes from
+    its own cofactor, never from 1 - 2 g - rho_e, which loses rho0 to
+    cancellation where the dot is nearly full.  u is pinned to zero for
+    tau = INFINITE and in the dark-state corner, which selects the
+    decoherence-continuity branch of its two-dimensional kernel.
+
+    Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
+    when the trace vanishes against the product of the three row norms.
+    """
+    gp, gl, gr = params.gamma_p, params.gamma_l, params.gamma_r
+    rp, rl, tau = params.r_p, params.r_l, params.tau
+    bp = gp * n
+    bm = gp * (1.0 + n)
+    flp = gl * fl
+    flm = gl * (1.0 - fl)
+    frp = gr * fr
+    frm = gr * (1.0 - fr)
+
+    # rows of build_generator with rho1 = rho2 = g substituted, columns
+    # (g, rho_e, rho0, u): half the ground row, half the excited row, and the
+    # coherence row minus the full ground row.  The last is the coherence
+    # row's departure from the dark-state corner, where it vanishes; written
+    # through 1 - r_p and 1 - r_l it keeps full relative precision near that
+    # corner, where the coherence row itself nearly repeats the ground row.
+    a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
+    b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
+    dark = (tau == 0.0 and (gp == 0.0 or rp == 1.0) and (gl == 0.0 or rl == 1.0)
+            and not (gp == 0.0 and gl == 0.0))
+    if tau == INFINITE or dark:
+        c0 = c1 = c2 = 0.0
+        c3 = 1.0
+    else:
+        c0 = (1.0 - rp) * bp + (1.0 - rl) * flm
+        c1, c2 = -(1.0 - rp) * bm, -(1.0 - rl) * flp
+        c3 = -(c0 + 0.5 * tau)
+
+    # 2x2 minors of the excited and coherence rows, then cofactor expansion
+    # along the ground row
+    m01 = b0 * c1 - b1 * c0
+    m02 = b0 * c2 - b2 * c0
+    m03 = b0 * c3 - b3 * c0
+    m12 = b1 * c2 - b2 * c1
+    m13 = b1 * c3 - b3 * c1
+    m23 = b2 * c3 - b3 * c2
+    g = a1 * m23 - a2 * m13 + a3 * m12
+    e = -(a0 * m23 - a2 * m03 + a3 * m02)
+    z = a0 * m13 - a1 * m03 + a3 * m01
+    u = -(a0 * m12 - a1 * m02 + a2 * m01)
+    trace = 2.0 * g + e + z
+
+    scale = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5
+             * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
+             * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
+    singular = abs(trace) <= _SINGULAR_REL * scale
+    if singular if isinstance(singular, bool) else singular.any():
+        raise NoUniqueSteadyStateError(
+            "degenerate steady-state system is singular or ill-conditioned; "
+            "the transition network likely does not connect all four dot states")
+    g, e, z, u = g / trace, e / trace, z / trace, u / trace
+
+    j = 4.0 * flp * z - 4.0 * flm * g - 4.0 * rl * flm * u
+    eta_c = 1.0 - params.temp / params.temp_p
+    gamma_ref = gp if gp > 0.0 else 1.0
+    power = (x_g - (1.0 - eta_c) * (x_r - x_l)) * j / gamma_ref
+    return power, j, g, e, z, u
+
+
+def _power_at(params: ModelParams, x_g: float, x_l: float, x_r: float) -> float:
+    """Power at one point on Python floats: the optimizer objective's kernel."""
+    return _degenerate_steady(params, x_g, x_l, x_r, bose_occupation(x_g),
+                              fermi_occupation(x_l), fermi_occupation(x_r))[0]
+
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     """Vectorized steady-state observables over broadcastable scaled energies.
 
     Returns a dict with arrays ``power`` (units k_B * temp_p * gamma_p),
-    ``j`` (converter current), ``rho12_re``, ``rho12_im``, and the raw state
-    vectors ``v`` with trailing dimension 6.  Supports the degenerate
-    configuration only (delta21 = 0); the assembled systems mirror
-    :func:`qdphotocell.dynamics.build_generator` entry for entry.
+    ``j`` (converter current), ``rho12_re``, ``rho12_im``, and the state
+    vectors ``v`` with trailing dimension 6, ordered as in
+    :mod:`qdphotocell.dynamics`.  Supports the degenerate configuration only
+    (delta21 = 0), where the steady state has a closed form; tests pin it to
+    :func:`qdphotocell.dynamics.steady_state` over the whole search box.
+    Raises :class:`NoUniqueSteadyStateError` if any grid point has no unique
+    steady state.
     """
     if params.delta21 != 0.0:
         raise DomainError("the vectorized evaluator supports the degenerate "
@@ -69,71 +166,11 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
         np.asarray(x_r, dtype=float))
     if np.any(x_g <= 0.0):
         raise DomainError("x_g must be positive everywhere on the grid")
-    shape = x_g.shape
-    gp, gl, gr = params.gamma_p, params.gamma_l, params.gamma_r
-    rp, rl = params.r_p, params.r_l
-    tau = params.tau
-
-    n = _bose_array(x_g)
-    fl = _fermi_array(x_l)
-    fr = _fermi_array(x_r)
-    bp = gp * n
-    bm = gp * (1.0 + n)
-    flp = gl * fl
-    flm = gl * (1.0 - fl)
-    frp = gr * fr
-    frm = gr * (1.0 - fr)
-
-    M = np.zeros(shape + (6, 6))
-    M[..., 0, 0] = -2.0 * (bp + flm)
-    M[..., 0, 2] = 2.0 * bm
-    M[..., 0, 3] = 2.0 * flp
-    M[..., 0, 4] = -2.0 * (rp * bp + rl * flm)
-    M[..., 1, 1] = -2.0 * (bp + flm)
-    M[..., 1, 2] = 2.0 * bm
-    M[..., 1, 3] = 2.0 * flp
-    M[..., 1, 4] = -2.0 * (rp * bp + rl * flm)
-    M[..., 2, 0] = 2.0 * bp
-    M[..., 2, 1] = 2.0 * bp
-    M[..., 2, 2] = -2.0 * (2.0 * bm + frm)
-    M[..., 2, 3] = 2.0 * frp
-    M[..., 2, 4] = 4.0 * rp * bp
-    # normalization row replaces the empty-state balance row
-    M[..., 3, 0] = 1.0
-    M[..., 3, 1] = 1.0
-    M[..., 3, 2] = 1.0
-    M[..., 3, 3] = 1.0
-    dark = (tau == 0.0 and (gp == 0.0 or rp == 1.0) and (gl == 0.0 or rl == 1.0)
-            and not (gp == 0.0 and gl == 0.0))
-    if tau == INFINITE or dark:
-        # coherence pinned to zero (structural infinite decoherence, or the
-        # dark-state degeneracy resolved on its decoherence-continuity branch)
-        M[..., 4, 4] = 1.0
-        M[..., 5, 5] = 1.0
-    else:
-        M[..., 4, 0] = -(rp * bp + rl * flm)
-        M[..., 4, 1] = -(rp * bp + rl * flm)
-        M[..., 4, 2] = 2.0 * rp * bm
-        M[..., 4, 3] = 2.0 * rl * flp
-        M[..., 4, 4] = -(2.0 * bp + 2.0 * flm + tau)
-        M[..., 5, 5] = -(2.0 * bp + 2.0 * flm + tau)
-
-    rhs = np.zeros(shape + (6, 1))
-    rhs[..., 3, 0] = 1.0
-    try:
-        v = np.linalg.solve(M, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NoUniqueSteadyStateError(
-            f"batched steady-state solve hit a singular system: {exc}") from exc
-
-    u = v[..., 4]
-    j = (4.0 * flp * v[..., 3]
-         - 2.0 * flm * (v[..., 0] + v[..., 1])
-         - 4.0 * rl * flm * u)
-    eta_c = 1.0 - params.temp / params.temp_p
-    gamma_ref = gp if gp > 0.0 else 1.0
-    power = (x_g - (1.0 - eta_c) * (x_r - x_l)) * j / gamma_ref
-    return {"power": power, "j": j, "rho12_re": u, "rho12_im": v[..., 5], "v": v}
+    power, j, g, e, z, u = _degenerate_steady(
+        params, x_g, x_l, x_r, _bose_array(x_g), _fermi_array(x_l), _fermi_array(x_r))
+    im = np.zeros_like(u)
+    v = np.stack([g, g, e, z, u, im], axis=-1)
+    return {"power": power, "j": j, "rho12_re": u, "rho12_im": im, "v": v}
 
 
 def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
@@ -318,6 +355,7 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
         else:
             t_lo.append(box[name][0])
             t_hi.append(box[name][1])
+    t_box = list(zip(t_lo, t_hi))
     t_lo = np.array(t_lo)
     t_hi = np.array(t_hi)
 
@@ -326,12 +364,11 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     def objective(t):
         nonlocal evals
         evals += 1
-        t = np.minimum(np.maximum(t, t_lo), t_hi)
+        t = [min(max(v, lo), hi) for v, (lo, hi) in zip(t.tolist(), t_box)]
         xg, xl, xr = decode(t)
         if not in_box(xg, xl, xr):
             return 0.0
-        obs = steady_observables_grid(params, xg, xl, xr)
-        p = float(obs["power"])
+        p = _power_at(params, xg, xl, xr)
         return p if p > 0.0 else 0.0
 
     # ---- seed grid (vectorized) ----
@@ -343,8 +380,7 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                                 seeds_per_dim)
     mesh = np.meshgrid(*axes, indexing="ij")
     t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    decoded = np.array([decode(t) for t in t_grid])
-    xg_a, xl_a, xr_a = decoded[:, 0], decoded[:, 1], decoded[:, 2]
+    xg_a, xl_a, xr_a = np.broadcast_arrays(*decode(t_grid.T))
     obs = steady_observables_grid(params, xg_a, xl_a, xr_a)
     p_grid = np.where(obs["power"] > 0.0, obs["power"], 0.0)
     arrays = {"x_g": xg_a, "x_l": xl_a, "x_r": xr_a}
@@ -359,8 +395,8 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                          eta_at_pmax=None, evals=evals, converged=False,
                          degenerate=True)
 
-    ranked = sorted(range(t_grid.shape[0]),
-                    key=lambda i: (-p_grid[i], tuple(t_grid[i])))
+    # best power first, ties broken lexicographically on the coordinates
+    ranked = np.lexsort(tuple(t_grid.T[::-1]) + (-p_grid,))
     seeds = [i for i in ranked[:refine_top] if p_grid[i] > 0.0]
 
     # ---- refinement ----

@@ -1,11 +1,15 @@
 """Optimizer correctness: oracle agreement, determinism, orderings."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qdphotocell import (
+    DEFAULT_BOUNDS,
     INFINITE,
     DomainError,
+    NoUniqueSteadyStateError,
     build_generator,
     build_rates,
     currents,
@@ -16,8 +20,50 @@ from qdphotocell import (
     steady_observables_grid,
     steady_state,
 )
-from qdphotocell.optimize import nelder_mead
+from qdphotocell.optimize import _power_at, nelder_mead
 from conftest import draw_params
+
+
+def _general_path(p):
+    """Power, converter current and Re rho12 from build_generator +
+    steady_state + thermo.currents, with the largest term of the lead
+    current.  No term counts below 1e-5 of its rate: a trace-1 state
+    resolves a population to ~1e-16, so a term's round-off is ~1e-16 of
+    its rate whatever its size."""
+    r = build_rates(p)
+    s = steady_state(build_generator(r, p.delta21, p.tau)).state
+    j_l, _ = currents(s, p)
+    coeffs = (2.0 * (r.f_l_plus[0, 0] + r.f_l_plus[1, 1]), 2.0 * r.f_l_minus[0, 0],
+              2.0 * r.f_l_minus[1, 1], 2.0 * (r.f_l_minus[1, 0] + r.f_l_minus[0, 1]))
+    terms = (coeffs[0] * s.rho0, coeffs[1] * s.rho1, coeffs[2] * s.rho2,
+             coeffs[3] * s.rho12.real)
+    largest = max(max(map(abs, terms)), 1e-5 * max(coeffs))
+    power = (p.mu_r - p.mu_l) * j_l / (p.temp_p * p.gamma_p)
+    return power, j_l, s.rho12.real, largest
+
+
+def _box_draws(rng, n_sets, per_set, corner):
+    """(params, x_g, x_l, x_r) blocks over the default search box.
+
+    Uniform blocks cycle tau through 0, U(0, 10) and INFINITE, one in five
+    at the dark-state corner (r_p = r_l = 1, tau = 0).  ``corner`` blocks sit
+    next to that corner with the left lead filled (x_l < -8, r_p > 0.99,
+    tau = 0), where the coherence row nearly repeats the ground row and the
+    empty-state population is tiny: forms that take rho0 as 1 - 2 g - rho_e,
+    or that keep the raw coherence row, lose it there.
+    """
+    for k in range(n_sets):
+        tau = (0.0, rng.uniform(0.0, 10.0), INFINITE)[k % 3]
+        r_p, r_l = rng.uniform(0.0, 1.0, 2)
+        x_l = rng.uniform(*DEFAULT_BOUNDS["x_l"], per_set)
+        if corner:
+            r_p, tau = rng.uniform(0.99, 1.0), 0.0
+            x_l = rng.uniform(DEFAULT_BOUNDS["x_l"][0], -8.0, per_set)
+        elif k % 5 == 4:
+            r_p, r_l, tau = 1.0, 1.0, 0.0
+        p = params_from_scaled(2.0, 0.0, 0.0, r_p=r_p, r_l=r_l, tau=tau)
+        yield (p, rng.uniform(*DEFAULT_BOUNDS["x_g"], per_set), x_l,
+               rng.uniform(*DEFAULT_BOUNDS["x_r"], per_set))
 
 
 class TestNelderMead:
@@ -65,6 +111,24 @@ class TestBatchedEvaluatorConsistency:
             assert np.allclose(obs["v"][:4],
                                sol.state.as_vector()[:4], atol=1e-12)
 
+    @pytest.mark.parametrize("corner", [False, True])
+    def test_kernel_matches_general_path_over_search_box(self, rng, corner):
+        # power to 1e-9 of |bias prefactor| x the largest lead-current term,
+        # the current to 1e-9 of that term: power cancels at the window edges
+        eta_c = 1.0 - 295.0 / 5780.0
+        for p, xg, xl, xr in _box_draws(rng, 100, 10, corner):
+            obs = steady_observables_grid(p, xg, xl, xr)
+            for k in range(xg.size):
+                at = p.with_scaled(x_g=xg[k], x_l=xl[k], x_r=xr[k])
+                want_p, want_j, want_u, largest = _general_path(at)
+                tol = 1e-9 * largest
+                ptol = abs(xg[k] - (1.0 - eta_c) * (xr[k] - xl[k])) * tol
+                scalar = _power_at(p, float(xg[k]), float(xl[k]), float(xr[k]))
+                assert abs(scalar - want_p) <= ptol
+                assert abs(obs["power"][k] - want_p) <= ptol
+                assert abs(obs["j"][k] - want_j) <= tol
+                assert abs(obs["rho12_re"][k] - want_u) <= 1e-10
+
     def test_broadcasting(self):
         p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.4, r_l=0.1)
         xl = np.linspace(-3.0, 0.0, 7)
@@ -76,6 +140,52 @@ class TestBatchedEvaluatorConsistency:
         p = params_from_scaled(2.0, 0.0, 0.0, delta21=10.0)
         with pytest.raises(DomainError):
             steady_observables_grid(p, 2.0, 0.0, 3.0)
+
+
+class TestKernelRefusal:
+    """Both kernel paths refuse exactly where steady_state does, silently.
+
+    Points are drawn over the property-test ranges of ``draw_params``.  Far
+    out in the search box, with a lead or the photon field switched off,
+    each path can refuse a point the other solves, because steady_state
+    gates the conditioning of the 6x6 system and the kernel the trace of its
+    cofactor vector against its row norms.
+    """
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            fn()
+        except NoUniqueSteadyStateError:
+            return "refused"
+        return "solved"
+
+    @pytest.mark.parametrize("fixed,refused", [
+        ({"gamma_p": 0.0, "gamma_l": 0.0}, True),
+        ({"gamma_p": 0.0, "gamma_r": 0.0}, True),
+        ({"gamma_l": 0.0, "gamma_r": 0.0}, True),
+        ({"gamma_p": 0.0}, False),
+        ({"gamma_l": 0.0}, False),
+        ({"gamma_r": 0.0}, False),
+        ({"r_p": 1.0, "r_l": 1.0, "tau": 0.0}, False),
+    ])
+    def test_parity_with_general_path(self, rng, fixed, refused):
+        want = ["refused" if refused else "solved"] * 8
+        for tau in (0.0, 1.5, INFINITE):
+            p = draw_params(rng, **{"tau": tau, **fixed})
+            xg, xl, xr = (rng.uniform(0.5, 10.0, 8), rng.uniform(-5.0, 5.0, 8),
+                          rng.uniform(-5.0, 5.0, 8))
+            points = [p.with_scaled(x_g=a, x_l=b, x_r=c)
+                      for a, b, c in zip(xg.tolist(), xl.tolist(), xr.tolist())]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                general = [self._outcome(lambda q=q: steady_state(build_generator(
+                    build_rates(q), q.delta21, q.tau))) for q in points]
+                scalar = [self._outcome(lambda q=q: _power_at(p, q.x_g, q.x_l, q.x_r))
+                          for q in points]
+                batched = self._outcome(lambda: steady_observables_grid(p, xg, xl, xr))
+            assert general == scalar == want
+            assert batched == want[0]
 
 
 class TestMaximizePower:
