@@ -20,19 +20,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from . import __version__
 from .dynamics import build_generator, steady_state
 from .errors import ConfigError, DomainError, OutputExistsError, QdpcError
 from .experiments import (
+    FIG3_R_P,
+    SWEEP_DEFAULTS,
+    _tau_jsonable,
     default_eta_c_grid,
     default_r_grid,
     run_fig2,
     run_fig3a,
     run_fig3b,
 )
-from .model import INFINITE, ModelParams, build_rates, params_from_scaled, scaled_energies
+from .model import INFINITE, ModelParams, build_rates, params_from_scaled
 from .optimize import maximize_power
 from .selftest import run_selftest
 from .thermo import thermo_report
@@ -41,33 +45,48 @@ __all__ = ["RunConfig", "parse_config", "dispatch", "main"]
 
 _WORKERS_ENV = "QDPHOTOCELL_WORKERS"
 
-_SCALED_KEYS = {"x_g", "x_l", "x_r"}
-_PHYSICAL_KEYS = {"eps_g", "eps_l", "mu_l", "mu_r"}
-_MODEL_KEYS = {"temp", "temp_p", "gamma", "gamma_p", "gamma_l", "gamma_r",
-               "r_p", "r_l", "tau", "delta21"}
-_OPTIMIZER_KEYS = {"free", "bounds", "seeds_per_dim", "refine_top",
-                   "f_rel_tol", "x_rel_tol", "max_evals_per_seed"}
-_SWEEP_KEYS = {"r_step", "eta_c_lo", "eta_c_hi", "eta_c_step",
-               "r_l_values", "tau_values", "x_g"}
-_OUTPUT_KEYS = {"path", "format", "force", "workers"}
-_TOP_KEYS = {"scaled", "physical", "model", "optimizer", "sweep", "output"}
-
-# every default operating point and temperature is ModelParams' own
+# every default of the scaled, physical and model blocks is ModelParams' own
 _DEFAULT_PARAMS = ModelParams()
-_MODEL_DEFAULTS = {"temp": _DEFAULT_PARAMS.temp, "temp_p": _DEFAULT_PARAMS.temp_p,
-                   "gamma": 1.0, "r_p": 0.0, "r_l": 0.0, "tau": 0.0, "delta21": 0.0}
-_SCALED_DEFAULTS = dict(zip(("x_g", "x_l", "x_r"), scaled_energies(_DEFAULT_PARAMS)))
+_SCALED_DEFAULTS, _PHYSICAL_DEFAULTS, _MODEL_DEFAULTS = (
+    {k: getattr(_DEFAULT_PARAMS, k) for k in keys}
+    for keys in (("x_g", "x_l", "x_r"), ("eps_g", "eps_l", "mu_l", "mu_r"),
+                 ("temp", "temp_p", "r_p", "r_l", "delta21")))
+_GAMMA_KEYS = ("gamma_p", "gamma_l", "gamma_r")
+
+# the keys each block of a config document accepts
+_BLOCK_KEYS = {
+    "scaled": set(_SCALED_DEFAULTS),
+    "physical": set(_PHYSICAL_DEFAULTS),
+    "model": {*_MODEL_DEFAULTS, *_GAMMA_KEYS, "gamma", "tau"},
+    "optimizer": {"free", "bounds", "seeds_per_dim", "refine_top", "f_rel_tol",
+                  "x_rel_tol", "max_evals_per_seed"},
+    "sweep": set(SWEEP_DEFAULTS),
+    "output": {"path", "format", "force", "workers"},
+}
+
+
+def _checked(convert, value, where: str):
+    """``convert(value)``, with a malformed value reported as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed value for {where}: {value!r} ({exc})") from None
+
+
+def _floats(block: dict, defaults: dict, where: str) -> dict:
+    """Each key of ``defaults`` as a float, taken from ``block`` where set there."""
+    return {k: _checked(float, block.get(k, d), f"{where}.{k}") for k, d in defaults.items()}
+
+
+def _bound_pair(value) -> tuple:
+    lo, hi = map(float, value)
+    return lo, hi
 
 
 def _parse_tau(value):
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinite", "infinity"):
-            return INFINITE
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"tau must be a number or 'inf', got {value!r}") from None
-    return float(value)
+    if isinstance(value, str) and value.strip().lower() in ("inf", "infinite", "infinity"):
+        return INFINITE
+    return _checked(float, value, "tau (a number or 'inf')")
 
 
 @dataclass
@@ -78,13 +97,13 @@ class RunConfig:
     free: tuple = ("x_l", "x_r")
     bounds: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
-    r_step: float = 0.05
-    eta_c_lo: float = 0.05
-    eta_c_hi: float = 0.95
-    eta_c_step: float = 0.05
-    r_l_values: tuple = (0.0, 0.3, 0.9)
-    tau_values: tuple = (0.0, 1.0, 10.0, INFINITE)
-    sweep_x_g: float = _SCALED_DEFAULTS["x_g"]
+    r_step: float = SWEEP_DEFAULTS["r_step"]
+    eta_c_lo: float = SWEEP_DEFAULTS["eta_c_lo"]
+    eta_c_hi: float = SWEEP_DEFAULTS["eta_c_hi"]
+    eta_c_step: float = SWEEP_DEFAULTS["eta_c_step"]
+    r_l_values: tuple = SWEEP_DEFAULTS["r_l_values"]
+    tau_values: tuple = SWEEP_DEFAULTS["tau_values"]
+    sweep_x_g: float = SWEEP_DEFAULTS["x_g"]
     out: str | None = None
     fmt: str = "csv"
     force: bool = False
@@ -96,22 +115,15 @@ class RunConfig:
         p = self.params
         return {
             "version": __version__,
-            "params": {
-                "eps_g": p.eps_g, "eps_l": p.eps_l, "delta21": p.delta21,
-                "mu_l": p.mu_l, "mu_r": p.mu_r, "temp": p.temp,
-                "temp_p": p.temp_p, "gamma_p": p.gamma_p, "gamma_l": p.gamma_l,
-                "gamma_r": p.gamma_r, "r_p": p.r_p, "r_l": p.r_l,
-                "tau": "inf" if p.tau == INFINITE else p.tau,
-                "x_g": p.x_g, "x_l": p.x_l, "x_r": p.x_r,
-            },
+            "params": {**asdict(p), "tau": _tau_jsonable(p.tau),
+                       "x_g": p.x_g, "x_l": p.x_l, "x_r": p.x_r},
             "optimizer": {"free": list(self.free),
                           "bounds": {k: list(v) for k, v in self.bounds.items()},
                           **self.optimizer},
             "sweep": {"r_step": self.r_step, "eta_c_lo": self.eta_c_lo,
                       "eta_c_hi": self.eta_c_hi, "eta_c_step": self.eta_c_step,
                       "r_l_values": list(self.r_l_values),
-                      "tau_values": ["inf" if t == INFINITE else t
-                                     for t in self.tau_values],
+                      "tau_values": [_tau_jsonable(t) for t in self.tau_values],
                       "x_g": self.sweep_x_g},
             "output": {"path": self.out, "format": self.fmt,
                        "force": self.force, "workers": self.workers},
@@ -129,106 +141,85 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
 
     ``source`` is the parsed JSON config file (or None); ``overrides`` maps
     flag names (x_g, r_p, temp, ...) to values and wins over file values.
-    Exactly one of the scaled/physical parameter blocks may be present;
-    with neither, the defaults of :class:`ModelParams` apply (scaled x_g=2,
-    x_l=0, x_r=0, temp 295, photon temperature 5780, unit rates, no cross
-    coupling).
+    At most one of the scaled/physical parameter blocks may be present; the
+    defaults are those of :class:`ModelParams` and :data:`SWEEP_DEFAULTS`.
     """
-    source = dict(source or {})
-    overrides = dict(overrides or {})
-    _reject_unknown(source, _TOP_KEYS, "config")
-    scaled = dict(source.get("scaled") or {})
-    physical = dict(source.get("physical") or {})
-    model = dict(source.get("model") or {})
-    opt = dict(source.get("optimizer") or {})
-    sweep = dict(source.get("sweep") or {})
-    output = dict(source.get("output") or {})
-    _reject_unknown(scaled, _SCALED_KEYS, "config.scaled")
-    _reject_unknown(physical, _PHYSICAL_KEYS, "config.physical")
-    _reject_unknown(model, _MODEL_KEYS, "config.model")
-    _reject_unknown(opt, _OPTIMIZER_KEYS, "config.optimizer")
-    _reject_unknown(sweep, _SWEEP_KEYS, "config.sweep")
-    _reject_unknown(output, _OUTPUT_KEYS, "config.output")
+    source = _checked(dict, source or {}, "config")
+    set_flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    _reject_unknown(source, set(_BLOCK_KEYS), "config")
+    blocks = []
+    for name, allowed in _BLOCK_KEYS.items():
+        blocks.append(_checked(dict, source.get(name) or {}, f"config.{name}"))
+        _reject_unknown(blocks[-1], allowed, f"config.{name}")
+    scaled, physical, model, opt, sweep, output = blocks
 
     if "scaled" in source and "physical" in source:
         raise ConfigError("config must contain at most one of the 'scaled' "
                           "and 'physical' parameter blocks, not both")
 
-    for key in ("temp", "temp_p", "gamma", "r_p", "r_l", "tau"):
-        if overrides.get(key) is not None:
-            model[key] = overrides[key]
+    model.update({k: set_flags[k] for k in ("temp", "temp_p", "gamma", "r_p", "r_l", "tau")
+                  if k in set_flags})
     explicit_model_keys = frozenset(model)
-    scaled_overrides = {k: overrides[k] for k in ("x_g", "x_l", "x_r")
-                        if overrides.get(k) is not None}
+    scaled_overrides = {k: set_flags[k] for k in ("x_g", "x_l", "x_r") if k in set_flags}
     if scaled_overrides and physical:
         raise ConfigError("scaled overrides (--x-g/--x-l/--x-r) cannot be "
                           "combined with a 'physical' parameter block")
     scaled.update(scaled_overrides)
 
-    merged_model = dict(_MODEL_DEFAULTS)
-    merged_model.update(model)
-    merged_model["tau"] = _parse_tau(merged_model["tau"])
-    gamma = merged_model.pop("gamma")
-    gammas = {f"gamma_{c}": merged_model.pop(f"gamma_{c}", None) for c in "plr"}
-    gammas = {k: gamma if v is None else float(v) for k, v in gammas.items()}
-
+    # one keyword set for both parameter blocks; a rate set on its own wins
+    # over the common "gamma", which is passed on unconverted
+    model_kw = _floats(model, _MODEL_DEFAULTS, "model")
+    model_kw["tau"] = _parse_tau(model.get("tau", _DEFAULT_PARAMS.tau))
+    for k in _GAMMA_KEYS:
+        value = model.get(k)
+        model_kw[k] = (_checked(float, value, f"model.{k}") if value is not None
+                       else model.get("gamma", getattr(_DEFAULT_PARAMS, k)))
     try:
         if physical:
-            params = ModelParams(
-                eps_g=float(physical.get("eps_g", _DEFAULT_PARAMS.eps_g)),
-                eps_l=float(physical.get("eps_l", _DEFAULT_PARAMS.eps_l)),
-                mu_l=float(physical.get("mu_l", _DEFAULT_PARAMS.mu_l)),
-                mu_r=float(physical.get("mu_r", _DEFAULT_PARAMS.mu_r)),
-                temp=float(merged_model["temp"]),
-                temp_p=float(merged_model["temp_p"]),
-                r_p=float(merged_model["r_p"]), r_l=float(merged_model["r_l"]),
-                tau=merged_model["tau"], delta21=float(merged_model["delta21"]),
-                **gammas)
+            params = ModelParams(**_floats(physical, _PHYSICAL_DEFAULTS, "physical"),
+                                 **model_kw)
         else:
-            merged_scaled = dict(_SCALED_DEFAULTS)
-            merged_scaled.update(scaled)
-            params = params_from_scaled(
-                float(merged_scaled["x_g"]), float(merged_scaled["x_l"]),
-                float(merged_scaled["x_r"]),
-                temp=float(merged_model["temp"]),
-                temp_p=float(merged_model["temp_p"]),
-                gamma_p=gammas["gamma_p"], gamma_l=gammas["gamma_l"],
-                gamma_r=gammas["gamma_r"],
-                r_p=float(merged_model["r_p"]), r_l=float(merged_model["r_l"]),
-                tau=merged_model["tau"], delta21=float(merged_model["delta21"]))
+            params = params_from_scaled(**_floats(scaled, _SCALED_DEFAULTS, "scaled"),
+                                        **model_kw)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    free = tuple(opt.get("free", ("x_l", "x_r")))
-    bounds = {k: tuple(map(float, v)) for k, v in (opt.get("bounds") or {}).items()}
-    optimizer = {k: opt[k] for k in
-                 ("seeds_per_dim", "refine_top", "f_rel_tol", "x_rel_tol",
-                  "max_evals_per_seed") if k in opt}
+    free = _checked(tuple, opt.get("free", RunConfig.free), "optimizer.free")
+    if not all(isinstance(name, str) for name in free):
+        raise ConfigError(f"malformed value for optimizer.free: {list(free)!r}")
+    bounds = {k: _checked(_bound_pair, v, f"optimizer.bounds.{k}") for k, v in
+              _checked(dict.items, opt.get("bounds") or {}, "optimizer.bounds")}
+    # passed on unconverted: integers where a count belongs, else numbers
+    optimizer = {k: v for k, v in opt.items() if k not in ("free", "bounds")}
+    for k, value in optimizer.items():
+        kind = int if k in ("seeds_per_dim", "refine_top") else (int, float)
+        if not isinstance(value, kind):
+            raise ConfigError(f"malformed value for optimizer.{k}: {value!r}")
 
-    workers = output.get("workers")
-    if overrides.get("workers") is not None:
-        workers = overrides["workers"]
+    workers = set_flags.get("workers", output.get("workers"))
     if workers is None and os.environ.get(_WORKERS_ENV):
-        try:
-            workers = int(os.environ[_WORKERS_ENV])
-        except ValueError:
-            raise ConfigError(f"{_WORKERS_ENV} must be an integer, got "
-                              f"{os.environ[_WORKERS_ENV]!r}") from None
+        workers = _checked(int, os.environ[_WORKERS_ENV], _WORKERS_ENV)
+    if workers is not None:
+        _checked(int, workers, "output.workers")  # the sweeps' own conversion
+    out = set_flags.get("out") or output.get("path")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"malformed value for output.path: {out!r}")
 
-    tau_values = tuple(_parse_tau(t) for t in sweep.get("tau_values",
-                                                        (0.0, 1.0, 10.0, "inf")))
+    sweep = {**SWEEP_DEFAULTS, **sweep}
+    r_step, eta_c_lo, eta_c_hi, eta_c_step, sweep_x_g = (
+        _checked(float, sweep[k], f"sweep.{k}")
+        for k in ("r_step", "eta_c_lo", "eta_c_hi", "eta_c_step", "x_g"))
     cfg = RunConfig(
         params=params, free=free, bounds=bounds, optimizer=optimizer,
-        r_step=float(sweep.get("r_step", 0.05)),
-        eta_c_lo=float(sweep.get("eta_c_lo", 0.05)),
-        eta_c_hi=float(sweep.get("eta_c_hi", 0.95)),
-        eta_c_step=float(sweep.get("eta_c_step", 0.05)),
-        r_l_values=tuple(float(r) for r in sweep.get("r_l_values", (0.0, 0.3, 0.9))),
-        tau_values=tau_values,
-        sweep_x_g=float(sweep.get("x_g", _SCALED_DEFAULTS["x_g"])),
-        out=overrides.get("out") or output.get("path"),
-        fmt=overrides.get("fmt") or output.get("format", "csv"),
-        force=bool(overrides.get("force") or output.get("force", False)),
+        r_step=r_step, eta_c_lo=eta_c_lo, eta_c_hi=eta_c_hi, eta_c_step=eta_c_step,
+        r_l_values=_checked(lambda v: tuple(map(float, v)), sweep["r_l_values"],
+                            "sweep.r_l_values"),
+        tau_values=_checked(lambda v: tuple(map(_parse_tau, v)), sweep["tau_values"],
+                            "sweep.tau_values"),
+        sweep_x_g=sweep_x_g,
+        out=out,
+        fmt=set_flags.get("fmt") or output.get("format", "csv"),
+        force=bool(set_flags.get("force") or output.get("force", False)),
         workers=workers,
         explicit_model_keys=explicit_model_keys,
     )
@@ -243,10 +234,6 @@ def _fmt(value, digits=6) -> str:
     if isinstance(value, float) and value == INFINITE:
         return "inf"
     return format(value, f".{digits}g")
-
-
-def _echo_config(cfg: RunConfig) -> None:
-    print("resolved-config: " + json.dumps(cfg.echo(), sort_keys=True))
 
 
 def _cmd_steady(cfg: RunConfig) -> int:
@@ -290,47 +277,25 @@ def _cmd_maximize(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_common(cfg: RunConfig, cmd: str):
-    out = cfg.out or f"{cmd}.{cfg.fmt}"
+def _cmd_sweep(cmd: str, cfg: RunConfig) -> int:
+    """Run one canned sweep and write its table."""
+    p = cfg.params
+    # validated for every sweep, fig2 included
     eta_grid = default_eta_c_grid(cfg.eta_c_lo, cfg.eta_c_hi, cfg.eta_c_step)
-    return out, eta_grid
-
-
-def _cmd_fig2(cfg: RunConfig) -> int:
-    out, _ = _sweep_common(cfg, "fig2")
-    p = cfg.params
-    table = run_fig2(default_r_grid(cfg.r_step), temp=p.temp, temp_p=p.temp_p,
-                     x_g=cfg.sweep_x_g, tau=p.tau, gamma=p.gamma_p,
-                     workers=cfg.workers, **cfg.optimizer)
+    # the canonical curve families fix r_p unless it is set explicitly
+    r_p = p.r_p if "r_p" in cfg.explicit_model_keys else FIG3_R_P
+    common = {"temp_p": p.temp_p, "gamma": p.gamma_p, "workers": cfg.workers,
+              **cfg.optimizer}
+    if cmd == "fig2":
+        table = run_fig2(default_r_grid(cfg.r_step), temp=p.temp, x_g=cfg.sweep_x_g,
+                         tau=p.tau, **common)
+    elif cmd == "fig3a":
+        table = run_fig3a(cfg.r_l_values, eta_grid, r_p=r_p, tau=p.tau, **common)
+    else:
+        table = run_fig3b(cfg.tau_values, eta_grid, r_p=r_p, r_l=p.r_l, **common)
+    out = cfg.out or f"{cmd}.{cfg.fmt}"
     table.write(out, cfg.fmt, force=cfg.force)
-    print(f"fig2: wrote {len(table.rows)} rows to {out}")
-    return 0
-
-
-def _fig3_r_p(cfg: RunConfig) -> float:
-    # the canonical curve family fixes r_p = 0.9 unless set explicitly
-    return cfg.params.r_p if "r_p" in cfg.explicit_model_keys else 0.9
-
-
-def _cmd_fig3a(cfg: RunConfig) -> int:
-    out, eta_grid = _sweep_common(cfg, "fig3a")
-    p = cfg.params
-    table = run_fig3a(cfg.r_l_values, eta_grid, r_p=_fig3_r_p(cfg), tau=p.tau,
-                      temp_p=p.temp_p, gamma=p.gamma_p, workers=cfg.workers,
-                      **cfg.optimizer)
-    table.write(out, cfg.fmt, force=cfg.force)
-    print(f"fig3a: wrote {len(table.rows)} rows to {out}")
-    return 0
-
-
-def _cmd_fig3b(cfg: RunConfig) -> int:
-    out, eta_grid = _sweep_common(cfg, "fig3b")
-    p = cfg.params
-    table = run_fig3b(cfg.tau_values, eta_grid, r_p=_fig3_r_p(cfg), r_l=p.r_l,
-                      temp_p=p.temp_p, gamma=p.gamma_p, workers=cfg.workers,
-                      **cfg.optimizer)
-    table.write(out, cfg.fmt, force=cfg.force)
-    print(f"fig3b: wrote {len(table.rows)} rows to {out}")
+    print(f"{cmd}: wrote {len(table.rows)} rows to {out}")
     return 0
 
 
@@ -343,9 +308,9 @@ _COMMANDS = {
     "steady": _cmd_steady,
     "thermo": _cmd_thermo,
     "maximize": _cmd_maximize,
-    "fig2": _cmd_fig2,
-    "fig3a": _cmd_fig3a,
-    "fig3b": _cmd_fig3b,
+    "fig2": partial(_cmd_sweep, "fig2"),
+    "fig3a": partial(_cmd_sweep, "fig3a"),
+    "fig3b": partial(_cmd_sweep, "fig3b"),
     "selftest": _cmd_selftest,
 }
 
@@ -354,7 +319,7 @@ def dispatch(cmd: str, cfg: RunConfig) -> int:
     """Run one subcommand against a resolved configuration."""
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}")
-    _echo_config(cfg)
+    print("resolved-config: " + json.dumps(cfg.echo(), sort_keys=True))
     return _COMMANDS[cmd](cfg)
 
 

@@ -28,6 +28,8 @@ from .model import INFINITE, ModelParams, params_from_scaled, scaled_energies
 from .optimize import _steady_at, efficiency_at_max_power_curve, maximize_power
 
 __all__ = [
+    "SWEEP_DEFAULTS",
+    "FIG3_R_P",
     "SweepTable",
     "run_fig2",
     "run_fig3a",
@@ -39,8 +41,21 @@ __all__ = [
 #: Columns are (name, unit) pairs; "1" marks a dimensionless quantity.
 _POWER_UNIT = "kB*temp_p*gamma_p"
 
+#: Default sweep settings, keyed as in the config file's ``sweep`` block; the
+#: one source for the sweeps, the CLI and its docs.
+SWEEP_DEFAULTS = {
+    "r_step": 0.05,
+    "eta_c_lo": 0.05, "eta_c_hi": 0.95, "eta_c_step": 0.05,
+    "r_l_values": (0.0, 0.3, 0.9),
+    "tau_values": (0.0, 1.0, 10.0, INFINITE),
+    "x_g": ModelParams().x_g,
+}
 
-def default_r_grid(step: float = 0.05) -> list[float]:
+#: Photon cross coupling of the fig3a/fig3b curve families.
+FIG3_R_P = 0.9
+
+
+def default_r_grid(step: float = SWEEP_DEFAULTS["r_step"]) -> list[float]:
     """Cross-coupling grid covering [0, 1] inclusive with the given step."""
     if not 0.0 < step <= 1.0:
         raise ConfigError(f"r grid step must lie in (0, 1], got {step}")
@@ -50,7 +65,9 @@ def default_r_grid(step: float = 0.05) -> list[float]:
     return [round(k * step, 12) for k in range(n + 1)]
 
 
-def default_eta_c_grid(lo: float = 0.05, hi: float = 0.95, step: float = 0.05) -> list[float]:
+def default_eta_c_grid(lo: float = SWEEP_DEFAULTS["eta_c_lo"],
+                       hi: float = SWEEP_DEFAULTS["eta_c_hi"],
+                       step: float = SWEEP_DEFAULTS["eta_c_step"]) -> list[float]:
     """Carnot-efficiency grid, endpoints inclusive."""
     if not (0.0 < lo <= hi < 1.0 and step > 0.0):
         raise ConfigError("eta_c grid needs 0 < lo <= hi < 1 and step > 0, got "
@@ -175,32 +192,25 @@ def _map_rows(fn, jobs, workers: int):
 def _fig2_point(job) -> dict:
     r_p, r_l, base_kwargs, opt_kwargs = job
     params = params_from_scaled(r_p=r_p, r_l=r_l, **base_kwargs)
+    row = {"r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
+           "x_l": None, "x_r": None, "p_max": None, "eta": None,
+           "abs_rho12": None, "j": None, "converged": False, "error": None}
     try:
         res = maximize_power(params, free=("x_l", "x_r"), **opt_kwargs)
     except QdpcError as exc:
-        return {"r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
-                "x_l": None, "x_r": None, "p_max": None, "eta": None,
-                "abs_rho12": None, "j": None, "converged": False,
-                "error": str(exc)}
+        return {**row, "error": str(exc)}
     if res.degenerate:
-        return {"r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
-                "x_l": None, "x_r": None, "p_max": 0.0, "eta": None,
-                "abs_rho12": None, "j": None, "converged": False,
-                "error": "degenerate-operating-region"}
+        return {**row, "p_max": 0.0, "error": "degenerate-operating-region"}
     at = params.with_scaled(x_l=res.x_opt["x_l"], x_r=res.x_opt["x_r"])
     # the float kernel behind p_max; Im rho12 = 0 for degenerate levels
     _, j, _, _, _, u = _steady_at(at, at.x_g, at.x_l, at.x_r)
-    return {
-        "r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
-        "x_l": res.x_opt["x_l"], "x_r": res.x_opt["x_r"],
-        "p_max": res.p_max, "eta": res.eta_at_pmax,
-        "abs_rho12": abs(u), "j": j,
-        "converged": res.converged, "error": None,
-    }
+    return {**row, "x_l": res.x_opt["x_l"], "x_r": res.x_opt["x_r"],
+            "p_max": res.p_max, "eta": res.eta_at_pmax, "abs_rho12": abs(u),
+            "j": j, "converged": res.converged}
 
 
 def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
-             temp_p: float = ModelParams.temp_p, x_g: float = ModelParams().x_g,
+             temp_p: float = ModelParams.temp_p, x_g: float = SWEEP_DEFAULTS["x_g"],
              tau: float = 0.0, gamma: float = 1.0,
              workers=None, **opt_kwargs) -> SweepTable:
     """Efficiency and steady coherence at maximum power over (r_p, r_l).
@@ -241,11 +251,10 @@ def _curve_rows(job):
     label_name, label_value, params, eta_c_grid, opt_kwargs = job
     base = params_from_scaled(*scaled_energies(ModelParams()),
                               **params, **{label_name: label_value})
-    label = _tau_jsonable(label_value) if label_name == "tau" else label_value
     rows = []
     for pt in efficiency_at_max_power_curve(base, eta_c_grid, **opt_kwargs):
         rows.append({
-            label_name: label,
+            label_name: _tau_jsonable(label_value),
             "eta_c": pt.eta_c, "temp": (1.0 - pt.eta_c) * base.temp_p,
             "temp_p": base.temp_p, "eta_at_pmax": pt.eta_at_pmax,
             "eta_ca": pt.eta_ca, "p_max": pt.p_max,
@@ -264,37 +273,36 @@ _CURVE_COLUMNS_TAIL = (
 )
 
 
-def run_fig3a(r_l_values=(0.0, 0.3, 0.9), eta_c_grid=None, *, r_p: float = 0.9,
-              tau: float = 0.0, temp_p: float = ModelParams.temp_p, gamma: float = 1.0,
-              workers=None, **opt_kwargs) -> SweepTable:
-    """Efficiency at maximum power vs Carnot efficiency for several r_l."""
+def _run_curves(sweep, label, unit, values, eta_c_grid, params, workers,
+                opt_kwargs) -> SweepTable:
+    """One efficiency-at-max-power curve per value of the parameter ``label``,
+    the other knobs fixed at ``params``."""
     eta_c_grid = list(eta_c_grid) if eta_c_grid is not None else default_eta_c_grid()
-    params = {"r_p": r_p, "tau": tau, "temp_p": temp_p, "gamma": gamma}
-    jobs = [("r_l", float(r_l), params, eta_c_grid, opt_kwargs) for r_l in r_l_values]
+    values = [float(v) for v in values]
+    jobs = [(label, v, params, eta_c_grid, opt_kwargs) for v in values]
     groups = _map_rows(_curve_rows, jobs, min(_resolve_workers(workers), len(jobs)))
-    rows = [row for group in groups for row in group]
-    columns = (("r_l", "1"),) + _CURVE_COLUMNS_TAIL
-    config = {"sweep": "fig3a", "r_p": r_p, "tau": _tau_jsonable(tau),
-              "r_l_values": [float(r) for r in r_l_values],
-              "eta_c_grid": eta_c_grid, "temp_p": temp_p, "gamma": gamma,
-              "free": ["x_g", "x_l", "x_r"], "optimizer": dict(opt_kwargs)}
-    return SweepTable(columns=columns, rows=tuple(rows),
+    config = {"sweep": sweep, **{k: _tau_jsonable(v) for k, v in params.items()},
+              f"{label}_values": [_tau_jsonable(v) for v in values],
+              "eta_c_grid": eta_c_grid, "free": ["x_g", "x_l", "x_r"],
+              "optimizer": dict(opt_kwargs)}
+    return SweepTable(columns=((label, unit),) + _CURVE_COLUMNS_TAIL,
+                      rows=tuple(row for group in groups for row in group),
                       provenance=_provenance(config))
 
 
-def run_fig3b(tau_values=(0.0, 1.0, 10.0, INFINITE), eta_c_grid=None, *,
-              r_p: float = 0.9, r_l: float = 0.0, temp_p: float = ModelParams.temp_p,
+def run_fig3a(r_l_values=SWEEP_DEFAULTS["r_l_values"], eta_c_grid=None, *,
+              r_p: float = FIG3_R_P, tau: float = 0.0, temp_p: float = ModelParams.temp_p,
+              gamma: float = 1.0, workers=None, **opt_kwargs) -> SweepTable:
+    """Efficiency at maximum power vs Carnot efficiency for several r_l."""
+    return _run_curves("fig3a", "r_l", "1", r_l_values, eta_c_grid,
+                       {"r_p": r_p, "tau": tau, "temp_p": temp_p, "gamma": gamma},
+                       workers, opt_kwargs)
+
+
+def run_fig3b(tau_values=SWEEP_DEFAULTS["tau_values"], eta_c_grid=None, *,
+              r_p: float = FIG3_R_P, r_l: float = 0.0, temp_p: float = ModelParams.temp_p,
               gamma: float = 1.0, workers=None, **opt_kwargs) -> SweepTable:
     """Efficiency at maximum power vs Carnot efficiency for several tau."""
-    eta_c_grid = list(eta_c_grid) if eta_c_grid is not None else default_eta_c_grid()
-    params = {"r_p": r_p, "r_l": r_l, "temp_p": temp_p, "gamma": gamma}
-    jobs = [("tau", float(tau), params, eta_c_grid, opt_kwargs) for tau in tau_values]
-    groups = _map_rows(_curve_rows, jobs, min(_resolve_workers(workers), len(jobs)))
-    rows = [row for group in groups for row in group]
-    columns = (("tau", "gamma_p"),) + _CURVE_COLUMNS_TAIL
-    config = {"sweep": "fig3b", "r_p": r_p, "r_l": r_l,
-              "tau_values": [_tau_jsonable(float(t)) for t in tau_values],
-              "eta_c_grid": eta_c_grid, "temp_p": temp_p, "gamma": gamma,
-              "free": ["x_g", "x_l", "x_r"], "optimizer": dict(opt_kwargs)}
-    return SweepTable(columns=columns, rows=tuple(rows),
-                      provenance=_provenance(config))
+    return _run_curves("fig3b", "tau", "gamma_p", tau_values, eta_c_grid,
+                       {"r_p": r_p, "r_l": r_l, "temp_p": temp_p, "gamma": gamma},
+                       workers, opt_kwargs)

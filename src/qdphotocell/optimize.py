@@ -33,6 +33,7 @@ from .model import (
     fermi_occupation,
     params_from_scaled,
 )
+from .thermo import lead_current
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -135,7 +136,8 @@ def _degenerate_steady(params: ModelParams, x_g, x_l, x_r, n, fl, fr):
             "the transition network likely does not connect all four dot states")
     g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
-    j = 4.0 * flp * z - 4.0 * flm * g - 4.0 * rl * flm * u
+    # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
+    j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
     eta_c = 1.0 - params.temp / params.temp_p
     gamma_ref = gp if gp > 0.0 else 1.0
     power = (x_g - (1.0 - eta_c) * (x_r - x_l)) * j / gamma_ref
@@ -158,9 +160,8 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     """Vectorized steady-state observables over broadcastable scaled energies.
 
     Returns a dict with arrays ``power`` (units k_B * temp_p * gamma_p),
-    ``j`` (converter current), ``rho12_re``, ``rho12_im``, and the state
-    vectors ``v`` with trailing dimension 6, ordered as in
-    :mod:`qdphotocell.dynamics`.  Supports the degenerate configuration only
+    ``j`` (converter current) and ``rho12_re``; Im rho12 vanishes for
+    degenerate levels.  Supports the degenerate configuration only
     (delta21 = 0), where the steady state has a closed form; tests pin it to
     :func:`qdphotocell.dynamics.steady_state` over the whole search box.
     Raises :class:`NoUniqueSteadyStateError` if any grid point has no unique
@@ -174,11 +175,9 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
         np.asarray(x_r, dtype=float))
     if np.any(x_g <= 0.0):
         raise DomainError("x_g must be positive everywhere on the grid")
-    power, j, g, e, z, u = _degenerate_steady(
+    power, j, _, _, _, u = _degenerate_steady(
         params, x_g, x_l, x_r, _bose_array(x_g), _fermi_array(x_l), _fermi_array(x_r))
-    im = np.zeros_like(u)
-    v = np.stack([g, g, e, z, u, im], axis=-1)
-    return {"power": power, "j": j, "rho12_re": u, "rho12_im": im, "v": v}
+    return {"power": power, "j": j, "rho12_re": u}
 
 
 def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,

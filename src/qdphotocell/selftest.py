@@ -19,13 +19,16 @@ from .model import ModelParams, build_rates, params_from_scaled
 from .optimize import maximize_power
 from .thermo import currents, reference_efficiencies, thermo_report
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "draw_params"]
 
 _SEED = 20260810
 
 
-def _draw(rng) -> ModelParams:
-    return params_from_scaled(
+def draw_params(rng, **fixed) -> ModelParams:
+    """One draw over the property-test ranges, every value drawn in this order
+    before ``fixed`` replaces some: x_g in [0.5, 10]; x_l, x_r in [-5, 5];
+    r_p, r_l in [0, 1]; tau in [0, 10]; unit rates; 295 K / 5780 K."""
+    values = dict(
         x_g=rng.uniform(0.5, 10.0),
         x_l=rng.uniform(-5.0, 5.0),
         x_r=rng.uniform(-5.0, 5.0),
@@ -33,13 +36,14 @@ def _draw(rng) -> ModelParams:
         r_l=rng.uniform(0.0, 1.0),
         tau=rng.uniform(0.0, 10.0),
     )
+    return params_from_scaled(**{**values, **fixed})
 
 
 def _check_conservation(n=200):
     rng = np.random.default_rng(_SEED)
     failures = []
     for k in range(n):
-        p = _draw(rng)
+        p = draw_params(rng)
         gen = build_generator(build_rates(p), p.delta21, p.tau)
         if gen.left_null_residual() > 1e-12:
             failures.append(f"draw {k}: left-null residual {gen.left_null_residual():.2e}")
@@ -53,7 +57,7 @@ def _check_current_balance(n=200):
     rng = np.random.default_rng(_SEED + 1)
     failures = []
     for k in range(n):
-        p = _draw(rng)
+        p = draw_params(rng)
         sol = steady_state(build_generator(build_rates(p), p.delta21, p.tau))
         j_l, j_r = currents(sol.state, p)
         if abs(j_l + j_r) > 1e-10 * max(1.0, abs(j_l)):
@@ -88,7 +92,7 @@ def _check_oracle_equivalence(n=5):
     failures = []
     taken = 0
     while taken < n:
-        p = _draw(rng)
+        p = draw_params(rng)
         gen = build_generator(build_rates(p), p.delta21, p.tau)
         if spectral_gap(gen) < 0.11:
             continue  # transient would not die out within the fixed duration
@@ -124,7 +128,7 @@ def _check_thermo_identities(n=100):
     rng = np.random.default_rng(_SEED + 4)
     failures = []
     for k in range(n):
-        p = _draw(rng)
+        p = draw_params(rng)
         sol = steady_state(build_generator(build_rates(p), p.delta21, p.tau))
         rep = thermo_report(sol.state, p)  # dual power forms asserted inside
         if rep.eta is not None:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 from .dynamics import DensityState
 from .errors import DomainError, SecondLawViolationError
-from .model import ModelParams, bose_occupation, build_rates, fermi_occupation
+from .model import ModelParams, RateSet, bose_occupation, build_rates, fermi_occupation
 
 __all__ = [
     "ThermoReport",
     "CoherenceStructure",
+    "lead_current",
     "currents",
     "thermo_report",
     "analytic_coherence_structure",
@@ -33,6 +34,25 @@ _STATIONARY_TOL = 1e-8
 # treated as a second-law violation (hard failure).
 _SECOND_LAW_SLACK = 1e-9
 
+# a sum of a few products of doubles below this share of its largest term is round-off
+_ROUNDOFF_FLOOR = 64.0 * 2.3e-16
+
+
+def lead_current(f_in, f_out1, f_out2, f_cross, rho0, rho1, rho2, u):
+    """Left-lead electron current into the dot, on floats or arrays alike:
+    ``f_in`` is the summed injection coefficient of both ground levels,
+    ``f_out1``/``f_out2`` their extraction coefficients, ``f_cross`` the
+    summed cross extraction coefficient, and ``u`` = Re rho12."""
+    return 2.0 * f_in * rho0 - (2.0 * f_out1 * rho1 + 2.0 * f_out2 * rho2) - 2.0 * f_cross * u
+
+
+def _lead_current_args(state: DensityState, rates: RateSet) -> tuple:
+    """The arguments of :func:`lead_current` as Python floats."""
+    (flp11, _), (_, flp22) = rates.f_l_plus.tolist()
+    (flm11, flm12), (flm21, flm22) = rates.f_l_minus.tolist()
+    return (flp11 + flp22, flm11, flm22, flm21 + flm12,
+            state.rho0, state.rho1, state.rho2, state.rho12.real)
+
 
 def currents(state: DensityState, params: ModelParams) -> tuple[float, float]:
     """Electron currents (j_l, j_r) from the left/right lead into the dot.
@@ -43,13 +63,8 @@ def currents(state: DensityState, params: ModelParams) -> tuple[float, float]:
     any steady state.
     """
     r = build_rates(params)
-    u = state.rho12.real
-    j_l = (2.0 * (r.f_l_plus[0, 0] + r.f_l_plus[1, 1]) * state.rho0
-           - 2.0 * r.f_l_minus[0, 0] * state.rho1
-           - 2.0 * r.f_l_minus[1, 1] * state.rho2
-           - 2.0 * (r.f_l_minus[1, 0] + r.f_l_minus[0, 1]) * u)
     j_r = 2.0 * r.f_r_plus * state.rho0 - 2.0 * r.f_r_minus * state.rho_e
-    return j_l, j_r
+    return lead_current(*_lead_current_args(state, r)), j_r
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,8 @@ def thermo_report(state: DensityState, params: ModelParams) -> ThermoReport:
     scaled-energy form temp_p * [x_g - (1 - eta_c)(x_r - x_l)] * J; the two
     algebraic forms are asserted equal to 1e-12 relative.  A stationary
     point with positive power and eta > eta_c raises
-    :class:`SecondLawViolationError`.
+    :class:`SecondLawViolationError`, unless its current is round-off of a
+    zero current, below the floor of its largest term.
     """
     j_l, j_r = currents(state, params)
     stationary = abs(j_l + j_r) <= _STATIONARY_TOL * max(1.0, abs(j_l))
@@ -109,8 +125,8 @@ def thermo_report(state: DensityState, params: ModelParams) -> ThermoReport:
     power_scaled_form = params.temp_p * (x_g - (1.0 - eta_c) * (x_r - x_l)) * j
     # near zero bias both forms are differences of large terms; the identity
     # is only meaningful above the cancellation floor of those terms
-    floor = 64.0 * 2.3e-16 * abs(j) * (abs(params.mu_r) + abs(params.mu_l)
-                                       + params.temp_p * (abs(x_g) + abs(x_r - x_l)))
+    floor = _ROUNDOFF_FLOOR * abs(j) * (abs(params.mu_r) + abs(params.mu_l)
+                                        + params.temp_p * (abs(x_g) + abs(x_r - x_l)))
     tol = max(1e-12 * max(abs(power), abs(power_scaled_form)), floor)
     if abs(power - power_scaled_form) > tol:
         raise AssertionError(
@@ -123,9 +139,13 @@ def thermo_report(state: DensityState, params: ModelParams) -> ThermoReport:
         eta_ca = math.nan  # no converter regime above the photon temperature
 
     if stationary and power > 0.0 and eta is not None and eta > eta_c + _SECOND_LAW_SLACK:
-        raise SecondLawViolationError(
-            f"stationary point with power {power!r} has eta = {eta!r} above "
-            f"the Carnot bound {eta_c!r}")
+        # the floor takes the rates a second time, so only where the bound is crossed
+        args = _lead_current_args(state, build_rates(params))
+        largest = 2.0 * max(abs(f * x) for f, x in zip(args[:4], args[4:]))
+        if abs(j) > _ROUNDOFF_FLOOR * largest:
+            raise SecondLawViolationError(
+                f"stationary point with power {power!r} has eta = {eta!r} above "
+                f"the Carnot bound {eta_c!r}")
 
     return ThermoReport(j_l=j_l, j_r=j_r, j=j, q_dot_p=q_dot_p, power=power,
                         eta=eta, eta_c=eta_c, eta_ca=eta_ca, stationary=stationary)

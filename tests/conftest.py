@@ -30,24 +30,7 @@ from qdphotocell.dynamics import (
 )
 from qdphotocell.errors import DomainError, NoUniqueSteadyStateError
 from qdphotocell.model import ModelParams, RateSet, bose_occupation, fermi_occupation
-
-
-def draw_params(rng, **fixed):
-    """One random parameter draw over the documented property-test ranges:
-
-    r_p, r_l uniform in [0, 1]; x_g in [0.5, 10]; x_l, x_r in [-5, 5];
-    tau in [0, 10]; unit rates; lead/photon temperatures 295 K / 5780 K.
-    """
-    values = dict(
-        x_g=rng.uniform(0.5, 10.0),
-        x_l=rng.uniform(-5.0, 5.0),
-        x_r=rng.uniform(-5.0, 5.0),
-        r_p=rng.uniform(0.0, 1.0),
-        r_l=rng.uniform(0.0, 1.0),
-        tau=rng.uniform(0.0, 10.0),
-    )
-    values.update(fixed)
-    return params_from_scaled(**values)
+from qdphotocell.selftest import draw_params
 
 
 def draw_fast_mixing_params(rng, min_gap=0.11, **fixed):
@@ -307,6 +290,29 @@ def reference_nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
     best = order[0]
     f_spread, x_spread = spread()
     return verts[best], fvals[best], evals, converged, f_spread, x_spread
+
+
+# ---- lead-current oracle ------------------------------------------------------
+
+# qdphotocell.thermo.currents as it read before the left-lead current got one
+# expression shared with the closed-form kernel: numpy-scalar arithmetic,
+# summed left to right.  A test-side oracle, not used by the package.
+def reference_currents(state: DensityState, params: ModelParams) -> tuple[float, float]:
+    """Electron currents (j_l, j_r) from the left/right lead into the dot.
+
+    Both are the trace of the number operator against the respective lead
+    dissipator, so they include the coherence contribution on the left side
+    (both ground levels couple to the same lead) and satisfy j_l = -j_r at
+    any steady state.
+    """
+    r = build_rates(params)
+    u = state.rho12.real
+    j_l = (2.0 * (r.f_l_plus[0, 0] + r.f_l_plus[1, 1]) * state.rho0
+           - 2.0 * r.f_l_minus[0, 0] * state.rho1
+           - 2.0 * r.f_l_minus[1, 1] * state.rho2
+           - 2.0 * (r.f_l_minus[1, 0] + r.f_l_minus[0, 1]) * u)
+    j_r = 2.0 * r.f_r_plus * state.rho0 - 2.0 * r.f_r_minus * state.rho_e
+    return j_l, j_r
 
 
 # ---- general-path oracle ----------------------------------------------------

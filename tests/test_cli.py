@@ -1,16 +1,20 @@
 """Configuration parsing and command dispatch."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import qdphotocell
-from qdphotocell import INFINITE
+from qdphotocell import DEFAULT_BOUNDS, INFINITE, ModelParams, maximize_power
 from qdphotocell.cli import main, parse_config
 from qdphotocell.errors import ConfigError
+from qdphotocell.experiments import SWEEP_DEFAULTS
 
 
 class TestParseConfig:
@@ -83,6 +87,68 @@ class TestParseConfig:
         cfg = parse_config({"model": {"tau": "inf"}})
         echoed = json.loads(json.dumps(cfg.echo()))
         assert echoed["params"]["tau"] == "inf"
+
+    def test_loose_values_accepted_as_before(self):
+        # numeric strings convert where the value is converted anyway, and
+        # are echoed unchanged where it is not
+        cfg = parse_config({"scaled": {"x_g": "2.5"},
+                            "optimizer": {"bounds": {"x_l": ["-3", 3]}},
+                            "output": {"workers": "2"}})
+        echo = cfg.echo()
+        assert cfg.params.x_g == 2.5
+        assert echo["optimizer"]["bounds"] == {"x_l": [-3.0, 3.0]}
+        assert echo["output"]["workers"] == "2"
+
+
+@pytest.mark.parametrize("cmd,doc,where", [
+    ("steady", {"scaled": {"x_g": "abc"}}, "scaled.x_g"),
+    ("steady", {"model": {"temp": "hot"}}, "model.temp"),
+    ("steady", {"sweep": {"r_step": "x"}}, "sweep.r_step"),
+    ("steady", {"sweep": {"r_l_values": 5}}, "sweep.r_l_values"),
+    ("steady", {"sweep": {"tau_values": [[1]]}}, "sweep.tau_values"),
+    ("steady", {"optimizer": {"bounds": {"x_l": 3}}}, "optimizer.bounds.x_l"),
+    ("steady", {"scaled": [1, 2]}, "config.scaled"),
+    ("maximize", {"optimizer": {"seeds_per_dim": "8"}}, "optimizer.seeds_per_dim"),
+    ("fig2", {"output": {"workers": "two"}}, "output.workers"),
+    ("maximize", {"optimizer": {"bounds": {"x_l": [-3, 0, 3]}}}, "optimizer.bounds.x_l"),
+    ("maximize", {"optimizer": {"f_rel_tol": "1e-9"}}, "optimizer.f_rel_tol"),
+    ("maximize", {"optimizer": {"free": [["x_l"]]}}, "optimizer.free"),
+    ("fig2", {"output": {"path": 5}, "sweep": {"r_step": 1.0}}, "output.path"),
+])
+def test_malformed_value_exit_code_and_record(capsys, tmp_path, cmd, doc, where):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    code = main([cmd, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ConfigError"
+    assert where in record["message"]
+    assert captured.out == ""  # refused before the resolved config is echoed
+
+
+def test_config_schema_doc_matches_defaults():
+    """The documented config block is the defaults it claims to be."""
+    text = (Path(__file__).parent.parent / "docs" / "config-schema.md").read_text()
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    defaults = ModelParams()
+    assert doc["sweep"] == {
+        k: [("inf" if x == INFINITE else x) for x in v] if isinstance(v, tuple) else v
+        for k, v in SWEEP_DEFAULTS.items()}
+    for name, keys in (("scaled", ("x_g", "x_l", "x_r")),
+                       ("physical", ("eps_g", "eps_l", "mu_l", "mu_r"))):
+        assert doc[name] == {k: getattr(defaults, k) for k in keys}
+    model = doc["model"]
+    assert model.pop("gamma") == defaults.gamma_p == defaults.gamma_l == defaults.gamma_r
+    assert model == {k: getattr(defaults, k) for k in (
+        "temp", "temp_p", "gamma_p", "gamma_l", "gamma_r", "r_p", "r_l", "tau", "delta21")}
+    optimizer = doc["optimizer"]
+    assert optimizer.pop("bounds") == {k: list(v) for k, v in DEFAULT_BOUNDS.items()}
+    signature = inspect.signature(maximize_power).parameters
+    assert optimizer.pop("free") == list(signature["free"].default)
+    assert optimizer == {k: signature[k].default for k in (
+        "seeds_per_dim", "refine_top", "f_rel_tol", "x_rel_tol", "max_evals_per_seed")}
 
 
 class TestDispatch:

@@ -21,7 +21,8 @@ from qdphotocell import (
     steady_state,
 )
 from qdphotocell import optimize
-from qdphotocell.optimize import _steady_at, nelder_mead
+from qdphotocell.model import _bose_array, _fermi_array, fermi_occupation
+from qdphotocell.optimize import _degenerate_steady, _steady_at, nelder_mead
 from conftest import draw_params, general_path_observables, reference_nelder_mead
 
 
@@ -147,7 +148,8 @@ class TestBatchedEvaluatorConsistency:
             obs = steady_observables_grid(p, p.x_g, p.x_l, p.x_r)
             sol = steady_state(build_generator(build_rates(p), p.delta21, p.tau))
             assert float(obs["rho12_re"]) == 0.0
-            assert np.allclose(obs["v"][:4],
+            _, _, g, rho_e, rho0, _ = _steady_at(p, p.x_g, p.x_l, p.x_r)
+            assert np.allclose([g, g, rho_e, rho0],
                                sol.state.as_vector()[:4], atol=1e-12)
 
     @pytest.mark.parametrize("corner", [False, True])
@@ -181,6 +183,29 @@ class TestBatchedEvaluatorConsistency:
             steady_observables_grid(p, 2.0, 0.0, 3.0)
         with pytest.raises(DomainError):
             _steady_at(p, 2.0, 0.0, 3.0)
+
+
+class TestKernelLeadCurrent:
+    """The kernel's j is thermo.lead_current with every factor of 2 exact, so
+    it keeps the bits of the expression it replaced."""
+
+    @staticmethod
+    def _replaced_j(p, fl, g, z, u):
+        flp, flm = p.gamma_l * fl, p.gamma_l * (1.0 - fl)
+        return 4.0 * flp * z - 4.0 * flm * g - 4.0 * p.r_l * flm * u
+
+    @pytest.mark.parametrize("corner", [False, True])
+    def test_bits_on_arrays_and_floats(self, rng, corner):
+        for p, xg, xl, xr in _box_draws(rng, 40, 250, corner):
+            p = p.replace(gamma_p=float(np.exp(rng.uniform(-2.3, 2.3))),
+                          gamma_l=float(np.exp(rng.uniform(-2.3, 2.3))))
+            fl = _fermi_array(xl)
+            _, j, g, _, z, u = _degenerate_steady(p, xg, xl, xr, _bose_array(xg), fl,
+                                                  _fermi_array(xr))
+            assert j.tobytes() == self._replaced_j(p, fl, g, z, u).tobytes()
+            for a, b, c in zip(xg[:25].tolist(), xl[:25].tolist(), xr[:25].tolist()):
+                _, j, g, _, z, u = _steady_at(p, a, b, c)
+                assert j.hex() == self._replaced_j(p, fermi_occupation(b), g, z, u).hex()
 
 
 class TestKernelRefusal:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from qdphotocell import (
+    INFINITE,
     DensityState,
     DomainError,
+    SecondLawViolationError,
     analytic_coherence_structure,
     build_generator,
     build_rates,
@@ -17,7 +19,7 @@ from qdphotocell import (
     steady_state,
     thermo_report,
 )
-from conftest import draw_params
+from conftest import draw_params, reference_currents
 
 
 def solve(p):
@@ -63,6 +65,50 @@ class TestCurrents:
         assert currents(a, p)[1] == currents(b, p)[1]
 
 
+# unit round-off of a double
+_U = 2.0 ** -53
+
+_CURRENT_DRAWS = {
+    "tau-zero": lambda rng: draw_params(rng, tau=0.0),
+    "tau-finite": lambda rng: draw_params(rng),
+    "tau-infinite": lambda rng: draw_params(rng, tau=INFINITE),
+    "dark-corner": lambda rng: draw_params(rng, r_p=1.0, r_l=1.0, tau=0.0),
+    "split-levels": lambda rng: draw_params(rng, delta21=rng.uniform(0.01, 2.0) * 295.0),
+}
+
+
+class TestCurrentsMatchOracle:
+    """currents against the expression it replaced (conftest), whose terms it
+    computes bit for bit and sums in another order."""
+
+    @pytest.mark.parametrize("kind", sorted(_CURRENT_DRAWS))
+    def test_left_within_summation_bound_right_exact(self, kind):
+        rng = np.random.default_rng(sorted(_CURRENT_DRAWS).index(kind) + 707)
+        for _ in range(300):
+            p = _CURRENT_DRAWS[kind](rng)
+            st = solve(p)
+            j_l, j_r = currents(st, p)
+            want_l, want_r = reference_currents(st, p)
+            r = build_rates(p)
+            terms = (2.0 * (r.f_l_plus[0, 0] + r.f_l_plus[1, 1]) * st.rho0,
+                     2.0 * r.f_l_minus[0, 0] * st.rho1,
+                     2.0 * r.f_l_minus[1, 1] * st.rho2,
+                     2.0 * (r.f_l_minus[1, 0] + r.f_l_minus[0, 1]) * st.rho12.real)
+            # a sum of four terms in any order lies within 3u sum|terms| of
+            # the exact sum, so two orders lie within 6u of each other
+            assert abs(j_l - want_l) <= 6.0 * _U * sum(map(abs, terms))
+            assert j_r.hex() == float(want_r).hex()
+            assert type(j_l) is float and type(j_r) is float
+
+    def test_report_fields_are_python_scalars(self, rng):
+        for _ in range(50):
+            p = draw_params(rng)
+            rep = thermo_report(solve(p), p)
+            for name in ("j_l", "j_r", "j", "q_dot_p", "power", "eta", "eta_c", "eta_ca"):
+                assert type(getattr(rep, name)) is float, name
+            assert type(rep.stationary) is bool
+
+
 class TestThermoReport:
     def test_zero_bias_zero_power(self):
         from qdphotocell import ModelParams
@@ -102,6 +148,27 @@ class TestThermoReport:
                 rep = thermo_report(solve(p), p)  # raises on violation
                 if rep.power > 0.0:
                     assert rep.eta <= rep.eta_c + 1e-9
+
+    def test_round_off_current_is_no_second_law_violation(self):
+        # photon channel off: the exact current vanishes and the solve leaves
+        # round-off, whose eta = (mu_r - mu_l) / eps_g may exceed eta_c
+        rng = np.random.default_rng(606)
+        crossed = 0
+        for k in range(600):
+            p = draw_params(rng, gamma_p=0.0, tau=(0.0, 2.0, INFINITE)[k % 3])
+            rep = thermo_report(solve(p), p)
+            crossed += rep.stationary and rep.power > 0.0 and rep.eta > rep.eta_c + 1e-9
+        assert crossed > 100
+
+    def test_balanced_state_above_carnot_raises(self):
+        # a stationary-balanced state with a large current, eta = 0.962 > eta_c
+        p = params_from_scaled(2.0, -1.0, 0.5)
+        r = build_rates(p)
+        f_in = r.f_l_plus[0, 0] + r.f_l_plus[1, 1]
+        rho0 = 1.0 / (1.0 + (f_in + r.f_r_plus) / r.f_r_minus)
+        st = DensityState(0.0, 0.0, 1.0 - rho0, rho0)
+        with pytest.raises(SecondLawViolationError, match="above the Carnot bound"):
+            thermo_report(st, p)
 
     def test_nonstationary_input_flagged(self):
         p = params_from_scaled(2.0, -1.0, 3.0)
