@@ -201,7 +201,8 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     # passed on unconverted: integers where a count belongs, else numbers
     optimizer = {k: v for k, v in opt.items() if k not in ("free", "bounds")}
     for k, value in optimizer.items():
-        kind = int if k in ("seeds_per_dim", "refine_top") else (int, float)
+        kind = (int if k in ("seeds_per_dim", "refine_top", "max_evals_per_seed")
+                else (int, float))
         if isinstance(value, bool) or not isinstance(value, kind):  # bool is an int
             raise ConfigError(f"malformed value for optimizer.{k}: {value!r}")
 
@@ -209,7 +210,11 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     if workers is None and os.environ.get(_WORKERS_ENV):
         workers = _checked(int, os.environ[_WORKERS_ENV], _WORKERS_ENV)
     if workers is not None:
-        _checked(int, workers, "output.workers")  # the sweeps' own conversion
+        # a count, held as the int that runs; int() would truncate 2.7 and
+        # read true as 1
+        if isinstance(workers, (bool, float)):
+            raise ConfigError(f"malformed value for output.workers: {workers!r}")
+        workers = _checked(int, workers, "output.workers")
     out = set_flags.get("out") or output.get("path")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"malformed value for output.path: {out!r}")
@@ -275,7 +280,8 @@ def _cmd_maximize(cfg: RunConfig) -> int:
     x_desc = "  ".join(f"{k} = {_fmt(v)}" for k, v in res.x_opt.items())
     print(f"p_max = {_fmt(res.p_max)} kB*temp_p*gamma_p at {x_desc}")
     print(f"eta_at_pmax = {_fmt(res.eta_at_pmax)}   evals = {res.evals}   "
-          f"converged = {res.converged}   degenerate = {res.degenerate}")
+          f"starts = {res.starts}   converged = {res.converged}   "
+          f"degenerate = {res.degenerate}")
     if res.active_bounds:
         print(f"warning: optimum sits on bounds of {', '.join(res.active_bounds)}")
     return 0

@@ -5,9 +5,11 @@ x_g < x_r - x_l < x_g / (1 - eta_c), which collapses to a thin diagonal
 strip near equilibrium.  A plain rectangular seed grid in (x_l, x_r) can
 miss the strip entirely, so whenever x_r is free the search runs in
 window-relative coordinates: x_r = x_l + x_g * (1 + nu * eta_c / (1 - eta_c))
-with nu in (0, 1).  Seeding uses a coarse grid per free dimension; the top
-seeds are refined with a deterministic Nelder-Mead simplex.  No randomness
-anywhere: identical configuration produces bit-identical results.
+with nu in (0, 1).  Seeding uses a coarse grid per free dimension; seeds are
+refined in rank order with a deterministic Nelder-Mead simplex until a start
+lands in the basin of the best optimum so far (usually the second start), or
+the ``refine_top`` seeds are used up.  No randomness anywhere: identical
+configuration produces bit-identical results.
 
 Points with non-positive power (or current flowing backwards) score zero so
 the maximizer stays inside the converter regime; a vanished operating region
@@ -57,6 +59,11 @@ _FREE_ORDER = ("x_g", "x_l", "x_r")
 
 # Interior margin for the window coordinate; both window edges carry zero power.
 _NU_MARGIN = 1e-9
+
+# Two refined optima share a basin when their powers agree within f_rel_tol,
+# relative, and each search coordinate within f_rel_tol ** _SAME_BASIN_X_EXP of
+# its range: a flat maximum pins x only to the square root of the f tolerance.
+_SAME_BASIN_X_EXP = 0.5
 
 # Winning coordinates within this fraction of the box range of an edge are
 # reported as active bounds.
@@ -277,7 +284,8 @@ class OptResult:
     ``p_max`` is in units of k_B * temp_p * gamma_p.  ``degenerate`` marks an
     empty operating region (no seed produced positive power); ``eta_at_pmax``
     is then None.  ``active_bounds`` lists free variables whose optimum sits
-    on the search box within 1e-6 of the range.
+    on the search box within 1e-6 of the range.  ``starts`` counts the
+    Nelder-Mead starts run, 0 when degenerate.
     """
 
     x_opt: dict
@@ -289,6 +297,7 @@ class OptResult:
     active_bounds: tuple = ()
     f_spread: float = math.nan
     x_spread: float = math.nan
+    starts: int = 0
 
 
 def _validated_free_and_bounds(free, bounds):
@@ -321,9 +330,12 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
 
     Multi-start derivative-free search: a coarse deterministic seed grid
     (``seeds_per_dim`` points per free dimension, window-relative in the
-    x_r direction), followed by Nelder-Mead refinement of the
-    ``refine_top`` best seeds.  The best refined point wins; ties break
-    lexicographically on the coordinates.
+    x_r direction), followed by Nelder-Mead refinement of the best seeds in
+    rank order.  The refinement stops after the first start whose optimum
+    agrees with the best one so far (powers within ``f_rel_tol``, each
+    search coordinate within sqrt(``f_rel_tol``) of its range), so two
+    starts are the usual case; ``refine_top`` bounds the starts run.  The
+    best refined point wins; ties break lexicographically on the coordinates.
     """
     if params.delta21 != 0.0:
         raise DomainError("power maximization supports the degenerate "
@@ -398,19 +410,27 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     ranked = np.lexsort(tuple(t_grid.T[::-1]) + (-p_grid,))
     seeds = [i for i in ranked[:refine_top] if p_grid[i] > 0.0]
 
-    # ---- refinement ----
-    step = 0.05 * (t_hi - t_lo)
-    candidates = []
-    for i in seeds:
+    # ---- refinement, until a start agrees with the incumbent ----
+    t_range = t_hi - t_lo
+    step = 0.05 * t_range
+    x_tol = f_rel_tol ** _SAME_BASIN_X_EXP * t_range
+    best = None  # (power, decoded point, t, converged, f_spread, x_spread)
+    for starts, i in enumerate(seeds, 1):
         t0 = np.minimum(np.maximum(t_grid[i], t_lo + step), t_hi - step)
         tb, fb, used, conv, fs, xs = nelder_mead(
             neg_power, t0, step,
             f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol,
-            x_scale=t_hi - t_lo, max_evals=max_evals_per_seed)
+            x_scale=t_range, max_evals=max_evals_per_seed)
         tb = np.minimum(np.maximum(tb, t_lo), t_hi)
-        candidates.append((-fb, decode(tb), conv, fs, xs))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    p_best, (xg, xl, xr), conv, fs, xs = candidates[0]
+        p, x = -fb, decode(tb)
+        agrees = best is not None and (
+            abs(p - best[0]) <= f_rel_tol * abs(best[0])
+            and bool(np.all(np.abs(tb - best[2]) <= x_tol)))
+        if best is None or (-p, x) < (-best[0], best[1]):
+            best = (p, x, tb, conv, fs, xs)
+        if agrees:
+            break
+    p_best, (xg, xl, xr), _, conv, fs, xs = best
 
     x_opt = {name: float(v) for name, v in zip(_FREE_ORDER, (xg, xl, xr)) if name in free}
     active = tuple(
@@ -421,7 +441,7 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     return OptResult(x_opt=x_opt, p_max=float(p_best), eta_at_pmax=eta,
                      evals=evals, converged=bool(conv),
                      degenerate=False, active_bounds=active,
-                     f_spread=float(fs), x_spread=float(xs))
+                     f_spread=float(fs), x_spread=float(xs), starts=starts)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,14 @@ from qdphotocell.dynamics import (
 )
 from qdphotocell.errors import DomainError, NoUniqueSteadyStateError
 from qdphotocell.model import ModelParams, RateSet, bose_occupation, fermi_occupation
+from qdphotocell.optimize import (
+    _BOUND_FLAG_FRACTION,
+    _FREE_ORDER,
+    _NU_MARGIN,
+    _steady_at,
+    _validated_free_and_bounds,
+    nelder_mead,
+)
 from qdphotocell.selftest import draw_params
 
 
@@ -506,3 +514,119 @@ def reference_steady_state(gen: Generator, residual_tol: float = 1e-10) -> Stead
     return SteadySolution(state=state, residual=full_residual,
                           replaced_row_residual=replaced_residual,
                           dark_state_branch=dark_branch)
+
+
+# ---- multi-start oracle --------------------------------------------------------
+
+# qdphotocell.optimize.maximize_power as it read before the refinement stopped
+# at the first start that agrees with the incumbent: all refine_top best seeds
+# are refined.  A test-side oracle, not used by the package.
+def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
+                             seeds_per_dim: int = 16, refine_top: int = 8,
+                             f_rel_tol: float = 1e-9, x_rel_tol: float = 1e-8,
+                             max_evals_per_seed: int = 2000) -> OptResult:
+    """Maximize output power over the chosen scaled energy variables.
+
+    Multi-start derivative-free search: a coarse deterministic seed grid
+    (``seeds_per_dim`` points per free dimension, window-relative in the
+    x_r direction), followed by Nelder-Mead refinement of the
+    ``refine_top`` best seeds.  The best refined point wins; ties break
+    lexicographically on the coordinates.
+    """
+    if params.delta21 != 0.0:
+        raise DomainError("power maximization supports the degenerate "
+                          "configuration only (delta21 = 0)")
+    if seeds_per_dim < 2 or refine_top < 1 or max_evals_per_seed < 1:
+        raise DomainError("need seeds_per_dim >= 2, refine_top >= 1, and "
+                          "max_evals_per_seed >= 1")
+    free, box = _validated_free_and_bounds(free, bounds)
+    eta_c = 1.0 - params.temp / params.temp_p
+    base = {"x_g": params.x_g, "x_l": params.x_l, "x_r": params.x_r}
+
+    if eta_c <= 0.0:
+        # no free-energy source: power <= 0 everywhere
+        return OptResult(x_opt={k: base[k] for k in free}, p_max=0.0,
+                         eta_at_pmax=None, evals=0, converged=False,
+                         degenerate=True)
+
+    window = eta_c / (1.0 - eta_c)
+    # slot of x_g, x_l, x_r in the search vector t, None where fixed
+    ig, il, ir = (free.index(k) if k in free else None for k in _FREE_ORDER)
+    xg0, xl0, xr0 = base.values()
+
+    def decode(t):
+        """(x_g, x_l, x_r) of a search vector, or of its rows for a batch."""
+        xg = xg0 if ig is None else t[ig]
+        xl = xl0 if il is None else t[il]
+        if ir is None:
+            return xg, xl, xr0
+        return xg, xl, xl + xg * (1.0 + t[ir] * window)  # slot ir holds nu
+
+    # clip raw coordinates into their boxes, nu into its margin interval; only
+    # a free x_r, decoded from nu, can then leave its box
+    r_lo, r_hi = box["x_r"] if ir is not None else (-math.inf, math.inf)
+    t_box = [(_NU_MARGIN, 1.0 - _NU_MARGIN) if name == "x_r" else box[name]
+             for name in free]
+    t_lo, t_hi = (np.array(b) for b in zip(*t_box))
+
+    evals = 0
+
+    def neg_power(t):
+        # the Nelder-Mead objective: -power inside the box and the converter
+        # regime, -0.0 elsewhere
+        nonlocal evals
+        evals += 1
+        t = [min(max(v, lo), hi) for v, (lo, hi) in zip(t.tolist(), t_box)]
+        xg, xl, xr = decode(t)
+        if not r_lo <= xr <= r_hi:
+            return -0.0
+        p = _steady_at(params, xg, xl, xr)[0]
+        return -p if p > 0.0 else -0.0
+
+    # ---- seed grid (vectorized) ----
+    axes = [np.linspace(lo, hi, seeds_per_dim) for lo, hi in zip(t_lo, t_hi)]
+    if ir is not None:
+        # strictly interior window points seed better than edge-touching ones
+        axes[ir] = np.linspace(0.5 / seeds_per_dim, 1.0 - 0.5 / seeds_per_dim,
+                                         seeds_per_dim)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    xg_a, xl_a, xr_a = np.broadcast_arrays(*decode(t_grid.T))
+    obs = steady_observables_grid(params, xg_a, xl_a, xr_a)
+    inside = (r_lo <= xr_a) & (xr_a <= r_hi)
+    p_grid = np.where(inside & (obs["power"] > 0.0), obs["power"], 0.0)
+    evals += t_grid.shape[0]
+
+    if not np.any(p_grid > 0.0):
+        return OptResult(x_opt={k: base[k] for k in free}, p_max=0.0,
+                         eta_at_pmax=None, evals=evals, converged=False,
+                         degenerate=True)
+
+    # best power first, ties broken lexicographically on the coordinates
+    ranked = np.lexsort(tuple(t_grid.T[::-1]) + (-p_grid,))
+    seeds = [i for i in ranked[:refine_top] if p_grid[i] > 0.0]
+
+    # ---- refinement ----
+    step = 0.05 * (t_hi - t_lo)
+    candidates = []
+    for i in seeds:
+        t0 = np.minimum(np.maximum(t_grid[i], t_lo + step), t_hi - step)
+        tb, fb, used, conv, fs, xs = nelder_mead(
+            neg_power, t0, step,
+            f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol,
+            x_scale=t_hi - t_lo, max_evals=max_evals_per_seed)
+        tb = np.minimum(np.maximum(tb, t_lo), t_hi)
+        candidates.append((-fb, decode(tb), conv, fs, xs))
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    p_best, (xg, xl, xr), conv, fs, xs = candidates[0]
+
+    x_opt = {name: float(v) for name, v in zip(_FREE_ORDER, (xg, xl, xr)) if name in free}
+    active = tuple(
+        name for name in free
+        if min(abs(x_opt[name] - box[name][0]), abs(x_opt[name] - box[name][1]))
+        <= _BOUND_FLAG_FRACTION * (box[name][1] - box[name][0]))
+    eta = float(1.0 - (1.0 - eta_c) * (xr - xl) / xg) if p_best > 0.0 else None
+    return OptResult(x_opt=x_opt, p_max=float(p_best), eta_at_pmax=eta,
+                     evals=evals, converged=bool(conv),
+                     degenerate=False, active_bounds=active,
+                     f_spread=float(fs), x_spread=float(xs))

@@ -90,14 +90,14 @@ class TestParseConfig:
 
     def test_loose_values_accepted_as_before(self):
         # numeric strings convert where the value is converted anyway, and
-        # are echoed unchanged where it is not
+        # the converted value is echoed
         cfg = parse_config({"scaled": {"x_g": "2.5"},
                             "optimizer": {"bounds": {"x_l": ["-3", 3]}},
                             "output": {"workers": "2"}})
         echo = cfg.echo()
         assert cfg.params.x_g == 2.5
         assert echo["optimizer"]["bounds"] == {"x_l": [-3.0, 3.0]}
-        assert echo["output"]["workers"] == "2"
+        assert cfg.workers == 2 and echo["output"]["workers"] == 2
 
 
 @pytest.mark.parametrize("cmd,doc,where", [
@@ -118,6 +118,9 @@ class TestParseConfig:
     ("fig2", {"output": {"force": "no"}, "sweep": {"r_step": 1.0}}, "output.force"),
     ("maximize", {"optimizer": {"refine_top": True}}, "optimizer.refine_top"),
     ("maximize", {"optimizer": {"seeds_per_dim": False}}, "optimizer.seeds_per_dim"),
+    ("fig2", {"output": {"workers": 2.7}}, "output.workers"),
+    ("fig2", {"output": {"workers": True}}, "output.workers"),
+    ("maximize", {"optimizer": {"max_evals_per_seed": 2.5}}, "optimizer.max_evals_per_seed"),
 ])
 def test_malformed_value_exit_code_and_record(capsys, tmp_path, cmd, doc, where):
     config = tmp_path / "bad.json"
@@ -212,6 +215,7 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert code == 0
         assert "p_max" in out and "eta_at_pmax" in out
+        assert re.search(r"evals = \d+   starts = [1-8]   converged", out)
 
     def test_config_error_exit_code_and_record(self, capsys):
         code = main(["steady", "--r-p", "1.5"])

@@ -23,7 +23,12 @@ from qdphotocell import (
 from qdphotocell import optimize
 from qdphotocell.model import _bose_array, _fermi_array, fermi_occupation
 from qdphotocell.optimize import _degenerate_steady, _steady_at, nelder_mead
-from conftest import draw_params, general_path_observables, reference_nelder_mead
+from conftest import (
+    draw_params,
+    general_path_observables,
+    reference_maximize_power,
+    reference_nelder_mead,
+)
 
 
 def _box_draws(rng, n_sets, per_set, corner):
@@ -261,6 +266,7 @@ class TestMaximizePower:
         assert res.degenerate
         assert res.p_max == 0.0
         assert res.eta_at_pmax is None
+        assert res.starts == 0
 
     def test_fig2_incoherent_efficiency_below_087(self):
         p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.5, r_l=0.5)
@@ -345,6 +351,94 @@ def test_maximize_power_matches_array_oracle(monkeypatch, free, r_p, r_l, tau, t
     assert not got.degenerate and got.p_max > 0.0
     assert got == want
     assert repr(got) == repr(want)
+
+
+def _multistart_draws(rng, n):
+    """(params, free) pairs: eta_c in U[0.02, 0.98], each rate log-uniform in
+    [0.1, 10], r_p and r_l in U[0, 1], tau cycling through 0, U(0, 10) and
+    INFINITE, 2-D and 3-D free sets alternating, and every fifth draw at the
+    dark-state corner (r_p = r_l = 1, tau = 0)."""
+    for k in range(n):
+        eta_c = rng.uniform(0.02, 0.98)
+        gamma_p, gamma_l, gamma_r = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3))
+        r_p, r_l = rng.uniform(0.0, 1.0, 2)
+        tau = (0.0, rng.uniform(0.0, 10.0), INFINITE)[k % 3]
+        if k % 5 == 4:
+            r_p, r_l, tau = 1.0, 1.0, 0.0
+        p = params_from_scaled(2.0, 0.0, 0.0, temp=(1.0 - eta_c) * 5780.0,
+                               temp_p=5780.0, gamma_p=gamma_p, gamma_l=gamma_l,
+                               gamma_r=gamma_r, r_p=r_p, r_l=r_l, tau=tau)
+        yield p, (("x_l", "x_r"), ("x_g", "x_l", "x_r"))[k % 2]
+
+
+def test_stop_rule_matches_eight_start_oracle(rng):
+    # stopping once a start agrees with the incumbent moves the answer by
+    # simplex-tolerance amounts only
+    for p, free in _multistart_draws(rng, 60):
+        got = maximize_power(p, free=free)
+        want = reference_maximize_power(p, free=free)
+        assert not want.degenerate and not got.degenerate
+        assert 1 <= got.starts <= 8
+        assert abs(got.p_max - want.p_max) <= 1e-10 * want.p_max
+        assert abs(got.eta_at_pmax - want.eta_at_pmax) <= 1e-7
+
+
+class TestStopRule:
+    """The refinement stops at the first start that agrees with the incumbent,
+    and runs at most refine_top starts."""
+
+    PARAMS = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9, r_l=0.0)
+
+    @staticmethod
+    def _patched(monkeypatch, displace):
+        """Count the starts; ``displace[n]`` maps start n's (x, f, step)."""
+        calls = []
+
+        def wrapper(fn, x0, step, **kwargs):
+            x, f, *rest = nelder_mead(fn, x0, step, **kwargs)
+            calls.append(1)
+            if len(calls) in displace:
+                x, f = displace[len(calls)](x, f, step)
+            return (x, f, *rest)
+
+        monkeypatch.setattr(optimize, "nelder_mead", wrapper)
+        return calls
+
+    @staticmethod
+    def _moved(x, f, step):
+        # 0.02 step is 1e-3 of each coordinate's range, beyond sqrt(f_rel_tol)
+        return x + 0.02 * step, f
+
+    # a power 1e-6 off is beyond f_rel_tol
+    @pytest.mark.parametrize("displace", [
+        _moved,
+        lambda x, f, step: (x, f * (1.0 - 1e-6)),
+    ], ids=["x", "power"])
+    def test_disagreeing_second_start_runs_a_third(self, monkeypatch, displace):
+        want = maximize_power(self.PARAMS)
+        assert want.starts == 2
+        calls = self._patched(monkeypatch, {2: displace})
+        got = maximize_power(self.PARAMS)
+        assert got.starts == len(calls) == 3
+        assert got.p_max == want.p_max and got.x_opt == want.x_opt
+
+    def test_better_displaced_start_wins_after_all_starts(self, monkeypatch):
+        want = maximize_power(self.PARAMS)
+        calls = self._patched(monkeypatch, {2: lambda x, f, step: (
+            self._moved(x, f * (1.0 + 1e-6), step))})
+        got = maximize_power(self.PARAMS)
+        # no honest start agrees with the displaced incumbent
+        assert got.starts == len(calls) == 8
+        assert got.p_max == pytest.approx(want.p_max * (1.0 + 1e-6), rel=1e-12)
+        assert got.x_opt["x_l"] == pytest.approx(want.x_opt["x_l"] + 0.04, abs=1e-5)
+
+    def test_refine_top_one_runs_one_start(self, monkeypatch):
+        calls = self._patched(monkeypatch, {})
+        assert maximize_power(self.PARAMS, refine_top=1).starts == len(calls) == 1
+
+    def test_refine_top_bounds_disagreeing_starts(self, monkeypatch):
+        calls = self._patched(monkeypatch, {2: self._moved})
+        assert maximize_power(self.PARAMS, refine_top=2).starts == len(calls) == 2
 
 
 # Five pinned oracle configurations: (r_p, r_l, tau, temp, box around the
