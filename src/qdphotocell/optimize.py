@@ -5,11 +5,17 @@ x_g < x_r - x_l < x_g / (1 - eta_c), which collapses to a thin diagonal
 strip near equilibrium.  A plain rectangular seed grid in (x_l, x_r) can
 miss the strip entirely, so whenever x_r is free the search runs in
 window-relative coordinates: x_r = x_l + x_g * (1 + nu * eta_c / (1 - eta_c))
-with nu in (0, 1).  Seeding uses a coarse grid per free dimension; seeds are
-refined in rank order with a deterministic Nelder-Mead simplex until a start
-lands in the basin of the best optimum so far (usually the second start), or
-the ``refine_top`` seeds are used up.  No randomness anywhere: identical
-configuration produces bit-identical results.
+with nu in (0, 1).  Seeding uses a coarse grid per free dimension, of which
+only the points at or above the ``refine_top``-th best power are ranked;
+seeds are refined in rank order with a deterministic Nelder-Mead simplex
+until a start lands in the basin of the best optimum so far (usually the
+second start), or the ``refine_top`` seeds are used up.  No randomness
+anywhere: identical configuration produces bit-identical results.
+
+The simplex hands its objective tuples of Python floats, and the objective
+evaluates the closed-form kernel on floats with the parameter constants
+computed once per call (:func:`_kernel_constants`); the seed grid evaluates
+the same kernel on arrays.
 
 Points with non-positive power (or current flowing backwards) score zero so
 the maximizer stays inside the converter regime; a vanished operating region
@@ -19,6 +25,8 @@ is reported via the ``degenerate`` flag rather than an error.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -74,12 +82,33 @@ _BOUND_FLAG_FRACTION = 1e-6
 _SINGULAR_REL = 1e-12
 
 
-def _degenerate_steady(params: ModelParams, x_g, x_l, x_r, n, fl, fr):
+def _kernel_constants(params: ModelParams) -> tuple:
+    """The constants :func:`_degenerate_steady` reads, computed once per params.
+
+    (gamma_p, gamma_l, gamma_r, r_p, r_l, tau, pinned, 1 - eta_c, gamma_ref):
+    ``pinned`` holds Re rho12 at zero (tau = INFINITE or the dark-state
+    corner), and ``gamma_ref``, the power unit, is gamma_p, or 1 when the
+    photon field is off.  Raises DomainError for split levels
+    (delta21 != 0), which the closed form does not cover.
+    """
+    if params.delta21 != 0.0:
+        raise DomainError("the closed-form kernel supports the degenerate "
+                          "configuration only (delta21 = 0)")
+    gp, gl, rp, rl, tau = params.gamma_p, params.gamma_l, params.r_p, params.r_l, params.tau
+    dark = (tau == 0.0 and (gp == 0.0 or rp == 1.0) and (gl == 0.0 or rl == 1.0)
+            and not (gp == 0.0 and gl == 0.0))
+    eta_c = 1.0 - params.temp / params.temp_p
+    return (gp, gl, params.gamma_r, rp, rl, tau, tau == INFINITE or dark,
+            1.0 - eta_c, gp if gp > 0.0 else 1.0)
+
+
+def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
     """Closed-form steady state of the degenerate dot, elementwise.
 
-    Works alike on Python floats and on broadcast numpy arrays; ``n``, ``fl``
-    and ``fr`` are the Bose and Fermi occupations at x_g, x_l and x_r.  With
-    delta21 = 0 the two ground rows of the generator coincide, so
+    Works alike on Python floats and on broadcast numpy arrays; ``consts`` holds
+    the parameter constants from :func:`_kernel_constants`, and ``n``,
+    ``fl`` and ``fr`` are the Bose and Fermi occupations at x_g, x_l and
+    x_r.  With delta21 = 0 the two ground rows of the generator coincide, so
     rho1 = rho2 = g and Im rho12 = 0, and the steady state is the null
     vector of the ground, excited and coherence rows in (g, rho_e, rho0, u),
     u = Re rho12.  That vector is their signed 3x3 cofactors, normalized by
@@ -92,8 +121,7 @@ def _degenerate_steady(params: ModelParams, x_g, x_l, x_r, n, fl, fr):
     Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
     when the trace vanishes against the product of the three row norms.
     """
-    gp, gl, gr = params.gamma_p, params.gamma_l, params.gamma_r
-    rp, rl, tau = params.r_p, params.r_l, params.tau
+    gp, gl, gr, rp, rl, tau, pinned, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
     bm = gp * (1.0 + n)
     flp = gl * fl
@@ -109,9 +137,7 @@ def _degenerate_steady(params: ModelParams, x_g, x_l, x_r, n, fl, fr):
     # corner, where the coherence row itself nearly repeats the ground row.
     a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
     b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
-    dark = (tau == 0.0 and (gp == 0.0 or rp == 1.0) and (gl == 0.0 or rl == 1.0)
-            and not (gp == 0.0 and gl == 0.0))
-    if tau == INFINITE or dark:
+    if pinned:
         c0 = c1 = c2 = 0.0
         c3 = 1.0
     else:
@@ -145,22 +171,18 @@ def _degenerate_steady(params: ModelParams, x_g, x_l, x_r, n, fl, fr):
 
     # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
     j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
-    eta_c = 1.0 - params.temp / params.temp_p
-    gamma_ref = gp if gp > 0.0 else 1.0
-    power = (x_g - (1.0 - eta_c) * (x_r - x_l)) * j / gamma_ref
+    power = (x_g - one_minus_eta_c * (x_r - x_l)) * j / gamma_ref
     return power, j, g, e, z, u
 
 
 def _steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
     """The kernel's (power, j, g, rho_e, rho0, u) at one point on Python floats.
 
-    The optimizer objective's kernel; degenerate levels (delta21 = 0) only.
+    Degenerate levels (delta21 = 0) only.
     """
-    if params.delta21 != 0.0:
-        raise DomainError("the closed-form kernel supports the degenerate "
-                          "configuration only (delta21 = 0)")
-    return _degenerate_steady(params, x_g, x_l, x_r, bose_occupation(x_g),
-                              fermi_occupation(x_l), fermi_occupation(x_r))
+    return _degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
+                              bose_occupation(x_g), fermi_occupation(x_l),
+                              fermi_occupation(x_r))
 
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
@@ -174,16 +196,14 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     Raises :class:`NoUniqueSteadyStateError` if any grid point has no unique
     steady state.
     """
-    if params.delta21 != 0.0:
-        raise DomainError("the vectorized evaluator supports the degenerate "
-                          "configuration only (delta21 = 0)")
+    consts = _kernel_constants(params)
     x_g, x_l, x_r = np.broadcast_arrays(
         np.asarray(x_g, dtype=float), np.asarray(x_l, dtype=float),
         np.asarray(x_r, dtype=float))
     if np.any(x_g <= 0.0):
         raise DomainError("x_g must be positive everywhere on the grid")
     power, j, _, _, _, u = _degenerate_steady(
-        params, x_g, x_l, x_r, _bose_array(x_g), _fermi_array(x_l), _fermi_array(x_r))
+        consts, x_g, x_l, x_r, _bose_array(x_g), _fermi_array(x_l), _fermi_array(x_r))
     return {"power": power, "j": j, "rho12_re": u}
 
 
@@ -191,13 +211,19 @@ def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
                 x_scale=None, max_evals=2000):
     """Deterministic Nelder-Mead minimization with relative tolerances.
 
-    The simplex is kept as tuples of Python floats, each step rounded as a
-    numpy-array simplex rounds it; ``fn`` still receives a 1-D float64 array.
+    Vertices are tuples of Python floats, each step rounded as a numpy-array
+    simplex rounds it, and ``fn`` receives the vertex tuple itself.  The
+    simplex is one list of (f, vertex) pairs kept sorted, so every tie is
+    ordered deterministically (Lagarias et al., SIAM J. Optim. 9, 112-147,
+    1998): ties in f, mostly +-0.0 outside the operating window, break
+    lexicographically on the coordinates, and an accepted vertex goes after
+    the pairs equal to it, where a stable sort would put it.  Only a shrink
+    re-sorts the whole list.
 
     Parameters
     ----------
     fn : callable
-        Objective; must accept a 1-D numpy array.
+        Objective; must accept a tuple of floats.
     x0 : array
         Initial vertex; the simplex is completed by displacing each
         coordinate by ``step``.
@@ -222,59 +248,56 @@ def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
     step = np.asarray(step, dtype=float).tolist()
     x0 = x0.tolist()
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    gamma, rho, sigma = 2.0, 0.5, 0.5
     verts = [tuple(x0)]
     for d in range(dim):
         x = list(x0)
         x[d] += step[d]
         verts.append(tuple(x))
-    fvals = [fn(np.array(v)) for v in verts]
+    simplex = sorted([(fn(v), v) for v in verts])
     evals = dim + 1
     converged = False
 
-    def x_spread_of(verts):
-        return max([(max(col) - min(col)) / s for col, s in zip(zip(*verts), scale)])
+    def x_spread_of(simplex):
+        cols = zip(*[v for _, v in simplex])
+        return max([(max(col) - min(col)) / s for col, s in zip(cols, scale)])
 
     while evals < max_evals:
-        # stable sort on (f, vertex): ties in f, mostly +-0.0 outside the
-        # operating window, break lexicographically on the coordinates
-        ranked = sorted(zip(fvals, verts))
-        fvals, verts = [f for f, _ in ranked], [v for _, v in ranked]
-        f_spread = max(fvals) - min(fvals)
-        if (f_spread <= f_rel_tol * (abs(fvals[0]) + 1e-300)
-                and x_spread_of(verts) <= x_rel_tol):
+        f_best = simplex[0][0]
+        if (simplex[-1][0] - f_best <= f_rel_tol * (abs(f_best) + 1e-300)
+                and x_spread_of(simplex) <= x_rel_tol):
             converged = True
             break
 
         # left-to-right sum, never sum() (compensated on floats since 3.12)
-        centroid = [reduce(add, col) / dim for col in zip(*verts[:-1])]
-        worst = verts[-1]
-        xr = tuple([c + alpha * (c - w) for c, w in zip(centroid, worst)])
-        fr = fn(np.array(xr)); evals += 1
-        if fvals[0] <= fr < fvals[-2]:
-            verts[-1], fvals[-1] = xr, fr
+        f_worst, worst = simplex.pop()
+        centroid = [reduce(add, col) / dim for col in zip(*[v for _, v in simplex])]
+        xr = tuple([c + (c - w) for c, w in zip(centroid, worst)])
+        fr = fn(xr); evals += 1
+        if f_best <= fr < simplex[-1][0]:
+            insort(simplex, (fr, xr))
             continue
-        if fr < fvals[0]:
+        if fr < f_best:
             xe = tuple([c + gamma * (c - w) for c, w in zip(centroid, worst)])
-            fe = fn(np.array(xe)); evals += 1
-            if fe < fr:
-                verts[-1], fvals[-1] = xe, fe
-            else:
-                verts[-1], fvals[-1] = xr, fr
+            fe = fn(xe); evals += 1
+            insort(simplex, (fe, xe) if fe < fr else (fr, xr))
             continue
         xc = tuple([c + rho * (w - c) for c, w in zip(centroid, worst)])
-        fc = fn(np.array(xc)); evals += 1
-        if fc < fvals[-1]:
-            verts[-1], fvals[-1] = xc, fc
+        fc = fn(xc); evals += 1
+        if fc < f_worst:
+            insort(simplex, (fc, xc))
             continue
-        best = verts[0]
+        simplex.append((f_worst, worst))
+        best = simplex[0][1]
         for i in range(1, dim + 1):
-            verts[i] = tuple([b + sigma * (v - b) for b, v in zip(best, verts[i])])
-            fvals[i] = fn(np.array(verts[i])); evals += 1
+            v = tuple([b + sigma * (x - b) for b, x in zip(best, simplex[i][1])])
+            simplex[i] = (fn(v), v); evals += 1
+        simplex.sort()
 
-    f_spread, x_spread = max(fvals) - min(fvals), x_spread_of(verts)
-    f_best, x_best = min(zip(fvals, verts))
-    return np.array(x_best), f_best, evals, converged, f_spread, x_spread
+    fvals = [f for f, _ in simplex]
+    f_best, x_best = simplex[0]
+    return (np.array(x_best), f_best, evals, converged, max(fvals) - min(fvals),
+            x_spread_of(simplex))
 
 
 @dataclass(frozen=True)
@@ -301,6 +324,9 @@ class OptResult:
 
 
 def _validated_free_and_bounds(free, bounds):
+    if isinstance(free, str):
+        raise DomainError("free must be a sequence of variable names such as "
+                          f"('x_l', 'x_r'), not the string {free!r}")
     unknown_free = set(free) - set(_FREE_ORDER)
     if unknown_free:
         raise DomainError(f"unknown free variable(s): {sorted(unknown_free)}")
@@ -322,6 +348,18 @@ def _validated_free_and_bounds(free, bounds):
     return free, box
 
 
+def _ranked_seeds(t_grid, p_grid, top):
+    """Rows of ``t_grid`` to refine: the ``top`` best by power ``p_grid``
+    (best first, ties broken lexicographically on the coordinates), less
+    those without positive power.  Only the rows at or above the ``top``-th
+    largest power are sorted."""
+    n = p_grid.size
+    cut = np.partition(p_grid, n - top)[n - top] if top < n else 0.0
+    rows = np.flatnonzero((p_grid >= cut) & (p_grid > 0.0))
+    order = np.lexsort(tuple(t_grid[rows].T[::-1]) + (-p_grid[rows],))
+    return rows[order[:top]].tolist()
+
+
 def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                    seeds_per_dim: int = 16, refine_top: int = 8,
                    f_rel_tol: float = 1e-9, x_rel_tol: float = 1e-8,
@@ -336,13 +374,16 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     search coordinate within sqrt(``f_rel_tol``) of its range), so two
     starts are the usual case; ``refine_top`` bounds the starts run.  The
     best refined point wins; ties break lexicographically on the coordinates.
+    ``seeds_per_dim``, ``refine_top`` and ``max_evals_per_seed`` are counts:
+    anything but an integer, a boolean included, raises DomainError.
     """
-    if params.delta21 != 0.0:
-        raise DomainError("power maximization supports the degenerate "
-                          "configuration only (delta21 = 0)")
-    if seeds_per_dim < 2 or refine_top < 1 or max_evals_per_seed < 1:
-        raise DomainError("need seeds_per_dim >= 2, refine_top >= 1, and "
-                          "max_evals_per_seed >= 1")
+    consts = _kernel_constants(params)
+    for name, count, least in (("seeds_per_dim", seeds_per_dim, 2),
+                               ("refine_top", refine_top, 1),
+                               ("max_evals_per_seed", max_evals_per_seed, 1)):
+        if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+                or count < least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
     free, box = _validated_free_and_bounds(free, bounds)
     eta_c = 1.0 - params.temp / params.temp_p
     base = {"x_g": params.x_g, "x_l": params.x_l, "x_r": params.x_r}
@@ -369,9 +410,9 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     # clip raw coordinates into their boxes, nu into its margin interval; only
     # a free x_r, decoded from nu, can then leave its box
     r_lo, r_hi = box["x_r"] if ir is not None else (-math.inf, math.inf)
-    t_box = [(_NU_MARGIN, 1.0 - _NU_MARGIN) if name == "x_r" else box[name]
-             for name in free]
-    t_lo, t_hi = (np.array(b) for b in zip(*t_box))
+    lo_t, hi_t = zip(*[(_NU_MARGIN, 1.0 - _NU_MARGIN) if name == "x_r" else box[name]
+                       for name in free])
+    t_lo, t_hi = np.array(lo_t), np.array(hi_t)
 
     evals = 0
 
@@ -380,11 +421,12 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
         # regime, -0.0 elsewhere
         nonlocal evals
         evals += 1
-        t = [min(max(v, lo), hi) for v, (lo, hi) in zip(t.tolist(), t_box)]
+        t = [lo if v < lo else hi if v > hi else v for v, lo, hi in zip(t, lo_t, hi_t)]
         xg, xl, xr = decode(t)
         if not r_lo <= xr <= r_hi:
             return -0.0
-        p = _steady_at(params, xg, xl, xr)[0]
+        p = _degenerate_steady(consts, xg, xl, xr, bose_occupation(xg),
+                               fermi_occupation(xl), fermi_occupation(xr))[0]
         return -p if p > 0.0 else -0.0
 
     # ---- seed grid (vectorized) ----
@@ -401,14 +443,11 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     p_grid = np.where(inside & (obs["power"] > 0.0), obs["power"], 0.0)
     evals += t_grid.shape[0]
 
-    if not np.any(p_grid > 0.0):
+    seeds = _ranked_seeds(t_grid, p_grid, refine_top)
+    if not seeds:
         return OptResult(x_opt={k: base[k] for k in free}, p_max=0.0,
                          eta_at_pmax=None, evals=evals, converged=False,
                          degenerate=True)
-
-    # best power first, ties broken lexicographically on the coordinates
-    ranked = np.lexsort(tuple(t_grid.T[::-1]) + (-p_grid,))
-    seeds = [i for i in ranked[:refine_top] if p_grid[i] > 0.0]
 
     # ---- refinement, until a start agrees with the incumbent ----
     t_range = t_hi - t_lo

@@ -1,5 +1,6 @@
 """Optimizer correctness: oracle agreement, determinism, orderings."""
 
+import math
 import warnings
 
 import numpy as np
@@ -17,12 +18,19 @@ from qdphotocell import (
     grid_search_power,
     maximize_power,
     params_from_scaled,
+    run_fig2,
     steady_observables_grid,
     steady_state,
 )
 from qdphotocell import optimize
 from qdphotocell.model import _bose_array, _fermi_array, fermi_occupation
-from qdphotocell.optimize import _degenerate_steady, _steady_at, nelder_mead
+from qdphotocell.optimize import (
+    _degenerate_steady,
+    _kernel_constants,
+    _ranked_seeds,
+    _steady_at,
+    nelder_mead,
+)
 from conftest import (
     draw_params,
     general_path_observables,
@@ -71,25 +79,62 @@ class TestNelderMead:
 
         def f(x):
             calls.append(1)
-            return float(np.sum(x ** 2))
+            return math.fsum(v * v for v in x)
 
         nelder_mead(f, np.ones(3), 0.1 * np.ones(3), max_evals=50)
         assert len(calls) <= 55  # budget plus the final shrink batch
 
 
+def _is_float_tuple(t, dim):
+    return type(t) is tuple and len(t) == dim and all(type(v) is float for v in t)
+
+
+class TestObjectiveContract:
+    """The simplex hands its objective the vertex tuple of Python floats."""
+
+    def test_nelder_mead_hands_fn_float_tuples(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return _quadratic(x)
+
+        nelder_mead(f, np.array([2.0, -1.0, 0.5]), np.full(3, 0.25))
+        assert len(seen) > 4 and all(_is_float_tuple(t, 3) for t in seen)
+
+    @pytest.mark.parametrize("free", [("x_l", "x_r"), ("x_g", "x_l", "x_r")])
+    def test_maximize_power_objective_on_float_tuples(self, monkeypatch, free):
+        seen, scores = [], []
+
+        def wrapper(fn, x0, step, **kwargs):
+            def spy(t):
+                seen.append(t)
+                scores.append(fn(t))
+                return scores[-1]
+            return nelder_mead(spy, x0, step, **kwargs)
+
+        monkeypatch.setattr(optimize, "nelder_mead", wrapper)
+        maximize_power(params_from_scaled(2.0, 0.0, 0.0, r_p=0.9), free=free)
+        assert seen and all(_is_float_tuple(t, len(free)) for t in seen)
+        assert all(type(f) is float for f in scores)
+
+
+# The objectives take any sequence of floats (the package's simplex hands
+# them tuples, the array oracle arrays) and return Python floats.
 def _quadratic(x):
-    assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1
-    return float(np.sum((np.arange(1.0, x.size + 1.0) * (x - 0.3)) ** 2))
+    terms = [(k + 1) * (v - 0.3) for k, v in enumerate(x)]
+    return math.fsum(t * t for t in terms)
 
 
 def _rosenbrock(x):
-    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    a, b = x
+    return float((1.0 - a) * (1.0 - a) + 100.0 * (b - a * a) * (b - a * a))
 
 
 def _plateau(x):
     """A small bowl in a plateau that scores +0.0 or -0.0 by half-plane, so
     most comparisons are ties that only the vertex order breaks."""
-    r2 = float(x @ x)
+    r2 = math.fsum(v * v for v in x)
     if r2 < 1.0:
         return r2 - 1.0
     return -0.0 if x[0] < 2.0 else 0.0
@@ -205,12 +250,31 @@ class TestKernelLeadCurrent:
             p = p.replace(gamma_p=float(np.exp(rng.uniform(-2.3, 2.3))),
                           gamma_l=float(np.exp(rng.uniform(-2.3, 2.3))))
             fl = _fermi_array(xl)
-            _, j, g, _, z, u = _degenerate_steady(p, xg, xl, xr, _bose_array(xg), fl,
-                                                  _fermi_array(xr))
+            _, j, g, _, z, u = _degenerate_steady(_kernel_constants(p), xg, xl, xr,
+                                                  _bose_array(xg), fl, _fermi_array(xr))
             assert j.tobytes() == self._replaced_j(p, fl, g, z, u).tobytes()
             for a, b, c in zip(xg[:25].tolist(), xl[:25].tolist(), xr[:25].tolist()):
                 _, j, g, _, z, u = _steady_at(p, a, b, c)
                 assert j.hex() == self._replaced_j(p, fermi_occupation(b), g, z, u).hex()
+
+
+class TestKernelPower:
+    """The kernel's power is the bias x_g - (1 - eta_c)(x_r - x_l), with
+    eta_c = 1 - temp/temp_p, times j over gamma_p, bit for bit."""
+
+    def test_bits_on_arrays_and_floats(self, rng):
+        for p, xg, xl, xr in _box_draws(rng, 30, 100, False):
+            p = p.replace(temp=float(rng.uniform(100.0, 5700.0)),
+                          gamma_p=float(np.exp(rng.uniform(-2.3, 2.3))))
+            eta_c = 1.0 - p.temp / p.temp_p
+            power, j, *_ = _degenerate_steady(_kernel_constants(p), xg, xl, xr,
+                                              _bose_array(xg), _fermi_array(xl),
+                                              _fermi_array(xr))
+            want = (xg - (1.0 - eta_c) * (xr - xl)) * j / p.gamma_p
+            assert power.tobytes() == want.tobytes()
+            for a, b, c in zip(xg[:25].tolist(), xl[:25].tolist(), xr[:25].tolist()):
+                power, j, *_ = _steady_at(p, a, b, c)
+                assert power.hex() == ((a - (1.0 - eta_c) * (c - b)) * j / p.gamma_p).hex()
 
 
 class TestKernelRefusal:
@@ -328,6 +392,72 @@ class TestMaximizePower:
             maximize_power(p, free=("x_l",), bounds={"x_l": (3.0, 1.0)})
 
 
+class TestRankedSeeds:
+    """Ranking only the seeds at or above the refine_top-th largest power
+    picks what a lexsort of the whole grid picks."""
+
+    @staticmethod
+    def _full_lexsort(t_grid, p_grid, top):
+        ranked = np.lexsort(tuple(t_grid.T[::-1]) + (-p_grid,))
+        return [int(i) for i in ranked[:top] if p_grid[i] > 0.0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_full_lexsort_with_ties(self, rng, dim):
+        for _ in range(150):
+            side = int(rng.integers(2, 9))
+            axes = [np.sort(rng.uniform(-1.0, 1.0, side)) for _ in range(dim)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
+            t_grid = t_grid[rng.permutation(len(t_grid))]
+            n = len(t_grid)
+            # a few distinct levels, so equal positive powers straddle the
+            # cut, and a share of +0.0 cells from none to nearly all
+            levels = rng.uniform(0.1, 1.0, int(rng.integers(1, 5)))
+            p_grid = rng.choice(levels, n)
+            p_grid[rng.random(n) < rng.choice([0.0, 0.5, 0.9, 0.99, 1.0])] = 0.0
+            for top in {1, 2, 8, n - 1, n, n + 3, int(rng.integers(1, n + 1))}:
+                want = self._full_lexsort(t_grid, p_grid, top)
+                assert _ranked_seeds(t_grid, p_grid, top) == want
+                assert len(want) == min(top, int(np.count_nonzero(p_grid)))
+
+    def test_fewer_positive_points_than_refine_top(self):
+        t_grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0),
+                                      indexing="ij"), axis=-1).reshape(-1, 2)
+        p_grid = np.zeros(16)
+        p_grid[[9, 3, 12]] = (0.5, 0.5, 0.7)
+        assert _ranked_seeds(t_grid, p_grid, 8) == [12, 3, 9]
+        assert _ranked_seeds(t_grid, p_grid, 2) == [12, 3]
+        assert _ranked_seeds(t_grid, np.zeros(16), 8) == []
+
+
+class TestCountValidation:
+    PARAMS = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seeds_per_dim", 8.0), ("seeds_per_dim", True), ("seeds_per_dim", 1),
+        ("refine_top", 2.5), ("refine_top", True), ("refine_top", 0),
+        ("max_evals_per_seed", 1.5), ("max_evals_per_seed", False),
+        ("max_evals_per_seed", "200"),
+    ])
+    def test_non_integer_or_boolean_count_refused(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            maximize_power(self.PARAMS, **{name: value})
+
+    def test_numpy_integers_accepted(self):
+        got = maximize_power(self.PARAMS, seeds_per_dim=np.int64(8), refine_top=np.int32(2))
+        assert got == maximize_power(self.PARAMS, seeds_per_dim=8, refine_top=2)
+
+    def test_bad_count_flags_a_fig2_row(self):
+        # a DomainError is a QdpcError: the sweep flags the row and goes on
+        table = run_fig2([0.5], workers=1, refine_top=2.5)
+        assert [row["error"] for row in table.rows] == [
+            "refine_top must be an integer >= 1, got 2.5"]
+
+    def test_bare_string_free_refused(self):
+        with pytest.raises(DomainError, match="sequence of variable names"):
+            maximize_power(self.PARAMS, free="x_l")
+
+
 # (free, r_p, r_l, tau, temp, bounds): 2-D and 3-D, tau = inf, the dark-state
 # corner, eta_c = 0.05 (temp = 0.95 temp_p) and custom boxes
 _NM_ORACLE_CONFIGS = [
@@ -376,11 +506,42 @@ def test_stop_rule_matches_eight_start_oracle(rng):
     # simplex-tolerance amounts only
     for p, free in _multistart_draws(rng, 60):
         got = maximize_power(p, free=free)
-        want = reference_maximize_power(p, free=free)
+        want = reference_maximize_power(p, free=free, all_starts=True)
         assert not want.degenerate and not got.degenerate
         assert 1 <= got.starts <= 8
         assert abs(got.p_max - want.p_max) <= 1e-10 * want.p_max
         assert abs(got.eta_at_pmax - want.eta_at_pmax) <= 1e-7
+
+
+def _bit_identity_draws(rng, n):
+    """``_multistart_draws`` with a drawn box on every third draw, one in two
+    of them with upper x_g and x_l bounds below the usual optimum, and every
+    seventh draw over (x_g, x_r) and every eleventh over x_r alone."""
+    for k, (p, free) in enumerate(_multistart_draws(rng, n)):
+        bounds = None
+        if k % 6 == 2:
+            bounds = {"x_g": (rng.uniform(0.1, 1.5), rng.uniform(4.0, 30.0)),
+                      "x_l": (rng.uniform(-20.0, -2.0), rng.uniform(0.0, 20.0)),
+                      "x_r": (rng.uniform(-20.0, 0.0), rng.uniform(2.0, 20.0))}
+        elif k % 6 == 5:
+            bounds = {"x_g": (0.1, rng.uniform(0.5, 1.2)),
+                      "x_l": (-20.0, rng.uniform(-4.0, -1.0))}
+        if k % 7 == 6:
+            free = ("x_g", "x_r")
+        elif k % 11 == 10:
+            free = ("x_r",)
+        yield p, free, bounds
+
+
+def test_bit_identical_to_array_objective_oracle(rng):
+    # the float-tuple objective, the per-call kernel constants and the top-k
+    # seed ranking return what the array objective and full lexsort returned
+    for p, free, bounds in _bit_identity_draws(rng, 66):
+        got = maximize_power(p, free=free, bounds=bounds)
+        want = reference_maximize_power(p, free=free, bounds=bounds)
+        assert not want.degenerate
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 class TestStopRule:
