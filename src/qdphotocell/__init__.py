@@ -9,6 +9,8 @@ efficiency at maximum power.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DomainError,
@@ -61,45 +63,6 @@ from .experiments import (
     run_fig3b,
 )
 
-__all__ = [
-    "__version__",
-    "INFINITE",
-    "ModelParams",
-    "RateSet",
-    "bose_occupation",
-    "fermi_occupation",
-    "scaled_energies",
-    "params_from_scaled",
-    "build_rates",
-    "DensityState",
-    "Generator",
-    "SteadySolution",
-    "build_generator",
-    "steady_state",
-    "evolve",
-    "ThermoReport",
-    "CoherenceStructure",
-    "currents",
-    "thermo_report",
-    "analytic_coherence_structure",
-    "reference_efficiencies",
-    "OptResult",
-    "CurvePoint",
-    "DEFAULT_BOUNDS",
-    "maximize_power",
-    "efficiency_at_max_power_curve",
-    "grid_search_power",
-    "steady_observables_grid",
-    "SweepTable",
-    "run_fig2",
-    "run_fig3a",
-    "run_fig3b",
-    "default_r_grid",
-    "default_eta_c_grid",
-    "QdpcError",
-    "DomainError",
-    "ConfigError",
-    "NoUniqueSteadyStateError",
-    "StepInstabilityError",
-    "SecondLawViolationError",
-]
+# the version and every public name imported above; submodules are not exports
+__all__ = ["__version__", *(n for n, v in list(globals().items())
+                            if not n.startswith("_") and not isinstance(v, _ModuleType))]

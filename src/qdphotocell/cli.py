@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -29,17 +30,20 @@ from .dynamics import build_generator, steady_state
 from .errors import ConfigError, DomainError, OutputExistsError, QdpcError
 from .experiments import (
     FIG3_R_P,
+    FORMATS,
     SWEEP_DEFAULTS,
-    _tau_jsonable,
+    _check_format,
+    _jsonable,
+    _resolve_workers,
     default_eta_c_grid,
     default_r_grid,
     run_fig2,
     run_fig3a,
     run_fig3b,
 )
-from .model import (_NON_ENERGY_FIELDS, INFINITE, ModelParams, build_rates,
-                    params_from_scaled)
-from .optimize import maximize_power
+from .model import (_ENERGY_FIELDS, _NON_ENERGY_FIELDS, INFINITE, ModelParams,
+                    build_rates, params_from_scaled)
+from .optimize import _FREE_ORDER, _validated_options, maximize_power
 from .selftest import run_selftest
 from .thermo import thermo_report
 
@@ -49,26 +53,21 @@ _WORKERS_ENV = "QDPHOTOCELL_WORKERS"
 
 # every default of the scaled, physical and model blocks is ModelParams' own
 _DEFAULT_PARAMS = ModelParams()
-_SCALED_DEFAULTS, _PHYSICAL_DEFAULTS, _MODEL_DEFAULTS = (
-    {k: getattr(_DEFAULT_PARAMS, k) for k in keys}
-    for keys in (("x_g", "x_l", "x_r"), ("eps_g", "eps_l", "mu_l", "mu_r"),
-                 _NON_ENERGY_FIELDS))
+_DEFAULTS = {block: {k: getattr(_DEFAULT_PARAMS, k) for k in keys} for block, keys in (
+    ("scaled", _FREE_ORDER), ("physical", _ENERGY_FIELDS), ("model", _NON_ENERGY_FIELDS))}
 
 # the keys each block of a config document accepts
 _BLOCK_KEYS = {
-    "scaled": set(_SCALED_DEFAULTS),
-    "physical": set(_PHYSICAL_DEFAULTS),
-    "model": {*_MODEL_DEFAULTS, "gamma"},
-    "optimizer": {"free", "bounds", "seeds_per_dim", "refine_top", "f_rel_tol",
-                  "x_rel_tol", "max_evals_per_seed"},
+    "scaled": set(_DEFAULTS["scaled"]),
+    "physical": set(_DEFAULTS["physical"]),
+    "model": {*_DEFAULTS["model"], "gamma"},
+    "optimizer": set(inspect.signature(maximize_power).parameters) - {"params"},
     "sweep": set(SWEEP_DEFAULTS),
     "output": {"path", "format", "force", "workers"},
 }
 
-# the parameter flags, each spelled --name-with-dashes; parse_config parses tau
-_PARAM_FLAGS = (("r_p", float), ("r_l", float), ("tau", str), ("x_g", float),
-                ("x_l", float), ("x_r", float), ("temp", float), ("temp_p", float),
-                ("gamma", float))
+# the parameter flags, each spelled --name-with-dashes and read by parse_config
+_PARAM_FLAGS = ("r_p", "r_l", "tau", "x_g", "x_l", "x_r", "temp", "temp_p", "gamma")
 
 
 def _checked(convert, value, where: str):
@@ -79,26 +78,30 @@ def _checked(convert, value, where: str):
         raise ConfigError(f"malformed value for {where}: {value!r} ({exc})") from None
 
 
-def _floats(block: dict, defaults: dict, where: str) -> dict:
-    """Each key of ``defaults`` as a float, taken from ``block`` where set there."""
-    return {k: _checked(float, block.get(k, d), f"{where}.{k}") for k, d in defaults.items()}
+def _number(value, where: str) -> float:
+    """A config number as a float: a real or a numeric string, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ConfigError(f"malformed value for {where}: {value!r} (not a number)")
+    return _checked(float, value, where)
 
 
-def _bound_pair(value) -> tuple:
-    lo, hi = map(float, value)
-    return lo, hi
+def _numbers(values, where: str, read=_number) -> tuple:
+    """A config list as a tuple, each entry read by ``read``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"malformed value for {where}: {values!r} (not a list)")
+    return tuple(read(v, where) for v in values)
 
 
-def _parse_tau(value):
+def _parse_tau(value, where: str):
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinite", "infinity"):
         return INFINITE
-    return _checked(float, value, "tau (a number or 'inf')")
+    return _number(value, f"{where} (a number or 'inf')")
 
 
 # (parse, echo) of a sweep value, by key; the keys not listed are numbers
-_SWEEP_VALUES = {"r_l_values": (lambda v: tuple(map(float, v)), list),
-                 "tau_values": (lambda v: tuple(map(_parse_tau, v)),
-                                lambda v: [_tau_jsonable(t) for t in v])}
+_SWEEP_VALUES = {"r_l_values": (_numbers, list),
+                 "tau_values": (partial(_numbers, read=_parse_tau),
+                                lambda v: [_jsonable(t) for t in v])}
 
 
 @dataclass
@@ -111,7 +114,7 @@ class RunConfig:
     optimizer: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=SWEEP_DEFAULTS.copy)  # keyed as SWEEP_DEFAULTS
     out: str | None = None
-    fmt: str = "csv"
+    fmt: str = FORMATS[0]
     force: bool = False
     workers: int | None = None
     explicit_model_keys: frozenset = frozenset()
@@ -126,8 +129,8 @@ class RunConfig:
         p = self.params
         return {
             "version": __version__,
-            "params": {**asdict(p), "tau": _tau_jsonable(p.tau),
-                       "x_g": p.x_g, "x_l": p.x_l, "x_r": p.x_r},
+            "params": {**asdict(p), "tau": _jsonable(p.tau),
+                       **{k: getattr(p, k) for k in _FREE_ORDER}},
             "optimizer": {"free": list(self.free),
                           "bounds": {k: list(v) for k, v in self.bounds.items()},
                           **self.optimizer},
@@ -151,15 +154,17 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     flag names (x_g, r_p, temp, ...) to values and wins over file values.
     At most one of the scaled/physical parameter blocks may be present; the
     defaults are those of :class:`ModelParams` and :data:`SWEEP_DEFAULTS`.
+    Each value is checked here, before any run, by the module that owns its
+    rule: ``optimize`` the optimizer options, ``experiments`` workers and format.
     """
     source = _checked(dict, source or {}, "config")
     set_flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     _reject_unknown(source, set(_BLOCK_KEYS), "config")
-    blocks = []
+    blocks = {}
     for name, allowed in _BLOCK_KEYS.items():
-        blocks.append(_checked(dict, source.get(name) or {}, f"config.{name}"))
-        _reject_unknown(blocks[-1], allowed, f"config.{name}")
-    scaled, physical, model, opt, sweep, output = blocks
+        blocks[name] = _checked(dict, source.get(name) or {}, f"config.{name}")
+        _reject_unknown(blocks[name], allowed, f"config.{name}")
+    scaled, physical, model, opt, sweep, output = blocks.values()
 
     if "scaled" in source and "physical" in source:
         raise ConfigError("config must contain at most one of the 'scaled' "
@@ -174,47 +179,38 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     scaled.update(scaled_overrides)
 
     # one keyword set for both parameter blocks; a rate set on its own wins
-    # over the common "gamma", which is passed on unconverted
+    # over the common "gamma"
     model_kw = {}
-    for k, default in _MODEL_DEFAULTS.items():
+    for k, default in _DEFAULTS["model"].items():
         if k.startswith("gamma_") and model.get(k) is None:
-            model_kw[k] = model.get("gamma", default)
+            model_kw[k] = _number(model.get("gamma", default), "model.gamma")
         elif k == "tau":
-            model_kw[k] = _parse_tau(model.get(k, default))
+            model_kw[k] = _parse_tau(model.get(k, default), "model.tau")
         else:
-            model_kw[k] = _checked(float, model.get(k, default), f"model.{k}")
+            model_kw[k] = _number(model.get(k, default), f"model.{k}")
+    kind, build = ("physical", ModelParams) if physical else ("scaled", params_from_scaled)
     try:
-        if physical:
-            params = ModelParams(**_floats(physical, _PHYSICAL_DEFAULTS, "physical"),
-                                 **model_kw)
-        else:
-            params = params_from_scaled(**_floats(scaled, _SCALED_DEFAULTS, "scaled"),
-                                        **model_kw)
+        params = build(**{k: _number(blocks[kind].get(k, d), f"{kind}.{k}")
+                          for k, d in _DEFAULTS[kind].items()}, **model_kw)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    free = _checked(tuple, opt.get("free", RunConfig.free), "optimizer.free")
-    if not all(isinstance(name, str) for name in free):
-        raise ConfigError(f"malformed value for optimizer.free: {list(free)!r}")
-    bounds = {k: _checked(_bound_pair, v, f"optimizer.bounds.{k}") for k, v in
+    free = opt.get("free", RunConfig.free)
+    bounds = {k: _numbers(v, f"optimizer.bounds.{k}") for k, v in
               _checked(dict.items, opt.get("bounds") or {}, "optimizer.bounds")}
-    # passed on unconverted: integers where a count belongs, else numbers
+    # counts and tolerances are passed on unconverted
     optimizer = {k: v for k, v in opt.items() if k not in ("free", "bounds")}
-    for k, value in optimizer.items():
-        kind = (int if k in ("seeds_per_dim", "refine_top", "max_evals_per_seed")
-                else (int, float))
-        if isinstance(value, bool) or not isinstance(value, kind):  # bool is an int
-            raise ConfigError(f"malformed value for optimizer.{k}: {value!r}")
+    try:
+        _validated_options(free, bounds, **optimizer)
+    except DomainError as exc:
+        raise ConfigError(f"optimizer.{exc}") from None
 
-    workers = set_flags.get("workers", output.get("workers"))
+    # a count, held as the int that runs
+    workers, where = set_flags.get("workers", output.get("workers")), "output.workers"
     if workers is None and os.environ.get(_WORKERS_ENV):
-        workers = _checked(int, os.environ[_WORKERS_ENV], _WORKERS_ENV)
+        workers, where = os.environ[_WORKERS_ENV], _WORKERS_ENV
     if workers is not None:
-        # a count, held as the int that runs; int() would truncate 2.7 and
-        # read true as 1
-        if isinstance(workers, (bool, float)):
-            raise ConfigError(f"malformed value for output.workers: {workers!r}")
-        workers = _checked(int, workers, "output.workers")
+        workers = _checked(_resolve_workers, workers, where)
     out = set_flags.get("out") or output.get("path")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"malformed value for output.path: {out!r}")
@@ -222,19 +218,19 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     if force is not None and not isinstance(force, bool):
         raise ConfigError(f"malformed value for output.force: {force!r}")
 
-    cfg = RunConfig(
-        params=params, free=free, bounds=bounds, optimizer=optimizer,
-        sweep={k: _checked(_SWEEP_VALUES.get(k, (float, float))[0], v, f"sweep.{k}")
+    fmt = set_flags.get("fmt") or output.get("format", FORMATS[0])
+    _check_format(fmt)
+
+    return RunConfig(
+        params=params, free=tuple(free), bounds=bounds, optimizer=optimizer,
+        sweep={k: _SWEEP_VALUES.get(k, (_number, float))[0](v, f"sweep.{k}")
                for k, v in {**SWEEP_DEFAULTS, **sweep}.items()},
         out=out,
-        fmt=set_flags.get("fmt") or output.get("format", "csv"),
+        fmt=fmt,
         force=bool(set_flags.get("force") or force),
         workers=workers,
         explicit_model_keys=explicit_model_keys,
     )
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be 'csv' or 'json', got {cfg.fmt!r}")
-    return cfg
 
 
 def _fmt(value, digits=6) -> str:
@@ -295,8 +291,10 @@ def _cmd_sweep(cmd: str, cfg: RunConfig) -> int:
     eta_grid = default_eta_c_grid(sweep["eta_c_lo"], sweep["eta_c_hi"], sweep["eta_c_step"])
     # the canonical curve families fix r_p unless it is set explicitly
     r_p = p.r_p if "r_p" in cfg.explicit_model_keys else FIG3_R_P
+    # free is fixed by each sweep's definition; bounds only when set, so that
+    # an unbounded sweep's provenance stays as it was
     common = {"temp_p": p.temp_p, "gamma": p.gamma_p, "workers": cfg.workers,
-              **cfg.optimizer}
+              **cfg.optimizer, **({"bounds": cfg.bounds} if cfg.bounds else {})}
     if cmd == "fig2":
         table = run_fig2(default_r_grid(sweep["r_step"]), temp=p.temp, x_g=sweep["x_g"],
                          tau=p.tau, **common)
@@ -315,14 +313,15 @@ def _cmd_selftest(cfg: RunConfig) -> int:
     return 0 if failed == 0 else 5
 
 
+# (run, help) of each subcommand
 _COMMANDS = {
-    "steady": _cmd_steady,
-    "thermo": _cmd_thermo,
-    "maximize": _cmd_maximize,
-    "fig2": partial(_cmd_sweep, "fig2"),
-    "fig3a": partial(_cmd_sweep, "fig3a"),
-    "fig3b": partial(_cmd_sweep, "fig3b"),
-    "selftest": _cmd_selftest,
+    "steady": (_cmd_steady, "solve and print the stationary state"),
+    "thermo": (_cmd_thermo, "print currents, power, and efficiencies"),
+    "maximize": (_cmd_maximize, "maximize output power over scaled energies"),
+    "fig2": (partial(_cmd_sweep, "fig2"), "sweep (r_p, r_l) map of efficiency and coherence"),
+    "fig3a": (partial(_cmd_sweep, "fig3a"), "efficiency-at-max-power curves for several r_l"),
+    "fig3b": (partial(_cmd_sweep, "fig3b"), "efficiency-at-max-power curves for several tau"),
+    "selftest": (_cmd_selftest, "run built-in invariant checks"),
 }
 
 
@@ -331,7 +330,7 @@ def dispatch(cmd: str, cfg: RunConfig) -> int:
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}")
     print("resolved-config: " + json.dumps(cfg.echo(), sort_keys=True))
-    return _COMMANDS[cmd](cfg)
+    return _COMMANDS[cmd][0](cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,25 +341,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"qdphotocell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("steady", "solve and print the stationary state"),
-            ("thermo", "print currents, power, and efficiencies"),
-            ("maximize", "maximize output power over scaled energies"),
-            ("fig2", "sweep (r_p, r_l) map of efficiency and coherence"),
-            ("fig3a", "efficiency-at-max-power curves for several r_l"),
-            ("fig3b", "efficiency-at-max-power curves for several tau"),
-            ("selftest", "run built-in invariant checks")):
+    for name, (_run, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--out", metavar="PATH", help="output file for tables")
-        sp.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        sp.add_argument("--workers", type=int,
-                        help=f"parallel workers (default: ${_WORKERS_ENV} "
-                             "or available CPUs)")
+        sp.add_argument("--format", choices=FORMATS, dest="fmt")
+        sp.add_argument("--workers", help=f"parallel workers (default: ${_WORKERS_ENV} "
+                                          "or available CPUs)")
         sp.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
-        for name, kind in _PARAM_FLAGS:
-            sp.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+        for name in _PARAM_FLAGS:
+            sp.add_argument("--" + name.replace("_", "-"), dest=name)
     return parser
 
 

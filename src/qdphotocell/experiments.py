@@ -18,6 +18,7 @@ import csv
 import datetime as _dt
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .optimize import (_FREE_ORDER, _steady_at, efficiency_at_max_power_curve,
 __all__ = [
     "SWEEP_DEFAULTS",
     "FIG3_R_P",
+    "FORMATS",
     "SweepTable",
     "run_fig2",
     "run_fig3a",
@@ -54,6 +56,12 @@ SWEEP_DEFAULTS = {
 
 #: Photon cross coupling of the fig3a/fig3b curve families.
 FIG3_R_P = 0.9
+
+#: Output formats of :meth:`SweepTable.write`, the first the default.
+FORMATS = ("csv", "json")
+
+# the error of a row whose operating region is empty: no seed had positive power
+_DEGENERATE = "degenerate-operating-region"
 
 # fig2 maximizes at its fixed bandgap; the fig3 curves free all of _FREE_ORDER,
 # efficiency_at_max_power_curve's default
@@ -108,21 +116,9 @@ class SweepTable:
             return ""
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, float):
-            if math.isinf(value):
-                return "inf" if value > 0 else "-inf"
-            if math.isnan(value):
-                return "nan"
+        if isinstance(value, float) and math.isfinite(value):
             return format(value, ".17g")
-        return str(value)
-
-    @staticmethod
-    def _jsonable(value):
-        if isinstance(value, float) and not math.isfinite(value):
-            if math.isnan(value):
-                return "nan"
-            return "inf" if value > 0 else "-inf"
-        return value
+        return str(_jsonable(value))
 
     def to_csv(self, path, force: bool = False) -> None:
         """RFC-4180 CSV with a single header row of column names."""
@@ -139,7 +135,7 @@ class SweepTable:
         _refuse_overwrite(path, force)
         doc = {
             "columns": [{"name": n, "unit": u} for n, u in self.columns],
-            "rows": [{k: self._jsonable(v) for k, v in row.items()}
+            "rows": [{k: _jsonable(v) for k, v in row.items()}
                      for row in self.rows],
             "provenance": self.provenance,
         }
@@ -149,12 +145,14 @@ class SweepTable:
             fh.write(text + "\n")
 
     def write(self, path, fmt: str, force: bool = False) -> None:
-        if fmt == "csv":
-            self.to_csv(path, force=force)
-        elif fmt == "json":
-            self.to_json(path, force=force)
-        else:
-            raise ConfigError(f"unknown output format {fmt!r} (use csv or json)")
+        _check_format(fmt)
+        getattr(self, f"to_{fmt}")(path, force=force)
+
+
+def _check_format(fmt) -> None:
+    if fmt not in FORMATS:
+        raise ConfigError(f"output format must be {' or '.join(map(repr, FORMATS))}, "
+                          f"got {fmt!r}")
 
 
 def _refuse_overwrite(path, force: bool) -> None:
@@ -172,17 +170,25 @@ def _provenance(config: dict) -> dict:
     }
 
 
-def _tau_jsonable(tau: float):
-    return "inf" if tau == INFINITE else tau
+def _jsonable(value):
+    """``value`` for JSON: a non-finite float as "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    return value
 
 
 def _resolve_workers(workers) -> int:
+    """The worker count to run: an integer >= 1 or a numeric string such as
+    "2", never a boolean or a float; None means the CPU count."""
     if workers is None:
-        workers = os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
+        return os.cpu_count() or 1
+    try:
+        count = int(workers) if isinstance(workers, str) else workers
+    except ValueError:
+        count = None
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ConfigError(f"worker count must be an integer >= 1, got {workers!r}")
+    return int(count)
 
 
 def _map_rows(fn, jobs, workers: int):
@@ -205,7 +211,7 @@ def _fig2_point(job) -> dict:
     except QdpcError as exc:
         return {**row, "error": str(exc)}
     if res.degenerate:
-        return {**row, "p_max": 0.0, "error": "degenerate-operating-region"}
+        return {**row, "p_max": 0.0, "error": _DEGENERATE}
     at = params.with_scaled(x_l=res.x_opt["x_l"], x_r=res.x_opt["x_r"])
     # the float kernel behind p_max; Im rho12 = 0 for degenerate levels
     _, j, _, _, _, u = _steady_at(at, at.x_g, at.x_l, at.x_r)
@@ -237,7 +243,7 @@ def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
         ("p_max", _POWER_UNIT), ("eta", "1"), ("abs_rho12", "1"),
         ("j", "gamma_p"), ("converged", "bool"), ("error", "str"),
     )
-    config = {"sweep": "fig2", "r_grid": grid, "x_g": x_g, "tau": _tau_jsonable(tau),
+    config = {"sweep": "fig2", "r_grid": grid, "x_g": x_g, "tau": _jsonable(tau),
               "temp": temp, "temp_p": temp_p, "gamma": gamma,
               "free": list(_FIG2_FREE), "optimizer": dict(opt_kwargs)}
     return SweepTable(columns=columns, rows=tuple(rows),
@@ -259,13 +265,14 @@ def _curve_rows(job):
     rows = []
     for pt in efficiency_at_max_power_curve(base, eta_c_grid, **opt_kwargs):
         rows.append({
-            label_name: _tau_jsonable(label_value),
+            label_name: _jsonable(label_value),
             "eta_c": pt.eta_c, "temp": (1.0 - pt.eta_c) * base.temp_p,
             "temp_p": base.temp_p, "eta_at_pmax": pt.eta_at_pmax,
             "eta_ca": pt.eta_ca, "p_max": pt.p_max,
             "x_g": pt.x_opt.get("x_g"), "x_l": pt.x_opt.get("x_l"),
             "x_r": pt.x_opt.get("x_r"),
-            "converged": pt.converged, "error": pt.error,
+            "converged": pt.converged,
+            "error": _DEGENERATE if pt.degenerate else pt.error,
         })
     return rows
 
@@ -286,8 +293,8 @@ def _run_curves(sweep, label, unit, values, eta_c_grid, params, workers,
     values = [float(v) for v in values]
     jobs = [(label, v, params, eta_c_grid, opt_kwargs) for v in values]
     groups = _map_rows(_curve_rows, jobs, min(_resolve_workers(workers), len(jobs)))
-    config = {"sweep": sweep, **{k: _tau_jsonable(v) for k, v in params.items()},
-              f"{label}_values": [_tau_jsonable(v) for v in values],
+    config = {"sweep": sweep, **{k: _jsonable(v) for k, v in params.items()},
+              f"{label}_values": [_jsonable(v) for v in values],
               "eta_c_grid": eta_c_grid, "free": list(_FREE_ORDER),
               "optimizer": dict(opt_kwargs)}
     return SweepTable(columns=((label, unit),) + _CURVE_COLUMNS_TAIL,

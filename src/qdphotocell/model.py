@@ -204,9 +204,10 @@ class ModelParams:
 
 
 _FIELDS = tuple(f.name for f in fields(ModelParams))
-# the fields params_from_scaled takes as they are; the scaled energies fix the rest
-_NON_ENERGY_FIELDS = tuple(name for name in _FIELDS
-                           if name not in ("eps_g", "eps_l", "mu_l", "mu_r"))
+# the fields the scaled energies fix (the physical block of a config), and
+# the fields params_from_scaled takes as they are
+_ENERGY_FIELDS = ("eps_g", "eps_l", "mu_l", "mu_r")
+_NON_ENERGY_FIELDS = tuple(name for name in _FIELDS if name not in _ENERGY_FIELDS)
 
 
 def scaled_energies(params: ModelParams) -> tuple[float, float, float]:

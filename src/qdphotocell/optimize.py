@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -39,6 +40,7 @@ from .model import (
     ModelParams,
     _bose_array,
     _fermi_array,
+    _require_real,
     bose_occupation,
     fermi_occupation,
     scaled_energies,
@@ -64,6 +66,10 @@ DEFAULT_BOUNDS = {
 }
 
 _FREE_ORDER = ("x_g", "x_l", "x_r")
+
+# the least value of each count option of maximize_power; its other options
+# (f_rel_tol, x_rel_tol) are tolerances
+_COUNT_LEAST = {"seeds_per_dim": 2, "refine_top": 1, "max_evals_per_seed": 1}
 
 # Interior margin for the window coordinate; both window edges carry zero power.
 _NU_MARGIN = 1e-9
@@ -323,29 +329,46 @@ class OptResult:
     starts: int = 0
 
 
-def _validated_free_and_bounds(free, bounds):
-    if isinstance(free, str):
-        raise DomainError("free must be a sequence of variable names such as "
-                          f"('x_l', 'x_r'), not the string {free!r}")
-    unknown_free = set(free) - set(_FREE_ORDER)
-    if unknown_free:
-        raise DomainError(f"unknown free variable(s): {sorted(unknown_free)}")
-    free = tuple(f for f in _FREE_ORDER if f in set(free))
-    if not free:
-        raise DomainError("free variable set must be a nonempty subset of "
-                          f"{_FREE_ORDER}")
-    unknown = set(bounds or {}) - set(_FREE_ORDER)
-    if unknown:
-        raise DomainError(f"unknown bound names: {sorted(unknown)}")
-    box = {k: tuple(map(float, (bounds or {}).get(k, DEFAULT_BOUNDS[k])))
-           for k in _FREE_ORDER}
-    for k, (lo, hi) in box.items():
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise DomainError(f"bounds for {k} must be finite with lo < hi, "
-                              f"got ({lo}, {hi})")
+def _validated_options(free, bounds, **options):
+    """``(free, box)`` of maximize_power's options: the free names in
+    ``_FREE_ORDER`` order and a float (lo, hi) per variable.
+
+    Counts are integers >= their ``_COUNT_LEAST``, tolerances real numbers;
+    a boolean is neither.  A malformed value raises DomainError, its message
+    led by the option's name (``bounds.<name>`` for one bound).
+    """
+    for name, value in options.items():
+        least = _COUNT_LEAST.get(name)
+        if least is None:
+            _require_real(name, value)
+        elif (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+              or value < least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    try:  # a non-iterable or an unhashable entry; a bare string's letters are no names
+        names = set(free)
+    except TypeError:
+        names = set()
+    if not names or not names <= set(_FREE_ORDER):
+        raise DomainError("free must be a nonempty sequence of variable names from "
+                          f"{_FREE_ORDER}, got {free!r}")
+    bounds = {} if bounds is None else bounds
+    if not isinstance(bounds, Mapping) or not set(bounds) <= set(_FREE_ORDER):
+        raise DomainError(f"bounds must map names from {_FREE_ORDER} to (lo, hi), "
+                          f"got {bounds!r}")
+    box = {}
+    for k in _FREE_ORDER:
+        pair = bounds.get(k, DEFAULT_BOUNDS[k])
+        is_pair = isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+        lo, hi = pair if is_pair else (None, None)
+        if (any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (lo, hi))
+                or not -math.inf < lo < hi < math.inf):
+            raise DomainError(f"bounds.{k} must be a pair of finite numbers with "
+                              f"lo < hi, got {pair!r}")
+        box[k] = (float(lo), float(hi))
     if box["x_g"][0] <= 0.0:
-        raise DomainError(f"lower bound for x_g must be positive, got {box['x_g'][0]}")
-    return free, box
+        raise DomainError("bounds.x_g must have a positive lower bound, "
+                          f"got {box['x_g'][0]}")
+    return tuple(k for k in _FREE_ORDER if k in names), box
 
 
 def _ranked_seeds(t_grid, p_grid, top):
@@ -374,17 +397,12 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     search coordinate within sqrt(``f_rel_tol``) of its range), so two
     starts are the usual case; ``refine_top`` bounds the starts run.  The
     best refined point wins; ties break lexicographically on the coordinates.
-    ``seeds_per_dim``, ``refine_top`` and ``max_evals_per_seed`` are counts:
-    anything but an integer, a boolean included, raises DomainError.
+    A malformed option raises DomainError (:func:`_validated_options`).
     """
     consts = _kernel_constants(params)
-    for name, count, least in (("seeds_per_dim", seeds_per_dim, 2),
-                               ("refine_top", refine_top, 1),
-                               ("max_evals_per_seed", max_evals_per_seed, 1)):
-        if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
-                or count < least):
-            raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
-    free, box = _validated_free_and_bounds(free, bounds)
+    free, box = _validated_options(
+        free, bounds, seeds_per_dim=seeds_per_dim, refine_top=refine_top,
+        f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol, max_evals_per_seed=max_evals_per_seed)
     eta_c = 1.0 - params.temp / params.temp_p
     base = {"x_g": params.x_g, "x_l": params.x_l, "x_r": params.x_r}
 
@@ -539,7 +557,7 @@ def grid_search_power(params: ModelParams, free, bounds=None,
     exactly like the optimizer objective.  Intended as an independent check
     of :func:`maximize_power`, not for production use.
     """
-    free, box = _validated_free_and_bounds(free, bounds)
+    free, box = _validated_options(free, bounds)
     base = {"x_g": params.x_g, "x_l": params.x_l, "x_r": params.x_r}
     axes = [np.linspace(*box[name], n_per_dim) for name in free]
     mesh = np.meshgrid(*axes, indexing="ij")

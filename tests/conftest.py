@@ -36,7 +36,7 @@ from qdphotocell.optimize import (
     _NU_MARGIN,
     _SAME_BASIN_X_EXP,
     _steady_at,
-    _validated_free_and_bounds,
+    _validated_options,
 )
 from qdphotocell.selftest import draw_params
 
@@ -546,7 +546,7 @@ def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=No
     if seeds_per_dim < 2 or refine_top < 1 or max_evals_per_seed < 1:
         raise DomainError("need seeds_per_dim >= 2, refine_top >= 1, and "
                           "max_evals_per_seed >= 1")
-    free, box = _validated_free_and_bounds(free, bounds)
+    free, box = _validated_options(free, bounds)
     eta_c = 1.0 - params.temp / params.temp_p
     base = {"x_g": params.x_g, "x_l": params.x_l, "x_r": params.x_r}
 

@@ -71,6 +71,9 @@ class TestParseConfig:
         assert cfg.params.gamma_p == 2.0
         assert cfg.params.gamma_l == 2.0
         assert cfg.params.gamma_r == 5.0
+        # "gamma" is read as any number is, a numeric string included
+        p = parse_config({"model": {"gamma": "0.5"}}).params
+        assert p.gamma_p == p.gamma_l == p.gamma_r == 0.5
 
     def test_workers_env(self, monkeypatch):
         monkeypatch.setenv("QDPHOTOCELL_WORKERS", "3")
@@ -121,6 +124,22 @@ class TestParseConfig:
     ("fig2", {"output": {"workers": 2.7}}, "output.workers"),
     ("fig2", {"output": {"workers": True}}, "output.workers"),
     ("maximize", {"optimizer": {"max_evals_per_seed": 2.5}}, "optimizer.max_evals_per_seed"),
+    # refused before the echo by the optimizer's, the sweeps' and the
+    # parser's own checks, each naming the key
+    ("fig2", {"optimizer": {"refine_top": 0}}, "optimizer.refine_top"),
+    ("maximize", {"optimizer": {"seeds_per_dim": 1}}, "optimizer.seeds_per_dim"),
+    ("maximize", {"optimizer": {"bounds": {"x_l": [3, -3]}}}, "optimizer.bounds.x_l"),
+    ("maximize", {"optimizer": {"free": ["x_q"]}}, "optimizer.free"),
+    ("steady", {"output": {"workers": 0}}, "output.workers"),
+    ("steady", {"model": {"r_p": True}}, "model.r_p"),
+    ("steady", {"model": {"tau": True}}, "model.tau"),
+    ("steady", {"model": {"gamma": True}}, "model.gamma"),
+    ("steady", {"scaled": {"x_g": True}}, "scaled.x_g"),
+    ("steady", {"physical": {"eps_g": True}}, "physical.eps_g"),
+    ("steady", {"sweep": {"r_step": True}}, "sweep.r_step"),
+    ("steady", {"sweep": {"r_l_values": [0.0, True]}}, "sweep.r_l_values"),
+    ("steady", {"sweep": {"tau_values": [False]}}, "sweep.tau_values"),
+    ("maximize", {"optimizer": {"bounds": {"x_l": [True, 3]}}}, "optimizer.bounds.x_l"),
 ])
 def test_malformed_value_exit_code_and_record(capsys, tmp_path, cmd, doc, where):
     config = tmp_path / "bad.json"
@@ -291,6 +310,23 @@ class TestDispatch:
         assert main(base + ["--out", str(explicit_out), "--r-p", "0"]) == 0
         capsys.readouterr()
         assert json.loads(explicit_out.read_text())["provenance"]["config"]["r_p"] == 0.0
+
+    def test_fig2_honours_optimizer_bounds(self, capsys, tmp_path):
+        out_file = tmp_path / "map.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "sweep": {"r_step": 1.0},
+            "optimizer": {"seeds_per_dim": 8, "refine_top": 4,
+                          "bounds": {"x_l": [-1, -0.5]}},
+        }))
+        assert main(["fig2", "--config", str(config), "--out", str(out_file),
+                     "--format", "json", "--workers", "1"]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text())
+        assert doc["provenance"]["config"]["optimizer"]["bounds"] == {"x_l": [-1.0, -0.5]}
+        assert len(doc["rows"]) == 4
+        for row in doc["rows"]:
+            assert not row["error"] and -1.0 <= row["x_l"] <= -0.5
 
     def test_selftest_clean_build_exits_zero(self, capsys):
         assert main(["selftest"]) == 0

@@ -16,7 +16,7 @@ from qdphotocell import (
     run_fig3b,
 )
 from qdphotocell.errors import ConfigError, OutputExistsError
-from qdphotocell.experiments import default_eta_c_grid, default_r_grid
+from qdphotocell.experiments import SweepTable, default_eta_c_grid, default_r_grid
 from conftest import general_path_observables
 
 FAST_OPT = {"seeds_per_dim": 8, "refine_top": 4}
@@ -109,6 +109,19 @@ class TestFig2:
         with pytest.raises(ConfigError):
             run_fig2([0.0, 1.5], workers=1)
 
+    def test_malformed_bound_flags_the_rows(self):
+        # the optimizer refuses it with a DomainError: rows flagged, sweep done
+        table = run_fig2([0.0, 1.0], workers=1, bounds={"x_l": 3.0}, **FAST_OPT)
+        assert len(table.rows) == 4
+        for row in table.rows:
+            assert row["error"].startswith("bounds.x_l must be a pair")
+            assert row["p_max"] is None
+
+    @pytest.mark.parametrize("workers", [2.7, True, "two"])
+    def test_bad_worker_count_refused(self, workers):
+        with pytest.raises(ConfigError, match="worker count"):
+            run_fig2([0.5], workers=workers, **FAST_OPT)
+
 
 class TestFig3:
     def test_fig3a_smoke(self):
@@ -131,6 +144,15 @@ class TestFig3:
         by_tau = {r["tau"]: r["eta_at_pmax"] for r in table.rows}
         assert set(by_tau) == {0.0, "inf"}
         assert by_tau[0.0] >= by_tau["inf"] - 1e-7
+
+
+    def test_degenerate_region_flagged(self):
+        # a box with no positive power: the row says so, as a fig2 row does
+        table = run_fig3a([0.0], [0.5], workers=1, **FAST_OPT, bounds={
+            "x_g": (0.1, 1.0), "x_l": (-20.0, -19.0), "x_r": (19.0, 20.0)})
+        (row,) = table.rows
+        assert row["p_max"] == 0.0 and row["eta_at_pmax"] is None
+        assert row["error"] == "degenerate-operating-region"
 
 
 class TestSerialization:
@@ -181,6 +203,16 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["provenance"]["config"]["tau"] == "inf"
         assert len(doc["rows"]) == len(table.rows) == 1
+
+    def test_non_finite_values_encoded_alike(self, tmp_path):
+        # one encoder for CSV cells and JSON values
+        table = SweepTable(columns=(("a", "1"), ("b", "1"), ("c", "1")),
+                           rows=({"a": math.inf, "b": -math.inf, "c": math.nan},))
+        table.write(tmp_path / "t.csv", "csv")
+        table.write(tmp_path / "t.json", "json")
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == "inf,-inf,nan"
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert doc["rows"] == [{"a": "inf", "b": "-inf", "c": "nan"}]
 
     def test_refused_document_leaves_no_file(self, small_fig2, tmp_path):
         bad = dataclasses.replace(small_fig2, provenance={"config": {"tau": math.nan}})

@@ -378,7 +378,7 @@ class TestMaximizePower:
         assert res.p_max > 0.0
         assert 0.0 < res.eta_at_pmax < 0.02
 
-    @pytest.mark.parametrize("free", [(), ("x_q",), ("x_g", "bogus")])
+    @pytest.mark.parametrize("free", [(), ("x_q",), ("x_g", "bogus"), [["x_l"]], 5])
     def test_bad_free_sets(self, free):
         p = params_from_scaled(2.0, 0.0, 0.0)
         with pytest.raises(DomainError):
@@ -456,6 +456,20 @@ class TestCountValidation:
     def test_bare_string_free_refused(self):
         with pytest.raises(DomainError, match="sequence of variable names"):
             maximize_power(self.PARAMS, free="x_l")
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"bounds": {"x_l": 3.0}}, "bounds.x_l"),
+        ({"bounds": {"x_l": (-3.0, 0.0, 3.0)}}, "bounds.x_l"),
+        ({"bounds": {"x_l": (False, 3.0)}}, "bounds.x_l"),
+        ({"bounds": [(-3.0, 3.0)]}, "bounds"),
+        ({"f_rel_tol": "1e-9"}, "f_rel_tol"),
+        ({"x_rel_tol": True}, "x_rel_tol"),
+    ])
+    def test_malformed_bound_or_tolerance_is_a_domain_error(self, kwargs, name):
+        # never a bare TypeError or ValueError, which would abort a sweep; the
+        # message leads with the option's name
+        with pytest.raises(DomainError, match=f"^{name} "):
+            maximize_power(self.PARAMS, **kwargs)
 
 
 # (free, r_p, r_l, tau, temp, bounds): 2-D and 3-D, tau = inf, the dark-state
