@@ -141,6 +141,24 @@ class RunConfig:
         }
 
 
+def _sweep_grids(sweep: dict) -> tuple[list, list]:
+    """The r grid of fig2 and the eta_c grid of fig3a/fig3b of a sweep block."""
+    try:
+        return (default_r_grid(sweep["r_step"]),
+                default_eta_c_grid(sweep["eta_c_lo"], sweep["eta_c_hi"], sweep["eta_c_step"]))
+    except ConfigError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
+
+
+def _block(value, where: str) -> dict:
+    """A config block as a new dict: a JSON object, or null for none."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"malformed value for {where}: {value!r} (not a JSON object)")
+    return dict(value)
+
+
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(block) - allowed)
     if unknown:
@@ -155,14 +173,15 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     At most one of the scaled/physical parameter blocks may be present; the
     defaults are those of :class:`ModelParams` and :data:`SWEEP_DEFAULTS`.
     Each value is checked here, before any run, by the module that owns its
-    rule: ``optimize`` the optimizer options, ``experiments`` workers and format.
+    rule: ``optimize`` the optimizer options, ``experiments`` workers, format
+    and the sweep grids.  The document and each block are JSON objects.
     """
-    source = _checked(dict, source or {}, "config")
+    source = _block(source, "config")
     set_flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     _reject_unknown(source, set(_BLOCK_KEYS), "config")
     blocks = {}
     for name, allowed in _BLOCK_KEYS.items():
-        blocks[name] = _checked(dict, source.get(name) or {}, f"config.{name}")
+        blocks[name] = _block(source.get(name), f"config.{name}")
         _reject_unknown(blocks[name], allowed, f"config.{name}")
     scaled, physical, model, opt, sweep, output = blocks.values()
 
@@ -221,10 +240,13 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     fmt = set_flags.get("fmt") or output.get("format", FORMATS[0])
     _check_format(fmt)
 
+    sweep = {k: _SWEEP_VALUES.get(k, (_number, float))[0](v, f"sweep.{k}")
+             for k, v in {**SWEEP_DEFAULTS, **sweep}.items()}
+    _sweep_grids(sweep)
+
     return RunConfig(
         params=params, free=tuple(free), bounds=bounds, optimizer=optimizer,
-        sweep={k: _SWEEP_VALUES.get(k, (_number, float))[0](v, f"sweep.{k}")
-               for k, v in {**SWEEP_DEFAULTS, **sweep}.items()},
+        sweep=sweep,
         out=out,
         fmt=fmt,
         force=bool(set_flags.get("force") or force),
@@ -278,6 +300,9 @@ def _cmd_maximize(cfg: RunConfig) -> int:
     print(f"eta_at_pmax = {_fmt(res.eta_at_pmax)}   evals = {res.evals}   "
           f"starts = {res.starts}   converged = {res.converged}   "
           f"degenerate = {res.degenerate}")
+    print(f"certificate: grad_rel = {_fmt(res.grad_rel, 3)}   "
+          f"newton_step = {_fmt(res.newton_step, 3)}   "
+          f"max_curvature = {_fmt(res.max_curvature, 3)}")
     if res.active_bounds:
         print(f"warning: optimum sits on bounds of {', '.join(res.active_bounds)}")
     return 0
@@ -285,10 +310,8 @@ def _cmd_maximize(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cmd: str, cfg: RunConfig) -> int:
     """Run one canned sweep and write its table."""
-    p = cfg.params
-    # validated for every sweep, fig2 included
-    sweep = cfg.sweep
-    eta_grid = default_eta_c_grid(sweep["eta_c_lo"], sweep["eta_c_hi"], sweep["eta_c_step"])
+    p, sweep = cfg.params, cfg.sweep
+    r_grid, eta_grid = _sweep_grids(sweep)
     # the canonical curve families fix r_p unless it is set explicitly
     r_p = p.r_p if "r_p" in cfg.explicit_model_keys else FIG3_R_P
     # free is fixed by each sweep's definition; bounds only when set, so that
@@ -296,7 +319,7 @@ def _cmd_sweep(cmd: str, cfg: RunConfig) -> int:
     common = {"temp_p": p.temp_p, "gamma": p.gamma_p, "workers": cfg.workers,
               **cfg.optimizer, **({"bounds": cfg.bounds} if cfg.bounds else {})}
     if cmd == "fig2":
-        table = run_fig2(default_r_grid(sweep["r_step"]), temp=p.temp, x_g=sweep["x_g"],
+        table = run_fig2(r_grid, temp=p.temp, x_g=sweep["x_g"],
                          tau=p.tau, **common)
     elif cmd == "fig3a":
         table = run_fig3a(sweep["r_l_values"], eta_grid, r_p=r_p, tau=p.tau, **common)

@@ -6,31 +6,33 @@ strip near equilibrium.  A plain rectangular seed grid in (x_l, x_r) can
 miss the strip entirely, so whenever x_r is free the search runs in
 window-relative coordinates: x_r = x_l + x_g * (1 + nu * eta_c / (1 - eta_c))
 with nu in (0, 1).  Seeding uses a coarse grid per free dimension, of which
-only the points at or above the ``refine_top``-th best power are ranked;
-seeds are refined in rank order with a deterministic Nelder-Mead simplex
-until a start lands in the basin of the best optimum so far (usually the
-second start), or the ``refine_top`` seeds are used up.  No randomness
-anywhere: identical configuration produces bit-identical results.
+only the points at or above the ``refine_top``-th best power are ranked.
+The best seeds are refined in rank order by projected Newton ascent until a
+start lands in the basin of the best optimum so far (usually the second
+start), or the ``refine_top`` seeds are used up.  No randomness anywhere:
+identical configuration produces bit-identical results.
 
-The simplex hands its objective tuples of Python floats, and the objective
-evaluates the closed-form kernel on floats with the parameter constants
-computed once per call (:func:`_kernel_constants`); the seed grid evaluates
-the same kernel on arrays.
+The gradient is exact: a complex step through the closed-form kernel
+(:func:`_power_gradient`).  The Hessian is central differences of it.  Each
+Newton iteration evaluates its whole stencil, for the first two starts at
+once, in one batched kernel call.  The line search evaluates the same kernel
+on Python floats, with the parameter constants computed once per call
+(:func:`_kernel_constants`), and the seed grid on arrays.  Every optimum
+carries its certificate: the relative gradient, the Newton step left and the
+largest curvature there.
 
-Points with non-positive power (or current flowing backwards) score zero so
-the maximizer stays inside the converter regime; a vanished operating region
-is reported via the ``degenerate`` flag rather than an error.
+Points with non-positive power (or current flowing backwards) score zero in
+the seed grid, and the ascent never leaves positive power, so the maximizer
+stays inside the converter regime; a vanished operating region is reported
+via the ``degenerate`` flag rather than an error.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -55,7 +57,6 @@ __all__ = [
     "efficiency_at_max_power_curve",
     "grid_search_power",
     "steady_observables_grid",
-    "nelder_mead",
 ]
 
 #: Default search box; occupations saturate beyond |x| ~ 20.
@@ -76,8 +77,28 @@ _NU_MARGIN = 1e-9
 
 # Two refined optima share a basin when their powers agree within f_rel_tol,
 # relative, and each search coordinate within f_rel_tol ** _SAME_BASIN_X_EXP of
-# its range: a flat maximum pins x only to the square root of the f tolerance.
+# its range.  Newton's stop pins a start's own coordinates closer, but on a
+# face of x_r's box a start converges in x_g and x_l, and the nu it implies
+# moves with them by more than x_rel_tol.
 _SAME_BASIN_X_EXP = 0.5
+
+# Complex-step size of the gradient: no difference is taken, so any step this
+# small gives the derivative to rounding.  _OCC_SIGN turns occ (1 + s occ)
+# into n (1 + n) for the Bose and f (1 - f) for the two Fermi occupations.
+_CS_STEP = 1e-30
+_OCC_SIGN = np.array([[1.0], [-1.0], [-1.0]])
+
+# The Hessian is central differences of the gradient over this fraction of
+# each search coordinate's range; its O(step^2) error slows Newton's rate but
+# does not move the point where the gradient vanishes.
+_HESS_STEP = 1e-4
+
+# A Newton step is cut to at most this fraction of each coordinate's range;
+# the line search then halves it at most _BACKTRACKS times and takes the first
+# point that gains _ARMIJO of the first-order prediction.
+_MAX_STEP = 0.1
+_BACKTRACKS = 30
+_ARMIJO = 1e-4
 
 # Winning coordinates within this fraction of the box range of an edge are
 # reported as active bounds.
@@ -125,7 +146,9 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
     decoherence-continuity branch of its two-dimensional kernel.
 
     Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
-    when the trace vanishes against the product of the three row norms.
+    when the trace vanishes against the product of the three row norms.  The
+    gate reads real parts, so complex-step inputs (:func:`_power_gradient`)
+    are refused exactly where their real points are.
     """
     gp, gl, gr, rp, rl, tau, pinned, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
@@ -168,7 +191,7 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
     scale = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5
              * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
              * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
-    singular = abs(trace) <= _SINGULAR_REL * scale
+    singular = abs(trace.real) <= _SINGULAR_REL * scale.real
     if singular if isinstance(singular, bool) else singular.any():
         raise NoUniqueSteadyStateError(
             "degenerate steady-state system is singular or ill-conditioned; "
@@ -213,97 +236,20 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     return {"power": power, "j": j, "rho12_re": u}
 
 
-def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
-                x_scale=None, max_evals=2000):
-    """Deterministic Nelder-Mead minimization with relative tolerances.
+def _power_gradient(consts: tuple, points):
+    """Derivatives of the power by complex step through :func:`_degenerate_steady`.
 
-    Vertices are tuples of Python floats, each step rounded as a numpy-array
-    simplex rounds it, and ``fn`` receives the vertex tuple itself.  The
-    simplex is one list of (f, vertex) pairs kept sorted, so every tie is
-    ordered deterministically (Lagarias et al., SIAM J. Optim. 9, 112-147,
-    1998): ties in f, mostly +-0.0 outside the operating window, break
-    lexicographically on the coordinates, and an accepted vertex goes after
-    the pairs equal to it, where a stable sort would put it.  Only a shrink
-    re-sorts the whole list.
-
-    Parameters
-    ----------
-    fn : callable
-        Objective; must accept a tuple of floats.
-    x0 : array
-        Initial vertex; the simplex is completed by displacing each
-        coordinate by ``step``.
-    step : array
-        Per-dimension initial displacement.
-    f_rel_tol, x_rel_tol : float
-        Termination when the simplex function spread falls below
-        f_rel_tol * (|best| + tiny) and the coordinate spread below
-        x_rel_tol per dimension relative to ``x_scale``.
-    x_scale : array, optional
-        Reference scale per dimension (defaults to max(|x0|, 1)).
-
-    Returns
-    -------
-    (x_best, f_best, evals, converged, f_spread, x_spread)
+    ``points`` is a (3, m) complex array of (x_g, x_l, x_r): real part a
+    point, imaginary part ``_CS_STEP`` times the tangent of one search
+    direction there.  The occupations are continued to first order,
+    n' = -n (1 + n) and f' = -f (1 - f), and Im(power) / ``_CS_STEP`` is the
+    directional derivative, exact to rounding since no difference is taken
+    (Squire & Trapp, SIAM Rev. 40, 110-112, 1998).  Refuses where the real
+    points refuse.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    if x_scale is None:
-        x_scale = np.maximum(np.abs(x0), 1.0)
-    scale = np.broadcast_to(np.asarray(x_scale, dtype=float), x0.shape).tolist()
-    step = np.asarray(step, dtype=float).tolist()
-    x0 = x0.tolist()
-
-    gamma, rho, sigma = 2.0, 0.5, 0.5
-    verts = [tuple(x0)]
-    for d in range(dim):
-        x = list(x0)
-        x[d] += step[d]
-        verts.append(tuple(x))
-    simplex = sorted([(fn(v), v) for v in verts])
-    evals = dim + 1
-    converged = False
-
-    def x_spread_of(simplex):
-        cols = zip(*[v for _, v in simplex])
-        return max([(max(col) - min(col)) / s for col, s in zip(cols, scale)])
-
-    while evals < max_evals:
-        f_best = simplex[0][0]
-        if (simplex[-1][0] - f_best <= f_rel_tol * (abs(f_best) + 1e-300)
-                and x_spread_of(simplex) <= x_rel_tol):
-            converged = True
-            break
-
-        # left-to-right sum, never sum() (compensated on floats since 3.12)
-        f_worst, worst = simplex.pop()
-        centroid = [reduce(add, col) / dim for col in zip(*[v for _, v in simplex])]
-        xr = tuple([c + (c - w) for c, w in zip(centroid, worst)])
-        fr = fn(xr); evals += 1
-        if f_best <= fr < simplex[-1][0]:
-            insort(simplex, (fr, xr))
-            continue
-        if fr < f_best:
-            xe = tuple([c + gamma * (c - w) for c, w in zip(centroid, worst)])
-            fe = fn(xe); evals += 1
-            insort(simplex, (fe, xe) if fe < fr else (fr, xr))
-            continue
-        xc = tuple([c + rho * (w - c) for c, w in zip(centroid, worst)])
-        fc = fn(xc); evals += 1
-        if fc < f_worst:
-            insort(simplex, (fc, xc))
-            continue
-        simplex.append((f_worst, worst))
-        best = simplex[0][1]
-        for i in range(1, dim + 1):
-            v = tuple([b + sigma * (x - b) for b, x in zip(best, simplex[i][1])])
-            simplex[i] = (fn(v), v); evals += 1
-        simplex.sort()
-
-    fvals = [f for f, _ in simplex]
-    f_best, x_best = simplex[0]
-    return (np.array(x_best), f_best, evals, converged, max(fvals) - min(fvals),
-            x_spread_of(simplex))
+    occ = np.concatenate([_bose_array(points[0].real)[None], _fermi_array(points[1:].real)])
+    occ = occ - 1j * (occ * (1.0 + _OCC_SIGN * occ)) * points.imag
+    return _degenerate_steady(consts, *points, *occ)[0].imag / _CS_STEP
 
 
 @dataclass(frozen=True)
@@ -314,7 +260,15 @@ class OptResult:
     empty operating region (no seed produced positive power); ``eta_at_pmax``
     is then None.  ``active_bounds`` lists free variables whose optimum sits
     on the search box within 1e-6 of the range.  ``starts`` counts the
-    Nelder-Mead starts run, 0 when degenerate.
+    Newton starts run, 0 when degenerate.
+
+    The certificate is taken at the optimum, in the search coordinates t of
+    its start (see :func:`maximize_power`; on a face of the x_r box, t less
+    nu) and over the coordinates not held at a bound: ``grad_rel`` is max |dP/dt_i| / P, ``newton_step`` max
+    |H^-1 grad P| (the distance left to the stationary point) and
+    ``max_curvature`` the largest eigenvalue of the Hessian H, negative at a
+    strict maximum.  All three are NaN when degenerate; with every
+    coordinate at a bound the first two are 0 and ``max_curvature`` is NaN.
     """
 
     x_opt: dict
@@ -324,8 +278,9 @@ class OptResult:
     converged: bool
     degenerate: bool = False
     active_bounds: tuple = ()
-    f_spread: float = math.nan
-    x_spread: float = math.nan
+    grad_rel: float = math.nan
+    newton_step: float = math.nan
+    max_curvature: float = math.nan
     starts: int = 0
 
 
@@ -383,21 +338,247 @@ def _ranked_seeds(t_grid, p_grid, top):
     return rows[order[:top]].tolist()
 
 
+class _Frame:
+    """Search coordinates t of one refinement, and their box.
+
+    t holds the free names in ``_FREE_ORDER`` order; the others stay at
+    ``base`` = (x_g, x_l, x_r).  A free x_r is held as the window coordinate
+    nu in (_NU_MARGIN, 1 - _NU_MARGIN), x_r = x_l + x_g (1 + nu * window),
+    and x_r's own box then bounds nu through x_g and x_l.
+    """
+
+    def __init__(self, free, base, box, window):
+        self.free, self.base, self.box, self.window = free, base, box, window
+        self.slots = tuple(free.index(k) if k in free else None for k in _FREE_ORDER)
+        self.lo, self.hi = zip(*[(_NU_MARGIN, 1.0 - _NU_MARGIN) if k == "x_r" else box[k]
+                                 for k in free])
+        self.span = [hi - lo for lo, hi in zip(self.lo, self.hi)]
+        # one imaginary step per coordinate, as (coordinate, point, direction)
+        self.steps = 1j * _CS_STEP * np.eye(len(free))[:, None, :]
+
+    def decode(self, t):
+        """(x_g, x_l, x_r) of a search vector, or of its rows for a batch."""
+        ig, il, ir = self.slots
+        xg = self.base[0] if ig is None else t[ig]
+        xl = self.base[1] if il is None else t[il]
+        if ir is None:
+            return xg, xl, self.base[2]
+        return xg, xl, xl + xg * (1.0 + t[ir] * self.window)  # slot ir holds nu
+
+    def nu_limits(self, t):
+        """The nu at which x_r meets either end of its box, at t's x_g and x_l."""
+        xg, xl, _ = self.decode(t)
+        return [((r - xl) / xg - 1.0) / self.window for r in self.box["x_r"]]
+
+    def retract(self, t):
+        """t clipped into the box, a free nu further to keep x_r in its box."""
+        t, ir = [min(max(v, lo), hi) for v, lo, hi in zip(t, self.lo, self.hi)], self.slots[2]
+        if ir is not None:
+            lo, hi = self.nu_limits(t)
+            t[ir] = min(max(t[ir], lo), hi)
+        return tuple(t)
+
+    def point(self, t):
+        """(x_g, x_l, x_r) of a retracted search vector, x_r clipped into its
+        box against the rounding of the decode."""
+        xg, xl, xr = self.decode(t)
+        return xg, xl, xr if self.slots[2] is None else min(max(xr, self.box["x_r"][0]),
+                                                           self.box["x_r"][1])
+
+    def power(self, consts, t):
+        """The kernel's power at a retracted search vector, on Python floats."""
+        xg, xl, xr = self.point(t)
+        return _degenerate_steady(consts, xg, xl, xr, bose_occupation(xg),
+                                  fermi_occupation(xl), fermi_occupation(xr))[0]
+
+
+def _cholesky_solve(a, b):
+    """x with a x = b for a symmetric matrix ``a`` (nested lists), on Python
+    floats; None when ``a`` is not positive definite."""
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j]
+            for k in range(j):
+                s -= low[i][k] * low[j][k]
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif s > 0.0:
+                low[i][i] = math.sqrt(s)
+            else:
+                return None
+    x = list(b)
+    for i in range(n):
+        for k in range(i):
+            x[i] -= low[i][k] * x[k]
+        x[i] /= low[i][i]
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            x[i] -= low[k][i] * x[k]
+        x[i] /= low[i][i]
+    return x
+
+
+def _largest_eigenvalue(h):
+    """The largest eigenvalue of a symmetric matrix of order 1 to 3 (nested
+    lists) in closed form, on Python floats (Smith, Commun. ACM 4, 168, 1961)."""
+    if len(h) == 1:
+        return h[0][0]
+    if len(h) == 2:
+        (a, b), (_, c) = h
+        return 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    q = (h[0][0] + h[1][1] + h[2][2]) / 3.0
+    off = h[0][1] * h[0][1] + h[0][2] * h[0][2] + h[1][2] * h[1][2]
+    p = math.sqrt(((h[0][0] - q) ** 2 + (h[1][1] - q) ** 2 + (h[2][2] - q) ** 2
+                   + 2.0 * off) / 6.0)
+    if p == 0.0:
+        return q
+    (a, b, c), (_, d, e), (_, _, f) = [[v / p for v in row] for row in h]
+    a, d, f = a - q / p, d - q / p, f - q / p
+    half_det = 0.5 * (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c))
+    return q + 2.0 * p * math.cos(math.acos(min(1.0, max(-1.0, half_det))) / 3.0)
+
+
+def _ascent(frame, t, consts, f_rel_tol, x_rel_tol, max_evals):
+    """Projected Newton ascent of the power from search vector ``t``.
+
+    A generator: each iteration yields its stencil, the (3, m) complex
+    decoded points of t and of one point either side of it along each
+    coordinate, each with one imaginary step per coordinate, and is sent
+    their m derivatives (:func:`_power_gradient`).  On the coordinates not
+    held at a bound (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982),
+    -H plus a Levenberg term, grown tenfold until Cholesky succeeds, gives
+    the step; a backtracking line search on the float objective, each trial
+    retracted into the box, takes it.  At a face of x_r's box, which is no
+    face of the box in t, the ascent goes on with x_r pinned there.
+
+    It stops, converged, where H is negative definite on the free
+    coordinates and the Newton step is within ``x_rel_tol`` of every range,
+    or where a full Newton step with a decrement g.(-H)^-1.g within
+    ``f_rel_tol`` of the power, a gain the float objective cannot resolve
+    and so taken without the line search, is followed by another such.  It
+    stops unconverged when the line search fails or its evaluations (stencil
+    points and trials) reach ``max_evals``.  Returns (t, p, evals,
+    converged, grad_rel, newton_step, hess), the certificate at t as in
+    :class:`OptResult` with the Hessian on the free coordinates in place of
+    its largest eigenvalue.
+    """
+    box_frame, ir, face = frame, frame.slots[2], None
+    p, evals, polished = frame.power(consts, t), 1, False
+    while True:
+        dim, lo, hi, span = len(t), list(frame.lo), list(frame.hi), frame.span
+        pts, width = [t], []
+        for j in range(dim):
+            a, b = min(t[j] + _HESS_STEP * span[j], hi[j]), max(t[j] - _HESS_STEP * span[j], lo[j])
+            pts += [t[:j] + (a,) + t[j + 1:], t[:j] + (b,) + t[j + 1:]]
+            width.append(a - b)
+        points = np.empty((3, 2 * dim + 1, dim), dtype=complex)
+        points[0], points[1], points[2] = frame.decode(np.array(pts).T[:, :, None] + frame.steps)
+        grad = (yield points.reshape(3, -1)).reshape(2 * dim + 1, dim).tolist()
+        evals += (2 * dim + 1) * dim
+        g = grad[0]
+        hess = [[0.5 * ((grad[1 + 2 * j][i] - grad[2 + 2 * j][i]) / width[j]
+                        + (grad[1 + 2 * i][j] - grad[2 + 2 * i][j]) / width[i])
+                 for j in range(dim)] for i in range(dim)]
+        if frame is box_frame and ir is not None:
+            limits = frame.nu_limits(t)
+            out = (t[ir] <= limits[0] and g[ir] < 0.0, t[ir] >= limits[1] and g[ir] > 0.0)
+            end = next((e for e in (0, 1) if out[e] and lo[ir] < limits[e] < hi[ir]), None)
+            if end is not None and dim > 1:
+                # nu is held at a face of x_r's box with the gradient pointing
+                # out, and another coordinate is left: pin x_r to that face
+                face, (xg, xl, _) = frame.box["x_r"][end], frame.decode(t)
+                frame = _Frame(frame.free[:ir] + frame.free[ir + 1:], (xg, xl, face),
+                               frame.box, frame.window)
+                t = t[:ir] + t[ir + 1:]
+                p, evals, polished = frame.power(consts, t), evals + 1, False
+                continue
+            lo[ir], hi[ir] = max(lo[ir], limits[0]), min(hi[ir], limits[1])
+        free = [j for j in range(dim)
+                if not (t[j] <= lo[j] and g[j] < 0.0 or t[j] >= hi[j] and g[j] > 0.0)]
+
+        # the Newton step on the free coordinates, scaled by their ranges
+        gs = [g[j] * span[j] for j in free]
+        neg_h = [[-hess[i][j] * span[i] * span[j] for j in free] for i in free]
+        lam, x = 0.0, _cholesky_solve(neg_h, gs)
+        while x is None:
+            lam = 10.0 * lam or 1e-6 * max([abs(neg_h[i][i]) for i in range(len(free))] + [1.0])
+            x = _cholesky_solve([[v + lam * (i == j) for j, v in enumerate(row)]
+                                 for i, row in enumerate(neg_h)], gs)
+        step, decrement = max(map(abs, x), default=0.0), 0.0
+        for gi, xi in zip(gs, x):
+            decrement += gi * xi
+        newton = lam == 0.0 and decrement <= f_rel_tol * p
+        converged = lam == 0.0 and (step <= x_rel_tol or polished and newton)
+        if converged or evals >= max_evals or step == 0.0:
+            break
+        d = [0.0] * dim
+        for j, xj in zip(free, x):
+            d[j] = min(1.0, _MAX_STEP / step) * xj * span[j]
+        for alpha in [1.0] if newton else [0.5 ** k for k in range(_BACKTRACKS)]:
+            trial = frame.retract([v + alpha * s for v, s in zip(t, d)])
+            p_trial = frame.power(consts, trial)
+            evals += 1
+            gain = 0.0
+            for gj, a, b in zip(g, trial, t):
+                gain += gj * (a - b)
+            if newton or p_trial > p and p_trial - p >= _ARMIJO * gain:
+                break
+        else:
+            break
+        t, p, polished = trial, p_trial, newton
+
+    newton_step = max([abs(x[k]) * span[j] for k, j in enumerate(free)], default=0.0)
+    grad_rel = max([abs(g[j]) for j in free], default=0.0) / p
+    hess = [[hess[i][j] for j in free] for i in free]
+    if face is not None:  # back to nu
+        xg, xl, _ = frame.decode(t)
+        t = t[:ir] + (((face - xl) / xg - 1.0) / box_frame.window,) + t[ir:]
+    return t, p, evals, converged, grad_rel, newton_step, hess
+
+
+def _refine(frame, consts, seeds, f_rel_tol, x_rel_tol, max_evals):
+    """:func:`_ascent` from each search vector in ``seeds`` in lockstep, one
+    kernel call per iteration for the stencils of all running starts;
+    returns their results in the order of ``seeds``."""
+    runs = {k: _ascent(frame, t, consts, f_rel_tol, x_rel_tol, max_evals)
+            for k, t in enumerate(seeds)}
+    results, sent = [None] * len(seeds), dict.fromkeys(runs)
+    while runs:
+        stencils = {}
+        for k, run in list(runs.items()):
+            try:
+                stencils[k] = run.send(sent[k])
+            except StopIteration as stop:
+                results[k] = stop.value
+                del runs[k]
+        if stencils:
+            grad, end = _power_gradient(consts, np.concatenate(list(stencils.values()), 1)), 0
+            for k, points in stencils.items():
+                sent[k], end = grad[end:end + points.shape[1]], end + points.shape[1]
+    return results
+
+
 def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                    seeds_per_dim: int = 16, refine_top: int = 8,
                    f_rel_tol: float = 1e-9, x_rel_tol: float = 1e-8,
                    max_evals_per_seed: int = 2000) -> OptResult:
     """Maximize output power over the chosen scaled energy variables.
 
-    Multi-start derivative-free search: a coarse deterministic seed grid
+    Multi-start Newton search: a coarse deterministic seed grid
     (``seeds_per_dim`` points per free dimension, window-relative in the
-    x_r direction), followed by Nelder-Mead refinement of the best seeds in
-    rank order.  The refinement stops after the first start whose optimum
-    agrees with the best one so far (powers within ``f_rel_tol``, each
-    search coordinate within sqrt(``f_rel_tol``) of its range), so two
-    starts are the usual case; ``refine_top`` bounds the starts run.  The
-    best refined point wins; ties break lexicographically on the coordinates.
-    A malformed option raises DomainError (:func:`_validated_options`).
+    x_r direction), then projected Newton ascent (:func:`_ascent`) from the
+    best seeds in rank order, the first two in lockstep, each moved first to
+    the vertex of a parabola through its grid neighbours.  The refinement
+    stops after the first start whose optimum agrees with the best one so
+    far (powers within ``f_rel_tol``, each search coordinate within
+    sqrt(``f_rel_tol``) of its range), so two starts are the usual case;
+    ``refine_top`` bounds the starts run, and ``max_evals_per_seed`` the
+    kernel evaluations of each.  The best refined point wins; powers within
+    ``f_rel_tol`` of each other tie, and the better-ranked seed wins a tie,
+    since rounding alone orders them.  A malformed option raises
+    DomainError (:func:`_validated_options`).
     """
     consts = _kernel_constants(params)
     free, box = _validated_options(
@@ -412,54 +593,23 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                          eta_at_pmax=None, evals=0, converged=False,
                          degenerate=True)
 
-    window = eta_c / (1.0 - eta_c)
-    # slot of x_g, x_l, x_r in the search vector t, None where fixed
-    ig, il, ir = (free.index(k) if k in free else None for k in _FREE_ORDER)
-    xg0, xl0, xr0 = base.values()
-
-    def decode(t):
-        """(x_g, x_l, x_r) of a search vector, or of its rows for a batch."""
-        xg = xg0 if ig is None else t[ig]
-        xl = xl0 if il is None else t[il]
-        if ir is None:
-            return xg, xl, xr0
-        return xg, xl, xl + xg * (1.0 + t[ir] * window)  # slot ir holds nu
-
-    # clip raw coordinates into their boxes, nu into its margin interval; only
-    # a free x_r, decoded from nu, can then leave its box
-    r_lo, r_hi = box["x_r"] if ir is not None else (-math.inf, math.inf)
-    lo_t, hi_t = zip(*[(_NU_MARGIN, 1.0 - _NU_MARGIN) if name == "x_r" else box[name]
-                       for name in free])
-    t_lo, t_hi = np.array(lo_t), np.array(hi_t)
-
-    evals = 0
-
-    def neg_power(t):
-        # the Nelder-Mead objective: -power inside the box and the converter
-        # regime, -0.0 elsewhere
-        nonlocal evals
-        evals += 1
-        t = [lo if v < lo else hi if v > hi else v for v, lo, hi in zip(t, lo_t, hi_t)]
-        xg, xl, xr = decode(t)
-        if not r_lo <= xr <= r_hi:
-            return -0.0
-        p = _degenerate_steady(consts, xg, xl, xr, bose_occupation(xg),
-                               fermi_occupation(xl), fermi_occupation(xr))[0]
-        return -p if p > 0.0 else -0.0
+    frame = _Frame(free, tuple(base.values()), box, eta_c / (1.0 - eta_c))
 
     # ---- seed grid (vectorized) ----
-    axes = [np.linspace(lo, hi, seeds_per_dim) for lo, hi in zip(t_lo, t_hi)]
+    axes = [np.linspace(lo, hi, seeds_per_dim) for lo, hi in zip(frame.lo, frame.hi)]
+    ir = frame.slots[2]
     if ir is not None:
         # strictly interior window points seed better than edge-touching ones
         axes[ir] = np.linspace(0.5 / seeds_per_dim, 1.0 - 0.5 / seeds_per_dim,
                                seeds_per_dim)
     mesh = np.meshgrid(*axes, indexing="ij")
     t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    xg_a, xl_a, xr_a = np.broadcast_arrays(*decode(t_grid.T))
+    xg_a, xl_a, xr_a = np.broadcast_arrays(*frame.decode(t_grid.T))
     obs = steady_observables_grid(params, xg_a, xl_a, xr_a)
+    r_lo, r_hi = box["x_r"] if ir is not None else (-math.inf, math.inf)
     inside = (r_lo <= xr_a) & (xr_a <= r_hi)
     p_grid = np.where(inside & (obs["power"] > 0.0), obs["power"], 0.0)
-    evals += t_grid.shape[0]
+    evals = t_grid.shape[0]
 
     seeds = _ranked_seeds(t_grid, p_grid, refine_top)
     if not seeds:
@@ -467,27 +617,44 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                          eta_at_pmax=None, evals=evals, converged=False,
                          degenerate=True)
 
-    # ---- refinement, until a start agrees with the incumbent ----
-    t_range = t_hi - t_lo
-    step = 0.05 * t_range
-    x_tol = f_rel_tol ** _SAME_BASIN_X_EXP * t_range
-    best = None  # (power, decoded point, t, converged, f_spread, x_spread)
-    for starts, i in enumerate(seeds, 1):
-        t0 = np.minimum(np.maximum(t_grid[i], t_lo + step), t_hi - step)
-        tb, fb, used, conv, fs, xs = nelder_mead(
-            neg_power, t0, step,
-            f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol,
-            x_scale=t_range, max_evals=max_evals_per_seed)
-        tb = np.minimum(np.maximum(tb, t_lo), t_hi)
-        p, x = -fb, decode(tb)
+    # ---- refinement, the first two seeds together, then one at a time
+    # until a start agrees with the incumbent ----
+    shape = (seeds_per_dim,) * len(free)
+    p_mesh = p_grid.reshape(shape)
+
+    def start(i):
+        """Seed i moved along each axis, by at most half a grid step, to the
+        vertex of the parabola through its power and its two grid
+        neighbours', where all three are positive and the parabola opens
+        down.  Not along x_g: across its coarse grid the power is far from
+        quadratic, and moving x_g too made fig3-like 3-D runs longer."""
+        idx, t = np.unravel_index(i, shape), t_grid[i].tolist()
+        for j, axis in enumerate(axes):
+            if j != frame.slots[0] and 0 < idx[j] < seeds_per_dim - 1:
+                pm, p0, pp = (float(p_mesh[idx[:j] + (idx[j] + k,) + idx[j + 1:]])
+                              for k in (-1, 0, 1))
+                bend = pm - 2.0 * p0 + pp
+                if pm > 0.0 and pp > 0.0 and bend < 0.0:
+                    t[j] += (min(max(0.5 * (pm - pp) / bend, -0.5), 0.5)
+                             * float(axis[1] - axis[0]))
+        return frame.retract(t)
+
+    x_tol = [f_rel_tol ** _SAME_BASIN_X_EXP * s for s in frame.span]
+    results = (result for batch in [seeds[:2]] + [[i] for i in seeds[2:]]
+               for result in _refine(frame, consts, [start(i) for i in batch],
+                                     f_rel_tol, x_rel_tol, max_evals_per_seed))
+    best = None
+    for starts, (t, p, used, *rest) in enumerate(results, 1):
+        evals += used
         agrees = best is not None and (
             abs(p - best[0]) <= f_rel_tol * abs(best[0])
-            and bool(np.all(np.abs(tb - best[2]) <= x_tol)))
-        if best is None or (-p, x) < (-best[0], best[1]):
-            best = (p, x, tb, conv, fs, xs)
+            and all(abs(a - b) <= tol for a, b, tol in zip(t, best[2], x_tol)))
+        if best is None or p - best[0] > f_rel_tol * abs(best[0]):
+            best = (p, frame.point(t), t, rest)
         if agrees:
             break
-    p_best, (xg, xl, xr), _, conv, fs, xs = best
+    p_best, (xg, xl, xr), _, (conv, grad_rel, newton_step, hess) = best
+    curvature = _largest_eigenvalue(hess) if hess else math.nan
 
     x_opt = {name: float(v) for name, v in zip(_FREE_ORDER, (xg, xl, xr)) if name in free}
     active = tuple(
@@ -497,8 +664,8 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     eta = float(1.0 - (1.0 - eta_c) * (xr - xl) / xg) if p_best > 0.0 else None
     return OptResult(x_opt=x_opt, p_max=float(p_best), eta_at_pmax=eta,
                      evals=evals, converged=bool(conv),
-                     degenerate=False, active_bounds=active,
-                     f_spread=float(fs), x_spread=float(xs), starts=starts)
+                     degenerate=False, active_bounds=active, grad_rel=grad_rel,
+                     newton_step=newton_step, max_curvature=curvature, starts=starts)
 
 
 @dataclass(frozen=True)

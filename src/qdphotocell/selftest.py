@@ -165,11 +165,14 @@ def _check_optimizer():
     b = maximize_power(p, free=("x_l", "x_r"))
     if a != b:
         failures.append("identical optimizer runs differ")
+    if not (a.converged and a.max_curvature < 0.0 and a.grad_rel <= 1e-6):
+        failures.append(f"optimum not certified: converged = {a.converged}, "
+                        f"max_curvature = {a.max_curvature:.3g}, grad_rel = {a.grad_rel:.3g}")
     eq = params_from_scaled(2.0, 0.0, 0.0, temp=500.0, temp_p=500.0)
     d = maximize_power(eq, free=("x_l", "x_r"))
     if not d.degenerate or d.p_max != 0.0:
         failures.append("equal-temperature run not flagged degenerate")
-    return 2, failures
+    return 3, failures
 
 
 _SUITES = (

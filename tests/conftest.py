@@ -3,7 +3,10 @@ expansion of the efficiency at maximum power, and test-side oracles."""
 
 import itertools
 import math
+from bisect import insort
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -135,7 +138,8 @@ class PolishedOptimum:
     ``grad_rel`` is max |dP/dt_i| / P and ``newton_step`` max |H^-1 grad P|
     (the distance left to the stationary point), both at the polished
     point; ``max_curvature`` is the largest Hessian eigenvalue, negative at
-    a strict maximum.
+    a strict maximum.  ``result`` is the :func:`maximize_power` optimum it
+    started from.
     """
 
     eta_c: float
@@ -144,7 +148,7 @@ class PolishedOptimum:
     grad_rel: float
     newton_step: float
     max_curvature: float
-    simplex: OptResult
+    result: OptResult
 
 
 def polish_max_power(eta_c, tau):
@@ -166,7 +170,7 @@ def polish_max_power(eta_c, tau):
         grad_rel=float(np.abs(grad).max() / power),
         newton_step=float(np.abs(np.linalg.solve(hess, grad)).max()),
         max_curvature=float(np.linalg.eigvalsh(hess).max()),
-        simplex=res)
+        result=res)
 
 
 @dataclass(frozen=True)
@@ -210,11 +214,106 @@ def near_equilibrium_fits():
             for tau in (0.0, INFINITE)}
 
 
-# ---- Nelder-Mead oracle ------------------------------------------------------
+# ---- Nelder-Mead oracles -----------------------------------------------------
 
-# The simplex held in numpy arrays.  A test-side oracle, not used by the
-# package: qdphotocell.optimize.nelder_mead, which keeps its simplex on
-# Python floats, must return exactly what this returns.
+# The derivative-free simplex that refined maximize_power's seeds before
+# projected Newton did.  A test-side oracle, not used by the package; it keeps
+# its simplex on Python floats and must return exactly what the array simplex
+# below returns.
+def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
+                x_scale=None, max_evals=2000):
+    """Deterministic Nelder-Mead minimization with relative tolerances.
+
+    Vertices are tuples of Python floats, each step rounded as a numpy-array
+    simplex rounds it, and ``fn`` receives the vertex tuple itself.  The
+    simplex is one list of (f, vertex) pairs kept sorted, so every tie is
+    ordered deterministically (Lagarias et al., SIAM J. Optim. 9, 112-147,
+    1998): ties in f, mostly +-0.0 outside the operating window, break
+    lexicographically on the coordinates, and an accepted vertex goes after
+    the pairs equal to it, where a stable sort would put it.  Only a shrink
+    re-sorts the whole list.
+
+    Parameters
+    ----------
+    fn : callable
+        Objective; must accept a tuple of floats.
+    x0 : array
+        Initial vertex; the simplex is completed by displacing each
+        coordinate by ``step``.
+    step : array
+        Per-dimension initial displacement.
+    f_rel_tol, x_rel_tol : float
+        Termination when the simplex function spread falls below
+        f_rel_tol * (|best| + tiny) and the coordinate spread below
+        x_rel_tol per dimension relative to ``x_scale``.
+    x_scale : array, optional
+        Reference scale per dimension (defaults to max(|x0|, 1)).
+
+    Returns
+    -------
+    (x_best, f_best, evals, converged, f_spread, x_spread)
+    """
+    x0 = np.asarray(x0, dtype=float)
+    dim = x0.size
+    if x_scale is None:
+        x_scale = np.maximum(np.abs(x0), 1.0)
+    scale = np.broadcast_to(np.asarray(x_scale, dtype=float), x0.shape).tolist()
+    step = np.asarray(step, dtype=float).tolist()
+    x0 = x0.tolist()
+
+    gamma, rho, sigma = 2.0, 0.5, 0.5
+    verts = [tuple(x0)]
+    for d in range(dim):
+        x = list(x0)
+        x[d] += step[d]
+        verts.append(tuple(x))
+    simplex = sorted([(fn(v), v) for v in verts])
+    evals = dim + 1
+    converged = False
+
+    def x_spread_of(simplex):
+        cols = zip(*[v for _, v in simplex])
+        return max([(max(col) - min(col)) / s for col, s in zip(cols, scale)])
+
+    while evals < max_evals:
+        f_best = simplex[0][0]
+        if (simplex[-1][0] - f_best <= f_rel_tol * (abs(f_best) + 1e-300)
+                and x_spread_of(simplex) <= x_rel_tol):
+            converged = True
+            break
+
+        # left-to-right sum, never sum() (compensated on floats since 3.12)
+        f_worst, worst = simplex.pop()
+        centroid = [reduce(add, col) / dim for col in zip(*[v for _, v in simplex])]
+        xr = tuple([c + (c - w) for c, w in zip(centroid, worst)])
+        fr = fn(xr); evals += 1
+        if f_best <= fr < simplex[-1][0]:
+            insort(simplex, (fr, xr))
+            continue
+        if fr < f_best:
+            xe = tuple([c + gamma * (c - w) for c, w in zip(centroid, worst)])
+            fe = fn(xe); evals += 1
+            insort(simplex, (fe, xe) if fe < fr else (fr, xr))
+            continue
+        xc = tuple([c + rho * (w - c) for c, w in zip(centroid, worst)])
+        fc = fn(xc); evals += 1
+        if fc < f_worst:
+            insort(simplex, (fc, xc))
+            continue
+        simplex.append((f_worst, worst))
+        best = simplex[0][1]
+        for i in range(1, dim + 1):
+            v = tuple([b + sigma * (x - b) for b, x in zip(best, simplex[i][1])])
+            simplex[i] = (fn(v), v); evals += 1
+        simplex.sort()
+
+    fvals = [f for f, _ in simplex]
+    f_best, x_best = simplex[0]
+    return (np.array(x_best), f_best, evals, converged, max(fvals) - min(fvals),
+            x_spread_of(simplex))
+
+
+# The simplex held in numpy arrays, the oracle of reference_maximize_power.
 def reference_nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
                           x_scale=None, max_evals=2000):
     """Deterministic Nelder-Mead minimization with relative tolerances.
@@ -518,12 +617,13 @@ def reference_steady_state(gen: Generator, residual_tol: float = 1e-10) -> Stead
 
 # ---- maximize_power oracle ----------------------------------------------------
 
-# qdphotocell.optimize.maximize_power as it read before its hot path was made
-# lean: the objective takes an array and re-reads params through _steady_at on
-# every evaluation, and all 4,096 (or 256) seeds are lexsorted.  It runs on the
-# array simplex above, so it is wholly test-side.  ``all_starts`` refines all
-# ``refine_top`` best seeds, as the search did before it stopped at the first
-# start that agrees with the incumbent.
+# qdphotocell.optimize.maximize_power as it read with a Nelder-Mead refinement,
+# before its hot path was made lean: the objective takes an array and re-reads
+# params through _steady_at on every evaluation, and all 4,096 (or 256) seeds
+# are lexsorted.  It runs on the array simplex above, so it is wholly
+# test-side, the derivative-free oracle of the package's Newton search.
+# ``all_starts`` refines all ``refine_top`` best seeds, as the search did
+# before it stopped at the first start that agrees with the incumbent.
 def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
                              seeds_per_dim: int = 16, refine_top: int = 8,
                              f_rel_tol: float = 1e-9, x_rel_tol: float = 1e-8,
@@ -617,10 +717,10 @@ def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=No
     t_range = t_hi - t_lo
     step = 0.05 * t_range
     x_tol = f_rel_tol ** _SAME_BASIN_X_EXP * t_range
-    best = None  # (power, decoded point, t, converged, f_spread, x_spread)
+    best = None  # (power, decoded point, t, converged)
     for starts, i in enumerate(seeds, 1):
         t0 = np.minimum(np.maximum(t_grid[i], t_lo + step), t_hi - step)
-        tb, fb, used, conv, fs, xs = reference_nelder_mead(
+        tb, fb, used, conv, _, _ = reference_nelder_mead(
             neg_power, t0, step,
             f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol,
             x_scale=t_range, max_evals=max_evals_per_seed)
@@ -630,10 +730,10 @@ def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=No
             abs(p - best[0]) <= f_rel_tol * abs(best[0])
             and bool(np.all(np.abs(tb - best[2]) <= x_tol)))
         if best is None or (-p, x) < (-best[0], best[1]):
-            best = (p, x, tb, conv, fs, xs)
+            best = (p, x, tb, conv)
         if agrees and not all_starts:
             break
-    p_best, (xg, xl, xr), _, conv, fs, xs = best
+    p_best, (xg, xl, xr), _, conv = best
 
     x_opt = {name: float(v) for name, v in zip(_FREE_ORDER, (xg, xl, xr)) if name in free}
     active = tuple(
@@ -643,5 +743,4 @@ def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=No
     eta = float(1.0 - (1.0 - eta_c) * (xr - xl) / xg) if p_best > 0.0 else None
     return OptResult(x_opt=x_opt, p_max=float(p_best), eta_at_pmax=eta,
                      evals=evals, converged=bool(conv),
-                     degenerate=False, active_bounds=active,
-                     f_spread=float(fs), x_spread=float(xs), starts=starts)
+                     degenerate=False, active_bounds=active, starts=starts)

@@ -296,6 +296,6 @@ def test_criterion_10_optimizer_oracle():
         worst = max(worst, abs(res.p_max - p_grid) / max(res.p_max, 1e-12))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 300.0
-    record(10, ok, f"max |simplex - 400x400 grid| relative {worst:.2e} "
+    record(10, ok, f"max |optimizer - 400x400 grid| relative {worst:.2e} "
                    f"(<=1e-6) over 5 pinned configurations, "
                    f"{elapsed:.0f}s (<300s)")

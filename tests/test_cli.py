@@ -140,6 +140,14 @@ class TestParseConfig:
     ("steady", {"sweep": {"r_l_values": [0.0, True]}}, "sweep.r_l_values"),
     ("steady", {"sweep": {"tau_values": [False]}}, "sweep.tau_values"),
     ("maximize", {"optimizer": {"bounds": {"x_l": [True, 3]}}}, "optimizer.bounds.x_l"),
+    # only a JSON object is a block; a list of pairs is not read as one
+    ("steady", {"scaled": [["x_g", 3]]}, "config.scaled"),
+    ("maximize", {"model": [["r_p", 0.5]]}, "config.model"),
+    ("maximize", {"optimizer": []}, "config.optimizer"),
+    # every command builds the sweep grids before the echo
+    ("fig2", {"sweep": {"r_step": 0.3}}, "sweep: r grid step 0.3"),
+    ("maximize", {"sweep": {"r_step": 0.3}}, "sweep: r grid step 0.3"),
+    ("fig3a", {"sweep": {"eta_c_lo": 0.6, "eta_c_hi": 0.4}}, "sweep: eta_c grid"),
 ])
 def test_malformed_value_exit_code_and_record(capsys, tmp_path, cmd, doc, where):
     config = tmp_path / "bad.json"
@@ -235,6 +243,10 @@ class TestDispatch:
         assert code == 0
         assert "p_max" in out and "eta_at_pmax" in out
         assert re.search(r"evals = \d+   starts = [1-8]   converged", out)
+        certificate = re.search(r"certificate: grad_rel = (\S+)   newton_step = (\S+)   "
+                                r"max_curvature = (\S+)", out)
+        grad_rel, newton_step, curvature = map(float, certificate.groups())
+        assert grad_rel < 1e-6 and newton_step < 1e-6 and curvature < 0.0
 
     def test_config_error_exit_code_and_record(self, capsys):
         code = main(["steady", "--r-p", "1.5"])

@@ -25,15 +25,19 @@ from qdphotocell import (
 from qdphotocell import optimize
 from qdphotocell.model import _bose_array, _fermi_array, fermi_occupation
 from qdphotocell.optimize import (
+    _CS_STEP,
     _degenerate_steady,
     _kernel_constants,
+    _largest_eigenvalue,
+    _power_gradient,
     _ranked_seeds,
     _steady_at,
-    nelder_mead,
 )
 from conftest import (
+    _power_gradient_hessian,
     draw_params,
     general_path_observables,
+    nelder_mead,
     reference_maximize_power,
     reference_nelder_mead,
 )
@@ -63,6 +67,8 @@ def _box_draws(rng, n_sets, per_set, corner):
                rng.uniform(*DEFAULT_BOUNDS["x_r"], per_set))
 
 
+# The float simplex, a test-side oracle since projected Newton replaced it in
+# maximize_power (conftest.nelder_mead), and its array twin.
 class TestNelderMead:
     def test_quadratic(self):
         def f(x):
@@ -90,7 +96,8 @@ def _is_float_tuple(t, dim):
 
 
 class TestObjectiveContract:
-    """The simplex hands its objective the vertex tuple of Python floats."""
+    """The float simplex and the Newton line search hand their objectives
+    tuples of Python floats."""
 
     def test_nelder_mead_hands_fn_float_tuples(self):
         seen = []
@@ -104,23 +111,25 @@ class TestObjectiveContract:
 
     @pytest.mark.parametrize("free", [("x_l", "x_r"), ("x_g", "x_l", "x_r")])
     def test_maximize_power_objective_on_float_tuples(self, monkeypatch, free):
+        # the Newton line search's objective, and the certificate it returns
         seen, scores = [], []
+        power = optimize._Frame.power
 
-        def wrapper(fn, x0, step, **kwargs):
-            def spy(t):
-                seen.append(t)
-                scores.append(fn(t))
-                return scores[-1]
-            return nelder_mead(spy, x0, step, **kwargs)
+        def spy(frame, consts, t):
+            seen.append(t)
+            scores.append(power(frame, consts, t))
+            return scores[-1]
 
-        monkeypatch.setattr(optimize, "nelder_mead", wrapper)
-        maximize_power(params_from_scaled(2.0, 0.0, 0.0, r_p=0.9), free=free)
+        monkeypatch.setattr(optimize._Frame, "power", spy)
+        res = maximize_power(params_from_scaled(2.0, 0.0, 0.0, r_p=0.9), free=free)
         assert seen and all(_is_float_tuple(t, len(free)) for t in seen)
         assert all(type(f) is float for f in scores)
+        assert all(type(v) is float
+                   for v in (res.grad_rel, res.newton_step, res.max_curvature))
 
 
-# The objectives take any sequence of floats (the package's simplex hands
-# them tuples, the array oracle arrays) and return Python floats.
+# The objectives take any sequence of floats (the float simplex hands them
+# tuples, the array oracle arrays) and return Python floats.
 def _quadratic(x):
     terms = [(k + 1) * (v - 0.3) for k, v in enumerate(x)]
     return math.fsum(t * t for t in terms)
@@ -295,7 +304,8 @@ class TestKernelRefusal:
             return "refused"
         return "solved"
 
-    @pytest.mark.parametrize("fixed,refused", [
+    # pairs of zero rates disconnect the dot; the dark-state corner does not
+    CASES = [
         ({"gamma_p": 0.0, "gamma_l": 0.0}, True),
         ({"gamma_p": 0.0, "gamma_r": 0.0}, True),
         ({"gamma_l": 0.0, "gamma_r": 0.0}, True),
@@ -303,7 +313,9 @@ class TestKernelRefusal:
         ({"gamma_l": 0.0}, False),
         ({"gamma_r": 0.0}, False),
         ({"r_p": 1.0, "r_l": 1.0, "tau": 0.0}, False),
-    ])
+    ]
+
+    @pytest.mark.parametrize("fixed,refused", CASES)
     def test_parity_with_general_path(self, rng, fixed, refused):
         want = ["refused" if refused else "solved"] * 8
         for tau in (0.0, 1.5, INFINITE):
@@ -321,6 +333,73 @@ class TestKernelRefusal:
                 batched = self._outcome(lambda: steady_observables_grid(p, xg, xl, xr))
             assert general == scalar == want
             assert batched == want[0]
+
+    @pytest.mark.parametrize("fixed,refused", CASES)
+    def test_gradient_refuses_where_the_float_kernel_does(self, rng, fixed, refused):
+        # the complex-step gradient gates on real parts, so it refuses exactly
+        # the points the float kernel refuses, warning about none
+        steps = 1j * _CS_STEP * np.eye(3)
+        for tau in (0.0, 1.5, INFINITE):
+            p = draw_params(rng, **{"tau": tau, **fixed})
+            consts = _kernel_constants(p)
+            points = list(zip(rng.uniform(0.5, 10.0, 8).tolist(),
+                              rng.uniform(-5.0, 5.0, 8).tolist(),
+                              rng.uniform(-5.0, 5.0, 8).tolist()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scalar = [self._outcome(lambda x=x: _steady_at(p, *x)) for x in points]
+                gradient = [self._outcome(lambda x=x: _power_gradient(consts, x + steps))
+                            for x in np.array(points)[:, :, None]]
+            assert gradient == scalar == ["refused" if refused else "solved"] * 8
+
+
+def _search_gradient(params, eta_c, t):
+    """The package's complex-step gradient of the power in the search
+    coordinates t = (x_g, x_l, nu) of a 3-D search."""
+    xg, xl, nu = (np.asarray(t, dtype=complex) + 1j * _CS_STEP * np.eye(3)).T
+    xr = xl + xg * (1.0 + nu * eta_c / (1.0 - eta_c))
+    return _power_gradient(_kernel_constants(params), np.array([xg, xl, xr]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_largest_eigenvalue_matches_lapack(rng, order):
+    # random symmetric matrices, negative definite ones, and ones with nearly
+    # equal eigenvalues, where the closed form's arccos is least accurate
+    for k in range(3000):
+        a = rng.normal(size=(order, order))
+        a = a + a.T
+        if k % 3 == 1:
+            a = -np.diag(rng.uniform(0.1, 2.0, order)) + 1e-3 * a
+        elif k % 3 == 2:
+            a = -0.7 * np.eye(order) + 1e-9 * a
+        want = np.linalg.eigvalsh(a)
+        assert abs(_largest_eigenvalue(a.tolist()) - want[-1]) <= 1e-11 * np.abs(want).max()
+
+
+class TestPowerGradient:
+    def test_matches_central_differences(self, rng):
+        # a difference step of 1e-5 leaves the central differences within
+        # 3e-8 of the largest entry
+        for k in range(12):
+            eta_c, tau = (0.05, 0.5, 0.9)[k % 3], (0.0, 1.0, INFINITE)[k % 3 - 1]
+            p = params_from_scaled(2.0, 0.0, 0.0, temp=(1.0 - eta_c) * 5780.0,
+                                   temp_p=5780.0, r_p=0.9, r_l=(0.0, 0.3)[k % 2], tau=tau)
+            t = np.array([rng.uniform(0.5, 4.0), rng.uniform(-3.0, 1.0), rng.uniform(0.1, 0.9)])
+            _, want, _ = _power_gradient_hessian(p, eta_c, t, h=1e-5)
+            got = _search_gradient(p, eta_c, t)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_is_the_certificate_at_the_optimum(self):
+        # a converged optimum is within x_rel_tol (1e-8) of each range of the
+        # stationary point, and its grad_rel is this gradient's
+        p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
+        res = maximize_power(p, free=("x_g", "x_l", "x_r"))
+        eta_c = 1.0 - p.temp / p.temp_p
+        xg, xl, xr = (res.x_opt[k] for k in ("x_g", "x_l", "x_r"))
+        t = [xg, xl, ((xr - xl) / xg - 1.0) * (1.0 - eta_c) / eta_c]
+        grad_rel = np.abs(_search_gradient(p, eta_c, t)).max() / res.p_max
+        assert res.converged and res.newton_step <= 1e-8 * 29.9 and grad_rel <= 1e-6
+        assert grad_rel == pytest.approx(res.grad_rel, rel=1e-3)
 
 
 class TestMaximizePower:
@@ -485,16 +564,21 @@ _NM_ORACLE_CONFIGS = [
 ]
 
 
+def _assert_same_optimum(got, want):
+    """The Newton optimum is the array simplex's from all eight seeds, to the
+    simplex's own tolerance."""
+    assert not want.degenerate and not got.degenerate and got.converged
+    assert abs(got.p_max - want.p_max) <= 1e-10 * want.p_max
+    assert abs(got.eta_at_pmax - want.eta_at_pmax) <= 1e-7
+    assert got.active_bounds == want.active_bounds
+
+
 @pytest.mark.parametrize("free, r_p, r_l, tau, temp, bounds", _NM_ORACLE_CONFIGS)
-def test_maximize_power_matches_array_oracle(monkeypatch, free, r_p, r_l, tau, temp,
-                                             bounds):
+def test_maximize_power_matches_array_oracle(free, r_p, r_l, tau, temp, bounds):
     p = params_from_scaled(2.0, -1.0, 0.5, r_p=r_p, r_l=r_l, tau=tau, temp=temp)
     got = maximize_power(p, free=free, bounds=bounds)
-    monkeypatch.setattr(optimize, "nelder_mead", reference_nelder_mead)
-    want = maximize_power(p, free=free, bounds=bounds)
-    assert not got.degenerate and got.p_max > 0.0
-    assert got == want
-    assert repr(got) == repr(want)
+    _assert_same_optimum(got, reference_maximize_power(p, free=free, bounds=bounds,
+                                                       all_starts=True))
 
 
 def _multistart_draws(rng, n):
@@ -547,15 +631,26 @@ def _bit_identity_draws(rng, n):
         yield p, free, bounds
 
 
-def test_bit_identical_to_array_objective_oracle(rng):
-    # the float-tuple objective, the per-call kernel constants and the top-k
-    # seed ranking return what the array objective and full lexsort returned
+def test_matches_all_starts_oracle_on_bounded_draws(rng):
+    # drawn boxes, optima on their faces and (x_g, x_r) or x_r alone free
     for p, free, bounds in _bit_identity_draws(rng, 66):
         got = maximize_power(p, free=free, bounds=bounds)
-        want = reference_maximize_power(p, free=free, bounds=bounds)
-        assert not want.degenerate
-        assert got == want
-        assert repr(got) == repr(want)
+        _assert_same_optimum(got, reference_maximize_power(p, free=free, bounds=bounds,
+                                                           all_starts=True))
+
+
+def test_optimum_on_a_face_of_the_x_r_box():
+    # x_r is decoded from the window coordinate, so its box is no box in the
+    # search coordinates; the optimum of this draw sits on its upper face,
+    # and a search that stops at the face without moving along it ends
+    # 8.7e-6 relative below the simplex's p_max
+    p, free, bounds = list(_bit_identity_draws(np.random.default_rng(1), 66))[20]
+    got = maximize_power(p, free=free, bounds=bounds)
+    assert free == ("x_g", "x_r") and got.active_bounds == ("x_r",)
+    assert got.x_opt["x_r"] == bounds["x_r"][1]
+    assert got.max_curvature < 0.0 and got.grad_rel <= 1e-6
+    _assert_same_optimum(got, reference_maximize_power(p, free=free, bounds=bounds,
+                                                       all_starts=True))
 
 
 class TestStopRule:
@@ -566,28 +661,31 @@ class TestStopRule:
 
     @staticmethod
     def _patched(monkeypatch, displace):
-        """Count the starts; ``displace[n]`` maps start n's (x, f, step)."""
+        """Count the starts; ``displace[n]`` maps start n's (t, p, span)."""
         calls = []
+        refine = optimize._refine
 
-        def wrapper(fn, x0, step, **kwargs):
-            x, f, *rest = nelder_mead(fn, x0, step, **kwargs)
-            calls.append(1)
-            if len(calls) in displace:
-                x, f = displace[len(calls)](x, f, step)
-            return (x, f, *rest)
+        def wrapper(frame, *args):
+            results = []
+            for t, p, *rest in refine(frame, *args):
+                calls.append(1)
+                if len(calls) in displace:
+                    t, p = displace[len(calls)](np.array(t), p, np.array(frame.span))
+                results.append((tuple(t), p, *rest))
+            return results
 
-        monkeypatch.setattr(optimize, "nelder_mead", wrapper)
+        monkeypatch.setattr(optimize, "_refine", wrapper)
         return calls
 
     @staticmethod
-    def _moved(x, f, step):
-        # 0.02 step is 1e-3 of each coordinate's range, beyond sqrt(f_rel_tol)
-        return x + 0.02 * step, f
+    def _moved(t, p, span):
+        # 1e-3 of each coordinate's range, beyond sqrt(f_rel_tol)
+        return t + 1e-3 * span, p
 
     # a power 1e-6 off is beyond f_rel_tol
     @pytest.mark.parametrize("displace", [
         _moved,
-        lambda x, f, step: (x, f * (1.0 - 1e-6)),
+        lambda t, p, span: (t, p * (1.0 - 1e-6)),
     ], ids=["x", "power"])
     def test_disagreeing_second_start_runs_a_third(self, monkeypatch, displace):
         want = maximize_power(self.PARAMS)
@@ -599,8 +697,8 @@ class TestStopRule:
 
     def test_better_displaced_start_wins_after_all_starts(self, monkeypatch):
         want = maximize_power(self.PARAMS)
-        calls = self._patched(monkeypatch, {2: lambda x, f, step: (
-            self._moved(x, f * (1.0 + 1e-6), step))})
+        calls = self._patched(monkeypatch, {2: lambda t, p, span: (
+            self._moved(t, p * (1.0 + 1e-6), span))})
         got = maximize_power(self.PARAMS)
         # no honest start agrees with the displaced incumbent
         assert got.starts == len(calls) == 8
@@ -698,15 +796,26 @@ class TestNearEquilibriumExpansion:
     def test_optima_certified(self, near_equilibrium_fits):
         for fit in near_equilibrium_fits.values():
             for pt in fit.points:
-                res = pt.simplex
+                res = pt.result
                 assert res.converged and not res.degenerate
                 assert not res.active_bounds
                 assert pt.max_curvature < 0.0
                 assert pt.grad_rel <= 1e-8
                 assert pt.newton_step <= 1e-7
-                # the simplex optimum is already the stationary point
+                # the Newton optimum is already the polished stationary point
                 assert pt.power == pytest.approx(res.p_max, rel=1e-10)
                 assert abs(pt.eta - res.eta_at_pmax) <= 1e-8
+
+    def test_newton_optimum_is_the_polished_one(self, near_equilibrium_fits):
+        # the finite-difference polish from the Newton optimum moves it by
+        # less than the difference step's own bias
+        for fit in near_equilibrium_fits.values():
+            for pt in fit.points:
+                res = pt.result
+                assert res.p_max == pytest.approx(pt.power, rel=5e-12)
+                assert abs(res.eta_at_pmax - pt.eta) <= 1e-9
+                assert res.max_curvature == pytest.approx(pt.max_curvature, rel=1e-4)
+                assert res.grad_rel <= 1e-6 and res.newton_step <= 1e-6
 
     def test_coherence_raises_b_short_of_curzon_ahlborn(self, near_equilibrium_fits):
         coherent = near_equilibrium_fits[0.0]
