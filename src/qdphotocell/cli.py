@@ -224,7 +224,7 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     except DomainError as exc:
         raise ConfigError(f"optimizer.{exc}") from None
 
-    # a count, held as the int that runs
+    # a count, checked and echoed; it has no effect, the sweeps run in one process
     workers, where = set_flags.get("workers", output.get("workers")), "output.workers"
     if workers is None and os.environ.get(_WORKERS_ENV):
         workers, where = os.environ[_WORKERS_ENV], _WORKERS_ENV
@@ -369,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--out", metavar="PATH", help="output file for tables")
         sp.add_argument("--format", choices=FORMATS, dest="fmt")
-        sp.add_argument("--workers", help=f"parallel workers (default: ${_WORKERS_ENV} "
+        sp.add_argument("--workers", help=f"accepted and checked, no effect: sweeps run "
+                                          f"in one process (default: ${_WORKERS_ENV} "
                                           "or available CPUs)")
         sp.add_argument("--force", action="store_true",
                         help="overwrite existing output files")

@@ -8,8 +8,11 @@ echo per row so any row can be regenerated in isolation, plus a provenance
 block (resolved configuration, package version, timestamp).  Reruns with
 identical configuration are byte-identical except for the timestamp.
 
-Rows are computed independently and may run in parallel workers; assembly
-preserves the deterministic row order.
+All rows of a sweep are maximized together in one batched search, in a
+single process; a row's result does not depend on the rows beside it, so a
+row computed alone equals the same row inside the sweep, bit for bit.  The
+``workers`` argument is accepted and validated for compatibility but has no
+effect.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ConfigError, OutputExistsError, QdpcError
+from .errors import ConfigError, DomainError, OutputExistsError
 from .model import INFINITE, ModelParams, params_from_scaled, scaled_energies
-from .optimize import (_FREE_ORDER, _steady_at, efficiency_at_max_power_curve,
-                       maximize_power)
+from .optimize import (_FREE_ORDER, _curve_params, _curve_point, _maximize_rows,
+                       _steady_rows)
 
 __all__ = [
     "SWEEP_DEFAULTS",
@@ -178,8 +180,9 @@ def _jsonable(value):
 
 
 def _resolve_workers(workers) -> int:
-    """The worker count to run: an integer >= 1 or a numeric string such as
-    "2", never a boolean or a float; None means the CPU count."""
+    """A worker count: an integer >= 1 or a numeric string such as "2",
+    never a boolean or a float; None means the CPU count.  The sweeps run in
+    one process and only validate it."""
     if workers is None:
         return os.cpu_count() or 1
     try:
@@ -191,33 +194,44 @@ def _resolve_workers(workers) -> int:
     return int(count)
 
 
-def _map_rows(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-
-
 # ---- coherence/efficiency map over (r_p, r_l) ------------------------------
 
-def _fig2_point(job) -> dict:
-    r_p, r_l, base_kwargs, opt_kwargs = job
-    params = params_from_scaled(r_p=r_p, r_l=r_l, **base_kwargs)
-    row = {"r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
-           "x_l": None, "x_r": None, "p_max": None, "eta": None,
-           "abs_rho12": None, "j": None, "converged": False, "error": None}
+def _fig2_rows(pairs, base_kwargs, opt_kwargs) -> list[dict]:
+    """The fig2 rows of (r_p, r_l) pairs, maximized in one batched search.
+
+    A malformed optimizer option flags every row with its DomainError, as a
+    refused steady state flags its own row.
+    """
+    params = [params_from_scaled(r_p=r_p, r_l=r_l, **base_kwargs) for r_p, r_l in pairs]
     try:
-        res = maximize_power(params, free=_FIG2_FREE, **opt_kwargs)
-    except QdpcError as exc:
-        return {**row, "error": str(exc)}
-    if res.degenerate:
-        return {**row, "p_max": 0.0, "error": _DEGENERATE}
-    at = params.with_scaled(x_l=res.x_opt["x_l"], x_r=res.x_opt["x_r"])
-    # the float kernel behind p_max; Im rho12 = 0 for degenerate levels
-    _, j, _, _, _, u = _steady_at(at, at.x_g, at.x_l, at.x_r)
-    return {**row, "x_l": res.x_opt["x_l"], "x_r": res.x_opt["x_r"],
-            "p_max": res.p_max, "eta": res.eta_at_pmax, "abs_rho12": abs(u),
-            "j": j, "converged": res.converged}
+        results = _maximize_rows(params, _FIG2_FREE, **opt_kwargs)
+    except DomainError as exc:
+        results = [exc] * len(params)
+    # the kernel's j and Re rho12 at every optimum in one call; Im rho12 = 0
+    # for degenerate levels
+    won = [k for k, res in enumerate(results)
+           if not isinstance(res, Exception) and not res.degenerate]
+    observed = {}
+    if won:
+        _, j, _, _, _, u = _steady_rows([params[k] for k in won], [params[k].x_g for k in won],
+                                        *([results[k].x_opt[name] for k in won]
+                                          for name in _FIG2_FREE))
+        observed = dict(zip(won, zip(j.tolist(), map(abs, u.tolist()))))
+    rows = []
+    for k, ((r_p, r_l), res) in enumerate(zip(pairs, results)):
+        row = {"r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
+               "x_l": None, "x_r": None, "p_max": None, "eta": None,
+               "abs_rho12": None, "j": None, "converged": False, "error": None}
+        if isinstance(res, Exception):
+            row["error"] = str(res)
+        elif res.degenerate:
+            row.update(p_max=0.0, error=_DEGENERATE)
+        else:
+            row.update(x_l=res.x_opt["x_l"], x_r=res.x_opt["x_r"], p_max=res.p_max,
+                       eta=res.eta_at_pmax, j=observed[k][0], abs_rho12=observed[k][1],
+                       converged=res.converged)
+        rows.append(row)
+    return rows
 
 
 def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
@@ -228,16 +242,16 @@ def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
 
     Per grid point the power is maximized over (x_l, x_r) at fixed bandgap;
     the row records the optimum, the efficiency there, and |rho12| of the
-    corresponding steady state.
+    corresponding steady state.  ``workers`` is validated and has no effect.
     """
     grid = list(r_grid) if r_grid is not None else default_r_grid()
     for r in grid:
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"r grid values must lie in [0, 1], got {r}")
+    _resolve_workers(workers)
     base_kwargs = {"x_g": x_g, "x_l": 0.0, "x_r": 0.0, "temp": temp,
                    "temp_p": temp_p, "gamma": gamma, "tau": tau}
-    jobs = [(r_p, r_l, base_kwargs, opt_kwargs) for r_p in grid for r_l in grid]
-    rows = _map_rows(_fig2_point, jobs, _resolve_workers(workers))
+    rows = _fig2_rows([(r_p, r_l) for r_p in grid for r_l in grid], base_kwargs, opt_kwargs)
     columns = (
         ("r_p", "1"), ("r_l", "1"), ("x_g", "1"), ("x_l", "1"), ("x_r", "1"),
         ("p_max", _POWER_UNIT), ("eta", "1"), ("abs_rho12", "1"),
@@ -252,31 +266,6 @@ def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
 
 # ---- efficiency-at-max-power curves ----------------------------------------
 
-def _curve_rows(job):
-    """Rows of one efficiency-at-max-power curve, labelled by one parameter.
-
-    The base point is the default scaled operating point of
-    :class:`ModelParams` at the default lead temperature of
-    :func:`params_from_scaled`; ``params`` supplies every other knob.
-    """
-    label_name, label_value, params, eta_c_grid, opt_kwargs = job
-    base = params_from_scaled(*scaled_energies(ModelParams()),
-                              **params, **{label_name: label_value})
-    rows = []
-    for pt in efficiency_at_max_power_curve(base, eta_c_grid, **opt_kwargs):
-        rows.append({
-            label_name: _jsonable(label_value),
-            "eta_c": pt.eta_c, "temp": (1.0 - pt.eta_c) * base.temp_p,
-            "temp_p": base.temp_p, "eta_at_pmax": pt.eta_at_pmax,
-            "eta_ca": pt.eta_ca, "p_max": pt.p_max,
-            "x_g": pt.x_opt.get("x_g"), "x_l": pt.x_opt.get("x_l"),
-            "x_r": pt.x_opt.get("x_r"),
-            "converged": pt.converged,
-            "error": _DEGENERATE if pt.degenerate else pt.error,
-        })
-    return rows
-
-
 _CURVE_COLUMNS_TAIL = (
     ("eta_c", "1"), ("temp", "K"), ("temp_p", "K"), ("eta_at_pmax", "1"),
     ("eta_ca", "1"), ("p_max", _POWER_UNIT),
@@ -288,18 +277,41 @@ _CURVE_COLUMNS_TAIL = (
 def _run_curves(sweep, label, unit, values, eta_c_grid, params, workers,
                 opt_kwargs) -> SweepTable:
     """One efficiency-at-max-power curve per value of the parameter ``label``,
-    the other knobs fixed at ``params``."""
+    the other knobs fixed at ``params``, every point of every curve in one
+    batched search.
+
+    The base point of a curve is the default scaled operating point of
+    :class:`ModelParams` at the default lead temperature of
+    :func:`params_from_scaled`.  A malformed optimizer option flags every
+    row with its DomainError.
+    """
     eta_c_grid = list(eta_c_grid) if eta_c_grid is not None else default_eta_c_grid()
     values = [float(v) for v in values]
-    jobs = [(label, v, params, eta_c_grid, opt_kwargs) for v in values]
-    groups = _map_rows(_curve_rows, jobs, min(_resolve_workers(workers), len(jobs)))
+    _resolve_workers(workers)
+    points = [(v, float(e)) for v in values for e in eta_c_grid]
+    at = [_curve_params(params_from_scaled(*scaled_energies(ModelParams()), **params,
+                                           **{label: v}), e) for v, e in points]
+    try:
+        results = _maximize_rows(at, _FREE_ORDER, **opt_kwargs)
+    except DomainError as exc:
+        results = [exc] * len(at)
+    rows = []
+    for (v, eta_c), p, res in zip(points, at, results):
+        pt = _curve_point(eta_c, res)
+        rows.append({
+            label: _jsonable(v),
+            "eta_c": pt.eta_c, "temp": p.temp, "temp_p": p.temp_p,
+            "eta_at_pmax": pt.eta_at_pmax, "eta_ca": pt.eta_ca, "p_max": pt.p_max,
+            "x_g": pt.x_opt.get("x_g"), "x_l": pt.x_opt.get("x_l"),
+            "x_r": pt.x_opt.get("x_r"), "converged": pt.converged,
+            "error": _DEGENERATE if pt.degenerate else pt.error,
+        })
     config = {"sweep": sweep, **{k: _jsonable(v) for k, v in params.items()},
               f"{label}_values": [_jsonable(v) for v in values],
               "eta_c_grid": eta_c_grid, "free": list(_FREE_ORDER),
               "optimizer": dict(opt_kwargs)}
     return SweepTable(columns=((label, unit),) + _CURVE_COLUMNS_TAIL,
-                      rows=tuple(row for group in groups for row in group),
-                      provenance=_provenance(config))
+                      rows=tuple(rows), provenance=_provenance(config))
 
 
 def run_fig3a(r_l_values=SWEEP_DEFAULTS["r_l_values"], eta_c_grid=None, *,

@@ -13,13 +13,16 @@ start), or the ``refine_top`` seeds are used up.  No randomness anywhere:
 identical configuration produces bit-identical results.
 
 The gradient is exact: a complex step through the closed-form kernel
-(:func:`_power_gradient`).  The Hessian is central differences of it.  Each
-Newton iteration evaluates its whole stencil, for the first two starts at
-once, in one batched kernel call.  The line search evaluates the same kernel
-on Python floats, with the parameter constants computed once per call
-(:func:`_kernel_constants`), and the seed grid on arrays.  Every optimum
-carries its certificate: the relative gradient, the Newton step left and the
-largest curvature there.
+(:func:`_power_gradient`).  The Hessian is central differences of it.  One
+search runs any number of rows (parameter sets sharing the free variables,
+box and options) at once (:class:`_Batch`): all rows' seed grids in chunked
+array calls, then all their starts as lanes in lockstep, each round one
+kernel call for every lane's Newton stencil and one per line-search trial
+for every lane still searching.  The per-row constants are arrays
+(:func:`_row_constants`) and every step is elementwise in the lanes, so a
+row's result is the same alone or inside any batch; a refused point flags
+only its own row.  Every optimum carries its certificate: the relative
+gradient, the Newton step left and the largest curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
 the seed grid, and the ascent never leaves positive power, so the maximizer
@@ -29,6 +32,7 @@ via the ``degenerate`` flag rather than an error.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from collections.abc import Mapping
@@ -86,7 +90,7 @@ _SAME_BASIN_X_EXP = 0.5
 # small gives the derivative to rounding.  _OCC_SIGN turns occ (1 + s occ)
 # into n (1 + n) for the Bose and f (1 - f) for the two Fermi occupations.
 _CS_STEP = 1e-30
-_OCC_SIGN = np.array([[1.0], [-1.0], [-1.0]])
+_OCC_SIGN = np.array([1.0, -1.0, -1.0])
 
 # The Hessian is central differences of the gradient over this fraction of
 # each search coordinate's range; its O(step^2) error slows Newton's rate but
@@ -107,6 +111,13 @@ _BOUND_FLAG_FRACTION = 1e-6
 # The closed-form steady state is refused when its trace falls below this
 # fraction of the product of the row norms it is built from.
 _SINGULAR_REL = 1e-12
+
+# Seed grids are evaluated in kernel calls of about this many points, all
+# rows' grids in one pass: in-cache arrays keep the kernel near its best
+# time per point.
+_SEED_CHUNK = 4096
+_SINGULAR_MESSAGE = ("degenerate steady-state system is singular or ill-conditioned; "
+                     "the transition network likely does not connect all four dot states")
 
 
 def _kernel_constants(params: ModelParams) -> tuple:
@@ -129,7 +140,7 @@ def _kernel_constants(params: ModelParams) -> tuple:
             1.0 - eta_c, gp if gp > 0.0 else 1.0)
 
 
-def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
+def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     """Closed-form steady state of the degenerate dot, elementwise.
 
     Works alike on Python floats and on broadcast numpy arrays; ``consts`` holds
@@ -148,7 +159,10 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
     Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
     when the trace vanishes against the product of the three row norms.  The
     gate reads real parts, so complex-step inputs (:func:`_power_gradient`)
-    are refused exactly where their real points are.
+    are refused exactly where their real points are.  With ``refuse`` false
+    nothing is raised and the power of each refused point reads NaN, so a
+    batch of rows can flag its rows one by one.  ``consts`` may hold one
+    array entry per point (a batch of rows), ``pinned`` then a mask.
     """
     gp, gl, gr, rp, rl, tau, pinned, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
@@ -166,7 +180,12 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
     # corner, where the coherence row itself nearly repeats the ground row.
     a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
     b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
-    if pinned:
+    if isinstance(pinned, np.ndarray):
+        c0 = (1.0 - rp) * bp + (1.0 - rl) * flm
+        c3 = np.where(pinned, 1.0, -(c0 + 0.5 * tau))
+        c0, c1, c2 = (np.where(pinned, 0.0, c) for c in (c0, -(1.0 - rp) * bm,
+                                                         -(1.0 - rl) * flp))
+    elif pinned:
         c0 = c1 = c2 = 0.0
         c3 = 1.0
     else:
@@ -192,15 +211,17 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr):
              * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
              * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
     singular = abs(trace.real) <= _SINGULAR_REL * scale.real
-    if singular if isinstance(singular, bool) else singular.any():
-        raise NoUniqueSteadyStateError(
-            "degenerate steady-state system is singular or ill-conditioned; "
-            "the transition network likely does not connect all four dot states")
+    if not refuse:
+        trace = np.where(singular, 1.0, trace)
+    elif singular if isinstance(singular, bool) else singular.any():
+        raise NoUniqueSteadyStateError(_SINGULAR_MESSAGE)
     g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
     # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
     j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
     power = (x_g - one_minus_eta_c * (x_r - x_l)) * j / gamma_ref
+    if not refuse:  # NaN in both parts of a complex power
+        power = power * np.where(singular, math.nan, 1.0)
     return power, j, g, e, z, u
 
 
@@ -212,6 +233,20 @@ def _steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
     return _degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
                               bose_occupation(x_g), fermi_occupation(x_l),
                               fermi_occupation(x_r))
+
+
+def _row_constants(params) -> tuple:
+    """:func:`_kernel_constants` of each ModelParams in ``params``, stacked:
+    one array per constant, one entry per params."""
+    return tuple(np.array(c) for c in zip(*map(_kernel_constants, params)))
+
+
+def _steady_rows(params, x_g, x_l, x_r):
+    """The kernel's (power, j, g, rho_e, rho0, u) at one point per ModelParams
+    in ``params``, in one array call.  Degenerate levels (delta21 = 0) only."""
+    x_g, x_l, x_r = (np.array(v, dtype=float) for v in (x_g, x_l, x_r))
+    return _degenerate_steady(_row_constants(params), x_g, x_l, x_r, _bose_array(x_g),
+                              _fermi_array(x_l), _fermi_array(x_r))
 
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
@@ -236,20 +271,21 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     return {"power": power, "j": j, "rho12_re": u}
 
 
-def _power_gradient(consts: tuple, points):
+def _power_gradient(consts: tuple, points, refuse: bool = True):
     """Derivatives of the power by complex step through :func:`_degenerate_steady`.
 
-    ``points`` is a (3, m) complex array of (x_g, x_l, x_r): real part a
+    ``points`` is a (3, ...) complex array of (x_g, x_l, x_r): real part a
     point, imaginary part ``_CS_STEP`` times the tangent of one search
     direction there.  The occupations are continued to first order,
     n' = -n (1 + n) and f' = -f (1 - f), and Im(power) / ``_CS_STEP`` is the
     directional derivative, exact to rounding since no difference is taken
     (Squire & Trapp, SIAM Rev. 40, 110-112, 1998).  Refuses where the real
-    points refuse.
+    points refuse, or with ``refuse`` false reads NaN there.
     """
+    sign = _OCC_SIGN.reshape((3,) + (1,) * (points.ndim - 1))
     occ = np.concatenate([_bose_array(points[0].real)[None], _fermi_array(points[1:].real)])
-    occ = occ - 1j * (occ * (1.0 + _OCC_SIGN * occ)) * points.imag
-    return _degenerate_steady(consts, *points, *occ)[0].imag / _CS_STEP
+    occ = occ - 1j * (occ * (1.0 + sign * occ)) * points.imag
+    return _degenerate_steady(consts, *points, *occ, refuse)[0].imag / _CS_STEP
 
 
 @dataclass(frozen=True)
@@ -329,95 +365,47 @@ def _validated_options(free, bounds, **options):
 def _ranked_seeds(t_grid, p_grid, top):
     """Rows of ``t_grid`` to refine: the ``top`` best by power ``p_grid``
     (best first, ties broken lexicographically on the coordinates), less
-    those without positive power.  Only the rows at or above the ``top``-th
-    largest power are sorted."""
-    n = p_grid.size
-    cut = np.partition(p_grid, n - top)[n - top] if top < n else 0.0
-    rows = np.flatnonzero((p_grid >= cut) & (p_grid > 0.0))
-    order = np.lexsort(tuple(t_grid[rows].T[::-1]) + (-p_grid[rows],))
-    return rows[order[:top]].tolist()
-
-
-class _Frame:
-    """Search coordinates t of one refinement, and their box.
-
-    t holds the free names in ``_FREE_ORDER`` order; the others stay at
-    ``base`` = (x_g, x_l, x_r).  A free x_r is held as the window coordinate
-    nu in (_NU_MARGIN, 1 - _NU_MARGIN), x_r = x_l + x_g (1 + nu * window),
-    and x_r's own box then bounds nu through x_g and x_l.
-    """
-
-    def __init__(self, free, base, box, window):
-        self.free, self.base, self.box, self.window = free, base, box, window
-        self.slots = tuple(free.index(k) if k in free else None for k in _FREE_ORDER)
-        self.lo, self.hi = zip(*[(_NU_MARGIN, 1.0 - _NU_MARGIN) if k == "x_r" else box[k]
-                                 for k in free])
-        self.span = [hi - lo for lo, hi in zip(self.lo, self.hi)]
-        # one imaginary step per coordinate, as (coordinate, point, direction)
-        self.steps = 1j * _CS_STEP * np.eye(len(free))[:, None, :]
-
-    def decode(self, t):
-        """(x_g, x_l, x_r) of a search vector, or of its rows for a batch."""
-        ig, il, ir = self.slots
-        xg = self.base[0] if ig is None else t[ig]
-        xl = self.base[1] if il is None else t[il]
-        if ir is None:
-            return xg, xl, self.base[2]
-        return xg, xl, xl + xg * (1.0 + t[ir] * self.window)  # slot ir holds nu
-
-    def nu_limits(self, t):
-        """The nu at which x_r meets either end of its box, at t's x_g and x_l."""
-        xg, xl, _ = self.decode(t)
-        return [((r - xl) / xg - 1.0) / self.window for r in self.box["x_r"]]
-
-    def retract(self, t):
-        """t clipped into the box, a free nu further to keep x_r in its box."""
-        t, ir = [min(max(v, lo), hi) for v, lo, hi in zip(t, self.lo, self.hi)], self.slots[2]
-        if ir is not None:
-            lo, hi = self.nu_limits(t)
-            t[ir] = min(max(t[ir], lo), hi)
-        return tuple(t)
-
-    def point(self, t):
-        """(x_g, x_l, x_r) of a retracted search vector, x_r clipped into its
-        box against the rounding of the decode."""
-        xg, xl, xr = self.decode(t)
-        return xg, xl, xr if self.slots[2] is None else min(max(xr, self.box["x_r"][0]),
-                                                           self.box["x_r"][1])
-
-    def power(self, consts, t):
-        """The kernel's power at a retracted search vector, on Python floats."""
-        xg, xl, xr = self.point(t)
-        return _degenerate_steady(consts, xg, xl, xr, bose_occupation(xg),
-                                  fermi_occupation(xl), fermi_occupation(xr))[0]
+    those without positive power.  ``p_grid`` holds one power per row of
+    ``t_grid``, or a (rows, n) stack of such that one sort cuts at each
+    row's ``top``-th largest power, and then gives one list per row.  Only
+    the entries at or above the cut are lexsorted."""
+    p_rows = np.atleast_2d(p_grid)
+    n = p_rows.shape[1]
+    cuts = np.sort(p_rows, axis=1)[:, n - top] if top < n else np.zeros(len(p_rows))
+    ranked = []
+    for p, cut in zip(p_rows, cuts.tolist()):
+        rows = np.flatnonzero((p >= cut) & (p > 0.0))
+        order = np.lexsort(tuple(t_grid[rows].T[::-1]) + (-p[rows],))
+        ranked.append(rows[order[:top]].tolist())
+    return ranked if np.ndim(p_grid) == 2 else ranked[0]
 
 
 def _cholesky_solve(a, b):
-    """x with a x = b for a symmetric matrix ``a`` (nested lists), on Python
-    floats; None when ``a`` is not positive definite."""
-    n = len(b)
-    low = [[0.0] * n for _ in range(n)]
+    """x with a x = b for symmetric matrices ``a`` (nested lists of lane
+    arrays) in every lane at once, and the mask of the lanes where ``a`` is
+    positive definite; x is meaningless in the others."""
+    n, ok = len(b), np.ones(len(b[0]), dtype=bool)
+    low = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
             s = a[i][j]
             for k in range(j):
-                s -= low[i][k] * low[j][k]
+                s = s - low[i][k] * low[j][k]
             if i > j:
                 low[i][j] = s / low[j][j]
-            elif s > 0.0:
-                low[i][i] = math.sqrt(s)
             else:
-                return None
+                ok &= s > 0.0
+                low[i][i] = np.sqrt(np.where(s > 0.0, s, 1.0))
     x = list(b)
     for i in range(n):
         for k in range(i):
-            x[i] -= low[i][k] * x[k]
-        x[i] /= low[i][i]
+            x[i] = x[i] - low[i][k] * x[k]
+        x[i] = x[i] / low[i][i]
     for i in reversed(range(n)):
         for k in range(i + 1, n):
-            x[i] -= low[k][i] * x[k]
-        x[i] /= low[i][i]
-    return x
+            x[i] = x[i] - low[k][i] * x[k]
+        x[i] = x[i] / low[i][i]
+    return x, ok
 
 
 def _largest_eigenvalue(h):
@@ -440,124 +428,417 @@ def _largest_eigenvalue(h):
     return q + 2.0 * p * math.cos(math.acos(min(1.0, max(-1.0, half_det))) / 3.0)
 
 
-def _ascent(frame, t, consts, f_rel_tol, x_rel_tol, max_evals):
-    """Projected Newton ascent of the power from search vector ``t``.
+class _Starts:
+    """The refined starts of one row, taken in rank order, and its stop rule.
 
-    A generator: each iteration yields its stencil, the (3, m) complex
-    decoded points of t and of one point either side of it along each
-    coordinate, each with one imaginary step per coordinate, and is sent
-    their m derivatives (:func:`_power_gradient`).  On the coordinates not
-    held at a bound (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982),
-    -H plus a Levenberg term, grown tenfold until Cholesky succeeds, gives
-    the step; a backtracking line search on the float objective, each trial
-    retracted into the box, takes it.  At a face of x_r's box, which is no
-    face of the box in t, the ascent goes on with x_r pinned there.
-
-    It stops, converged, where H is negative definite on the free
-    coordinates and the Newton step is within ``x_rel_tol`` of every range,
-    or where a full Newton step with a decrement g.(-H)^-1.g within
-    ``f_rel_tol`` of the power, a gain the float objective cannot resolve
-    and so taken without the line search, is followed by another such.  It
-    stops unconverged when the line search fails or its evaluations (stencil
-    points and trials) reach ``max_evals``.  Returns (t, p, evals,
-    converged, grad_rel, newton_step, hess), the certificate at t as in
-    :class:`OptResult` with the Hessian on the free coordinates in place of
-    its largest eigenvalue.
+    Two optima share a basin when their powers agree within ``f_rel_tol``
+    and each search coordinate within f_rel_tol ** _SAME_BASIN_X_EXP of its
+    range ``span``; the first start that agrees with the incumbent ends the
+    row, as does the last seed.  A start displaces the incumbent only with
+    a power more than ``f_rel_tol`` higher, so the better-ranked seed wins
+    a tie, which rounding alone decides.
     """
-    box_frame, ir, face = frame, frame.slots[2], None
-    p, evals, polished = frame.power(consts, t), 1, False
-    while True:
-        dim, lo, hi, span = len(t), list(frame.lo), list(frame.hi), frame.span
-        pts, width = [t], []
+
+    def __init__(self, seeds, span, f_rel_tol):
+        self.seeds, self.span, self.f_rel_tol = seeds, span, f_rel_tol
+        self.x_tol = [f_rel_tol ** _SAME_BASIN_X_EXP * s for s in span]
+        self.best, self.starts, self.evals = None, 0, 0
+
+    def add(self, t, p, evals, *certificate):
+        """Take the next start's optimum: search vector ``t`` (a tuple of
+        floats), power ``p``, its evaluations and its (converged, grad_rel,
+        newton_step, hess); True once the row is done."""
+        self.starts, self.evals = self.starts + 1, self.evals + evals
+        best = self.best
+        agrees = best is not None and (
+            abs(p - best[0]) <= self.f_rel_tol * abs(best[0])
+            and all(abs(a - b) <= tol for a, b, tol in zip(t, best[1], self.x_tol)))
+        if best is None or p - best[0] > self.f_rel_tol * abs(best[0]):
+            self.best = (p, t, certificate)
+        return agrees or self.starts == len(self.seeds)
+
+
+def _take(lanes, keep):
+    """The lanes (a dict of arrays, lane axis last) where ``keep`` holds."""
+    return {k: v[..., keep] for k, v in lanes.items()}
+
+
+class _Batch:
+    """The rows of one batched search, their shared frame, and the lockstep
+    ascent of all their starts.
+
+    Search coordinates t hold the free names in ``_FREE_ORDER`` order; the
+    others stay at each row's (x_g, x_l, x_r).  A free x_r is held as the
+    window coordinate nu in (_NU_MARGIN, 1 - _NU_MARGIN),
+    x_r = x_l + x_g (1 + nu * window), and x_r's own box then bounds nu
+    through x_g and x_l.  Arrays of search vectors are (d, ..., m), one
+    entry per coordinate and the lane axis last, read with an array of the
+    rows of the lanes.  Every step is elementwise in the lanes, so a row's
+    result does not depend on the rows beside it.
+    """
+
+    def __init__(self, params, free, box, seeds_per_dim, refine_top, f_rel_tol,
+                 x_rel_tol, max_evals_per_seed):
+        self.free, self.box, self.spd, self.top = free, box, seeds_per_dim, refine_top
+        self.f_rel_tol, self.x_rel_tol, self.max_evals = f_rel_tol, x_rel_tol, max_evals_per_seed
+        self.slots = tuple(free.index(k) if k in free else None for k in _FREE_ORDER)
+        lo, hi = zip(*[(_NU_MARGIN, 1.0 - _NU_MARGIN) if k == "x_r" else box[k] for k in free])
+        self.lo, self.hi = np.array(lo)[:, None], np.array(hi)[:, None]
+        self.span = self.hi - self.lo
+        self.consts = _row_constants(params)
+        self.base = np.array([(p.x_g, p.x_l, p.x_r) for p in params]).T
+        self.eta_c = [1.0 - p.temp / p.temp_p for p in params]
+        self.window = np.array([e / (1.0 - e) for e in self.eta_c])
+        self.flagged = np.zeros(len(params), dtype=bool)
+
+    def decode(self, t, rows, face=None):
+        """(x_g, x_l, x_r) of search vectors of the rows ``rows``; x_r sits
+        at ``face`` in the lanes where that is a number, not NaN."""
+        ig, il, ir = self.slots
+        xg = self.base[0, rows] if ig is None else t[ig]
+        xl = self.base[1, rows] if il is None else t[il]
+        if ir is None:
+            return xg, xl, self.base[2, rows]
+        xr = xl + xg * (1.0 + t[ir] * self.window[rows])  # slot ir holds nu
+        return xg, xl, xr if face is None else np.where(np.isnan(face), xr, face)
+
+    def nu_limits(self, t, rows):
+        """The nu at which x_r meets either end of its box, at t's x_g and x_l."""
+        xg, xl, _ = self.decode(t, rows)
+        return [((r - xl) / xg - 1.0) / self.window[rows] for r in self.box["x_r"]]
+
+    def retract(self, t, rows, face):
+        """t clipped into the box, a free nu off a face further to keep x_r in its box."""
+        t, ir = np.minimum(np.maximum(t, self.lo), self.hi), self.slots[2]
+        if ir is not None:
+            lo, hi = self.nu_limits(t, rows)
+            t[ir] = np.where(np.isnan(face), np.minimum(np.maximum(t[ir], lo), hi), t[ir])
+        return t
+
+    def point(self, t, rows, face=None):
+        """(x_g, x_l, x_r) of retracted search vectors, x_r clipped into its
+        box against the rounding of the decode."""
+        xg, xl, xr = self.decode(t, rows, face)
+        if self.slots[2] is not None:
+            xr = np.minimum(np.maximum(xr, self.box["x_r"][0]), self.box["x_r"][1])
+        return xg, xl, xr
+
+    def power(self, rows, xg, xl, xr):
+        """The kernel's power at points of the rows ``rows`` in one array
+        call; the rows of refused points are flagged."""
+        power = _degenerate_steady(tuple(c[rows] for c in self.consts), xg, xl, xr,
+                                   _bose_array(xg), _fermi_array(xl), _fermi_array(xr),
+                                   refuse=False)[0]
+        self._flag(rows, power)
+        return power
+
+    def _flag(self, rows, values):
+        bad = np.isnan(values)
+        self.flagged[np.broadcast_to(rows, bad.shape)[bad]] = True
+
+    def seed(self):
+        """The seed grid of every row and each row's ranked seeds.
+
+        The grids are evaluated in chunks of about _SEED_CHUNK points.
+        Returns (points per grid, seed indices per row, starts), starts
+        (d, n) holding each ranked seed of every row, in row and rank
+        order, moved along each axis by at most half a grid step to the
+        vertex of the parabola through its power and its two grid
+        neighbours', where all three are positive and the parabola opens
+        down.  Not along x_g: across its coarse grid the power is far from
+        quadratic, and moving x_g too made fig3-like 3-D runs longer.
+        """
+        spd, ig, ir = self.spd, self.slots[0], self.slots[2]
+        axes = [np.linspace(lo, hi, spd) for lo, hi in zip(self.lo[:, 0], self.hi[:, 0])]
+        if ir is not None:
+            # strictly interior window points seed better than edge-touching ones
+            axes[ir] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
+        t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        n_rows, size = len(self.window), len(t_grid)
+        r_lo, r_hi = self.box["x_r"] if ir is not None else (-math.inf, math.inf)
+        p_grid = np.empty((n_rows, size))
+        per = max(1, _SEED_CHUNK // size)
+        for first in range(0, n_rows, per):
+            rows = np.arange(first, min(first + per, n_rows))[:, None]
+            xg, xl, xr = self.decode(t_grid.T, rows)
+            power = self.power(rows, xg, xl, xr)
+            p_grid[first:first + per] = np.where(
+                (r_lo <= xr) & (xr <= r_hi) & (power > 0.0), power, 0.0)
+        seeds = _ranked_seeds(t_grid, p_grid, self.top)
+
+        rows = np.array([r for r, s in enumerate(seeds) for _ in s], dtype=int)
+        at = np.array([i for s in seeds for i in s], dtype=int)
+        starts, index = t_grid[at].T.copy(), np.unravel_index(at, (spd,) * len(axes))
+        for j, axis in enumerate(axes):
+            if j == ig:
+                continue
+            stride = spd ** (len(axes) - 1 - j)
+            inner = (index[j] > 0) & (index[j] < spd - 1)
+            pm, p0, pp = (p_grid[rows, np.where(inner, at + k * stride, at)] for k in (-1, 0, 1))
+            bend = pm - 2.0 * p0 + pp
+            move = inner & (pm > 0.0) & (pp > 0.0) & (bend < 0.0)
+            shift = np.minimum(np.maximum(0.5 * (pm - pp) / np.where(move, bend, -1.0), -0.5), 0.5)
+            starts[j] = np.where(move, starts[j] + shift * float(axis[1] - axis[0]), starts[j])
+        return size, seeds, self.retract(starts, rows, np.full(len(rows), math.nan))
+
+    def ascend(self, lanes):
+        """One lockstep round of projected Newton ascent over ``lanes``.
+
+        ``lanes`` maps row, rank (of the lane's seed in its row), t (d, m),
+        p, evals, polished (the last step a full Newton step taken without
+        the line search), face (the x_r face a lane is pinned to, NaN off a
+        face) and fresh (p not yet evaluated) to arrays over the lanes.  A
+        round evaluates the fresh powers, then every lane's stencil in one
+        gradient call: the decoded points of t and of one point either side
+        of it along each coordinate, each with one imaginary step per
+        coordinate (:func:`_power_gradient`).  The Hessian is central
+        differences of it.  On the coordinates not held at a bound
+        (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982), -H plus a
+        Levenberg term, grown tenfold until Cholesky succeeds, gives the
+        step; a backtracking line search, one kernel call per trial for all
+        lanes still searching, each trial retracted into the box, takes it.
+        At a face of x_r's box, which is no face of the box in t, a lane
+        goes on with x_r pinned there and nu out of the search.
+
+        A lane stops, converged, where H is negative definite on the free
+        coordinates and the Newton step is within ``x_rel_tol`` of every
+        range, or where a full Newton step with a decrement g.(-H)^-1.g
+        within ``f_rel_tol`` of the power, a gain the kernel cannot resolve
+        and so taken without the line search, is followed by another such.
+        It stops unconverged when the line search fails or its evaluations
+        (stencil points and trials) reach ``max_evals_per_seed``.
+
+        Returns the lanes left and, per stopped lane, (row, rank, t, p,
+        evals, converged, grad_rel, newton_step, hess): t a tuple of floats
+        with nu restored on a face, and the certificate at t as in
+        :class:`OptResult`, the Hessian on the free coordinates in place of
+        its largest eigenvalue.
+        """
+        fresh = lanes["fresh"]
+        if fresh.any():
+            rows = lanes["row"][fresh]
+            lanes["p"][fresh] = self.power(rows, *self.point(lanes["t"][:, fresh], rows,
+                                                             lanes["face"][fresh]))
+            lanes["fresh"] = np.zeros_like(fresh)
+        dim, ir, span = len(self.free), self.slots[2], self.span[:, 0].tolist()
+        steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
+        lanes = _take(lanes, ~self.flagged[lanes["row"]])
+        rows, t, face = lanes["row"], lanes["t"], lanes["face"]
+        up = np.minimum(t + _HESS_STEP * self.span, self.hi)
+        down = np.maximum(t - _HESS_STEP * self.span, self.lo)
+        stencil = np.repeat(t[:, None], 2 * dim + 1, axis=1)
         for j in range(dim):
-            a, b = min(t[j] + _HESS_STEP * span[j], hi[j]), max(t[j] - _HESS_STEP * span[j], lo[j])
-            pts += [t[:j] + (a,) + t[j + 1:], t[:j] + (b,) + t[j + 1:]]
-            width.append(a - b)
-        points = np.empty((3, 2 * dim + 1, dim), dtype=complex)
-        points[0], points[1], points[2] = frame.decode(np.array(pts).T[:, :, None] + frame.steps)
-        grad = (yield points.reshape(3, -1)).reshape(2 * dim + 1, dim).tolist()
-        evals += (2 * dim + 1) * dim
+            stencil[j, 1 + 2 * j], stencil[j, 2 + 2 * j] = up[j], down[j]
+        points = np.array(np.broadcast_arrays(*self.decode(stencil[:, :, None] + steps,
+                                                           rows, face)))
+        grad = _power_gradient(tuple(c[rows] for c in self.consts), points, refuse=False)
+        self._flag(rows, grad)
+        keep = ~self.flagged[rows]
+        lanes, grad, width = _take(lanes, keep), grad[..., keep], (up - down)[:, keep]
+        rows, t, p, face = lanes["row"], lanes["t"], lanes["p"], lanes["face"]
+        on_face = ~np.isnan(face)
+        lanes["evals"] = lanes["evals"] + (2 * (dim - on_face) + 1) * (dim - on_face)
         g = grad[0]
-        hess = [[0.5 * ((grad[1 + 2 * j][i] - grad[2 + 2 * j][i]) / width[j]
-                        + (grad[1 + 2 * i][j] - grad[2 + 2 * i][j]) / width[i])
+        hess = [[0.5 * ((grad[1 + 2 * j, i] - grad[2 + 2 * j, i]) / width[j]
+                        + (grad[1 + 2 * i, j] - grad[2 + 2 * i, j]) / width[i])
                  for j in range(dim)] for i in range(dim)]
-        if frame is box_frame and ir is not None:
-            limits = frame.nu_limits(t)
-            out = (t[ir] <= limits[0] and g[ir] < 0.0, t[ir] >= limits[1] and g[ir] > 0.0)
-            end = next((e for e in (0, 1) if out[e] and lo[ir] < limits[e] < hi[ir]), None)
-            if end is not None and dim > 1:
+
+        lo, hi = list(self.lo), list(self.hi)
+        switch = np.zeros(len(rows), dtype=bool)
+        if ir is not None:
+            limits = self.nu_limits(t, rows)
+            if dim > 1:
                 # nu is held at a face of x_r's box with the gradient pointing
                 # out, and another coordinate is left: pin x_r to that face
-                face, (xg, xl, _) = frame.box["x_r"][end], frame.decode(t)
-                frame = _Frame(frame.free[:ir] + frame.free[ir + 1:], (xg, xl, face),
-                               frame.box, frame.window)
-                t = t[:ir] + t[ir + 1:]
-                p, evals, polished = frame.power(consts, t), evals + 1, False
-                continue
-            lo[ir], hi[ir] = max(lo[ir], limits[0]), min(hi[ir], limits[1])
-        free = [j for j in range(dim)
-                if not (t[j] <= lo[j] and g[j] < 0.0 or t[j] >= hi[j] and g[j] > 0.0)]
+                ends = [~on_face & (lo[ir] < v) & (v < hi[ir]) & held for v, held in zip(
+                    limits, ((t[ir] <= limits[0]) & (g[ir] < 0.0),
+                             (t[ir] >= limits[1]) & (g[ir] > 0.0)))]
+                switch = ends[0] | ends[1]
+                lanes["face"] = np.where(ends[0], self.box["x_r"][0],
+                                         np.where(ends[1], self.box["x_r"][1], face))
+                lanes["fresh"], lanes["polished"] = switch, lanes["polished"] & ~switch
+                lanes["evals"] = lanes["evals"] + switch
+            lo[ir], hi[ir] = np.maximum(lo[ir], limits[0]), np.minimum(hi[ir], limits[1])
+        free = [~((t[j] <= lo[j]) & (g[j] < 0.0) | (t[j] >= hi[j]) & (g[j] > 0.0))
+                for j in range(dim)]
+        if ir is not None:
+            free[ir] = free[ir] & ~on_face
 
         # the Newton step on the free coordinates, scaled by their ranges
-        gs = [g[j] * span[j] for j in free]
-        neg_h = [[-hess[i][j] * span[i] * span[j] for j in free] for i in free]
-        lam, x = 0.0, _cholesky_solve(neg_h, gs)
-        while x is None:
-            lam = 10.0 * lam or 1e-6 * max([abs(neg_h[i][i]) for i in range(len(free))] + [1.0])
-            x = _cholesky_solve([[v + lam * (i == j) for j, v in enumerate(row)]
-                                 for i, row in enumerate(neg_h)], gs)
-        step, decrement = max(map(abs, x), default=0.0), 0.0
-        for gi, xi in zip(gs, x):
-            decrement += gi * xi
-        newton = lam == 0.0 and decrement <= f_rel_tol * p
-        converged = lam == 0.0 and (step <= x_rel_tol or polished and newton)
-        if converged or evals >= max_evals or step == 0.0:
-            break
-        d = [0.0] * dim
-        for j, xj in zip(free, x):
-            d[j] = min(1.0, _MAX_STEP / step) * xj * span[j]
-        for alpha in [1.0] if newton else [0.5 ** k for k in range(_BACKTRACKS)]:
-            trial = frame.retract([v + alpha * s for v, s in zip(t, d)])
-            p_trial = frame.power(consts, trial)
-            evals += 1
-            gain = 0.0
-            for gj, a, b in zip(g, trial, t):
-                gain += gj * (a - b)
-            if newton or p_trial > p and p_trial - p >= _ARMIJO * gain:
+        gs = [np.where(free[j], g[j] * span[j], 0.0) for j in range(dim)]
+        neg_h = [[np.where(free[i] & free[j], -hess[i][j] * span[i] * span[j], float(i == j))
+                  for j in range(dim)] for i in range(dim)]
+        lam = np.zeros(len(rows))
+        x, ok = _cholesky_solve(neg_h, gs)
+        while not ok.all():
+            bad = ~ok
+            diag = np.max([np.where(free[i], np.abs(neg_h[i][i]), 0.0) for i in range(dim)], axis=0)
+            lam[bad] = np.where(lam[bad] > 0.0, 10.0 * lam[bad], 1e-6 * np.maximum(diag[bad], 1.0))
+            x_bad, ok[bad] = _cholesky_solve(
+                [[v[bad] + lam[bad] * (i == j) for j, v in enumerate(row)]
+                 for i, row in enumerate(neg_h)], [v[bad] for v in gs])
+            for j in range(dim):
+                x[j][bad] = x_bad[j]
+        step, decrement = np.max(np.abs(x), axis=0), 0.0
+        for gj, xj in zip(gs, x):
+            decrement = decrement + gj * xj
+        newton = (lam == 0.0) & (decrement <= self.f_rel_tol * p)
+        converged = (lam == 0.0) & ((step <= self.x_rel_tol) | lanes["polished"] & newton)
+        stop = ~switch & (converged | (lanes["evals"] >= self.max_evals) | (step == 0.0))
+        search = ~switch & ~stop
+
+        # the line search: a full Newton step below resolution is taken untried
+        scale = np.minimum(1.0, _MAX_STEP / np.where(search, step, 1.0))
+        move = np.array([scale * x[j] * span[j] for j in range(dim)])
+        searching = search.copy()
+        for k in range(_BACKTRACKS):
+            idx = np.flatnonzero(searching)
+            if not idx.size:
                 break
+            trial = self.retract(t[:, idx] + 0.5 ** k * move[:, idx], rows[idx], face[idx])
+            p_trial = self.power(rows[idx], *self.point(trial, rows[idx], face[idx]))
+            lanes["evals"][idx] += 1
+            gain = 0.0
+            for j in range(dim):
+                gain = gain + g[j, idx] * (trial[j] - t[j, idx])
+            took = ~np.isnan(p_trial) & (newton[idx] | (p_trial > p[idx])
+                                         & (p_trial - p[idx] >= _ARMIJO * gain))
+            hit = idx[took]
+            t[:, hit], p[hit], lanes["polished"][hit] = trial[:, took], p_trial[took], newton[hit]
+            searching[idx[took | newton[idx] | np.isnan(p_trial)]] = False
+        done = (stop | searching) & ~self.flagged[rows]
+
+        stopped = []
+        if done.any():
+            free_done = np.array(free)[:, done]
+            newton_step = np.max(np.where(free_done, np.abs(np.array(x)[:, done]) * self.span,
+                                          0.0), axis=0)
+            grad_rel = np.max(np.where(free_done, np.abs(g[:, done]), 0.0), axis=0) / p[done]
+            t_out = t[:, done]
+            if ir is not None:  # back to nu
+                xg, xl, _ = self.decode(t_out, rows[done])
+                t_out[ir] = np.where(on_face[done],
+                                     ((face[done] - xl) / xg - 1.0) / self.window[rows[done]],
+                                     t_out[ir])
+            for k, lane in enumerate(np.flatnonzero(done).tolist()):
+                kept = [j for j in range(dim) if free[j][lane]]
+                stopped.append((int(rows[lane]), int(lanes["rank"][lane]),
+                                tuple(t_out[:, k].tolist()), float(p[lane]),
+                                int(lanes["evals"][lane]), bool(converged[lane]),
+                                float(grad_rel[k]), float(newton_step[k]),
+                                [[float(hess[i][j][lane]) for j in kept] for i in kept]))
+        return _take(lanes, ~done & ~self.flagged[rows]), stopped
+
+    def run(self):
+        """One OptResult, or the NoUniqueSteadyStateError that flags it, per row.
+
+        Each row's two best seeds start together; a further seed starts,
+        one at a time, only while the row's starts disagree (:class:`_Starts`).
+        """
+        size, seeds, starts = self.seed()
+        first = np.cumsum([0] + [len(s) for s in seeds]).tolist()
+        span = self.span[:, 0].tolist()
+        books = [_Starts(s, span, self.f_rel_tol) for s in seeds]
+
+        def launch(pairs):
+            """New lanes from (row, rank) pairs, their powers not yet evaluated."""
+            m, rows = len(pairs), np.array([r for r, _ in pairs], dtype=int)
+            return {"row": rows, "rank": np.array([k for _, k in pairs], dtype=int),
+                    "t": starts[:, [first[r] + k for r, k in pairs]],
+                    "p": np.full(m, math.nan), "evals": np.ones(m, dtype=int),
+                    "polished": np.zeros(m, dtype=bool), "face": np.full(m, math.nan),
+                    "fresh": np.ones(m, dtype=bool)}
+
+        lanes = launch([(r, k) for r, s in enumerate(seeds) if not self.flagged[r]
+                        for k in range(min(2, len(s)))])
+        running, finished = np.bincount(lanes["row"], minlength=len(seeds)), {}
+        while lanes["row"].size:
+            lanes, stopped = self.ascend(lanes)
+            for row, *result in stopped:
+                finished.setdefault(row, []).append(result)
+                running[row] -= 1
+            pairs = []
+            for row in [r for r in finished if not running[r]]:
+                if self.flagged[row]:
+                    continue
+                book = books[row]
+                for _, *result in sorted(finished.pop(row)):
+                    if book.add(*result):
+                        break
+                else:
+                    pairs.append((row, book.starts))
+                    running[row] += 1
+            if pairs:
+                new = launch(pairs)
+                lanes = {k: np.concatenate([lanes[k], new[k]], axis=-1) for k in lanes}
+        return self.results(books, size)
+
+    def results(self, books, size):
+        """The OptResult of each row from its starts, or the error that flags it."""
+        won = [r for r, book in enumerate(books) if book.best and not self.flagged[r]]
+        optima = {}
+        if won:
+            t = np.array([books[r].best[1] for r in won]).T
+            optima = dict(zip(won, zip(*(np.broadcast_to(v, len(won)).tolist()
+                                         for v in self.point(t, np.array(won))))))
+        out = []
+        for row, book in enumerate(books):
+            if self.flagged[row]:
+                out.append(NoUniqueSteadyStateError(_SINGULAR_MESSAGE))
+                continue
+            if row not in optima:  # no seed had positive power
+                base = dict(zip(_FREE_ORDER, self.base[:, row].tolist()))
+                out.append(OptResult(x_opt={k: base[k] for k in self.free}, p_max=0.0,
+                                     eta_at_pmax=None, evals=size, converged=False,
+                                     degenerate=True))
+                continue
+            p, _, (conv, grad_rel, newton_step, hess) = book.best
+            xg, xl, xr = optima[row]
+            x_opt = {k: v for k, v in zip(_FREE_ORDER, (xg, xl, xr)) if k in self.free}
+            box = self.box
+            active = tuple(k for k in self.free
+                           if min(abs(x_opt[k] - box[k][0]), abs(x_opt[k] - box[k][1]))
+                           <= _BOUND_FLAG_FRACTION * (box[k][1] - box[k][0]))
+            eta = 1.0 - (1.0 - self.eta_c[row]) * (xr - xl) / xg if p > 0.0 else None
+            out.append(OptResult(
+                x_opt=x_opt, p_max=p, eta_at_pmax=eta, evals=size + book.evals,
+                converged=conv, degenerate=False, active_bounds=active,
+                grad_rel=grad_rel, newton_step=newton_step,
+                max_curvature=_largest_eigenvalue(hess) if hess else math.nan,
+                starts=book.starts))
+        return out
+
+
+def _maximize_rows(params, free=("x_l", "x_r"), bounds=None, **options):
+    """:func:`maximize_power` of every ModelParams in ``params`` at once, in
+    one batched search: one OptResult per params, or the QdpcError that
+    flags its row (a refused steady state, or split levels).  A malformed
+    option, the same for every row, raises DomainError before any row runs.
+    Each row's result is the one :func:`maximize_power` gives it alone, bit
+    for bit."""
+    args = _MAXIMIZE.bind(None, free, bounds, **options)
+    args.apply_defaults()
+    options = {k: v for k, v in args.arguments.items() if k not in ("params", "free", "bounds")}
+    free, box = _validated_options(free, bounds, **options)
+    out, live = [None] * len(params), []
+    for k, p in enumerate(params):
+        try:
+            _kernel_constants(p)
+        except DomainError as exc:
+            out[k] = exc
+            continue
+        if 1.0 - p.temp / p.temp_p <= 0.0:
+            # no free-energy source (eta_c <= 0): power <= 0 everywhere
+            out[k] = OptResult(x_opt={name: getattr(p, name) for name in free},
+                               p_max=0.0, eta_at_pmax=None, evals=0,
+                               converged=False, degenerate=True)
         else:
-            break
-        t, p, polished = trial, p_trial, newton
-
-    newton_step = max([abs(x[k]) * span[j] for k, j in enumerate(free)], default=0.0)
-    grad_rel = max([abs(g[j]) for j in free], default=0.0) / p
-    hess = [[hess[i][j] for j in free] for i in free]
-    if face is not None:  # back to nu
-        xg, xl, _ = frame.decode(t)
-        t = t[:ir] + (((face - xl) / xg - 1.0) / box_frame.window,) + t[ir:]
-    return t, p, evals, converged, grad_rel, newton_step, hess
-
-
-def _refine(frame, consts, seeds, f_rel_tol, x_rel_tol, max_evals):
-    """:func:`_ascent` from each search vector in ``seeds`` in lockstep, one
-    kernel call per iteration for the stencils of all running starts;
-    returns their results in the order of ``seeds``."""
-    runs = {k: _ascent(frame, t, consts, f_rel_tol, x_rel_tol, max_evals)
-            for k, t in enumerate(seeds)}
-    results, sent = [None] * len(seeds), dict.fromkeys(runs)
-    while runs:
-        stencils = {}
-        for k, run in list(runs.items()):
-            try:
-                stencils[k] = run.send(sent[k])
-            except StopIteration as stop:
-                results[k] = stop.value
-                del runs[k]
-        if stencils:
-            grad, end = _power_gradient(consts, np.concatenate(list(stencils.values()), 1)), 0
-            for k, points in stencils.items():
-                sent[k], end = grad[end:end + points.shape[1]], end + points.shape[1]
-    return results
+            live.append(k)
+    if live:
+        batch = _Batch([params[k] for k in live], free, box, **options)
+        for k, res in zip(live, batch.run()):
+            out[k] = res
+    return out
 
 
 def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
@@ -568,104 +849,29 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
 
     Multi-start Newton search: a coarse deterministic seed grid
     (``seeds_per_dim`` points per free dimension, window-relative in the
-    x_r direction), then projected Newton ascent (:func:`_ascent`) from the
-    best seeds in rank order, the first two in lockstep, each moved first to
-    the vertex of a parabola through its grid neighbours.  The refinement
-    stops after the first start whose optimum agrees with the best one so
-    far (powers within ``f_rel_tol``, each search coordinate within
-    sqrt(``f_rel_tol``) of its range), so two starts are the usual case;
-    ``refine_top`` bounds the starts run, and ``max_evals_per_seed`` the
-    kernel evaluations of each.  The best refined point wins; powers within
-    ``f_rel_tol`` of each other tie, and the better-ranked seed wins a tie,
-    since rounding alone orders them.  A malformed option raises
-    DomainError (:func:`_validated_options`).
+    x_r direction), then projected Newton ascent (:meth:`_Batch.ascend`)
+    from the best seeds in rank order, the first two in lockstep, each
+    moved first to the vertex of a parabola through its grid neighbours.
+    The refinement stops after the first start whose optimum agrees with
+    the best one so far (powers within ``f_rel_tol``, each search
+    coordinate within sqrt(``f_rel_tol``) of its range), so two starts are
+    the usual case; ``refine_top`` bounds the starts run, and
+    ``max_evals_per_seed`` the kernel evaluations of each.  The best
+    refined point wins; powers within ``f_rel_tol`` of each other tie, and
+    the better-ranked seed wins a tie, since rounding alone orders them.  A
+    malformed option raises DomainError (:func:`_validated_options`).  This
+    is the one-row case of the batched search the sweeps run, and it gives
+    a row exactly what the row gets inside any sweep.
     """
-    consts = _kernel_constants(params)
-    free, box = _validated_options(
-        free, bounds, seeds_per_dim=seeds_per_dim, refine_top=refine_top,
-        f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol, max_evals_per_seed=max_evals_per_seed)
-    eta_c = 1.0 - params.temp / params.temp_p
-    base = {"x_g": params.x_g, "x_l": params.x_l, "x_r": params.x_r}
+    (res,) = _maximize_rows([params], free, bounds, seeds_per_dim=seeds_per_dim,
+                            refine_top=refine_top, f_rel_tol=f_rel_tol,
+                            x_rel_tol=x_rel_tol, max_evals_per_seed=max_evals_per_seed)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
-    if eta_c <= 0.0:
-        # no free-energy source: power <= 0 everywhere
-        return OptResult(x_opt={k: base[k] for k in free}, p_max=0.0,
-                         eta_at_pmax=None, evals=0, converged=False,
-                         degenerate=True)
 
-    frame = _Frame(free, tuple(base.values()), box, eta_c / (1.0 - eta_c))
-
-    # ---- seed grid (vectorized) ----
-    axes = [np.linspace(lo, hi, seeds_per_dim) for lo, hi in zip(frame.lo, frame.hi)]
-    ir = frame.slots[2]
-    if ir is not None:
-        # strictly interior window points seed better than edge-touching ones
-        axes[ir] = np.linspace(0.5 / seeds_per_dim, 1.0 - 0.5 / seeds_per_dim,
-                               seeds_per_dim)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    xg_a, xl_a, xr_a = np.broadcast_arrays(*frame.decode(t_grid.T))
-    obs = steady_observables_grid(params, xg_a, xl_a, xr_a)
-    r_lo, r_hi = box["x_r"] if ir is not None else (-math.inf, math.inf)
-    inside = (r_lo <= xr_a) & (xr_a <= r_hi)
-    p_grid = np.where(inside & (obs["power"] > 0.0), obs["power"], 0.0)
-    evals = t_grid.shape[0]
-
-    seeds = _ranked_seeds(t_grid, p_grid, refine_top)
-    if not seeds:
-        return OptResult(x_opt={k: base[k] for k in free}, p_max=0.0,
-                         eta_at_pmax=None, evals=evals, converged=False,
-                         degenerate=True)
-
-    # ---- refinement, the first two seeds together, then one at a time
-    # until a start agrees with the incumbent ----
-    shape = (seeds_per_dim,) * len(free)
-    p_mesh = p_grid.reshape(shape)
-
-    def start(i):
-        """Seed i moved along each axis, by at most half a grid step, to the
-        vertex of the parabola through its power and its two grid
-        neighbours', where all three are positive and the parabola opens
-        down.  Not along x_g: across its coarse grid the power is far from
-        quadratic, and moving x_g too made fig3-like 3-D runs longer."""
-        idx, t = np.unravel_index(i, shape), t_grid[i].tolist()
-        for j, axis in enumerate(axes):
-            if j != frame.slots[0] and 0 < idx[j] < seeds_per_dim - 1:
-                pm, p0, pp = (float(p_mesh[idx[:j] + (idx[j] + k,) + idx[j + 1:]])
-                              for k in (-1, 0, 1))
-                bend = pm - 2.0 * p0 + pp
-                if pm > 0.0 and pp > 0.0 and bend < 0.0:
-                    t[j] += (min(max(0.5 * (pm - pp) / bend, -0.5), 0.5)
-                             * float(axis[1] - axis[0]))
-        return frame.retract(t)
-
-    x_tol = [f_rel_tol ** _SAME_BASIN_X_EXP * s for s in frame.span]
-    results = (result for batch in [seeds[:2]] + [[i] for i in seeds[2:]]
-               for result in _refine(frame, consts, [start(i) for i in batch],
-                                     f_rel_tol, x_rel_tol, max_evals_per_seed))
-    best = None
-    for starts, (t, p, used, *rest) in enumerate(results, 1):
-        evals += used
-        agrees = best is not None and (
-            abs(p - best[0]) <= f_rel_tol * abs(best[0])
-            and all(abs(a - b) <= tol for a, b, tol in zip(t, best[2], x_tol)))
-        if best is None or p - best[0] > f_rel_tol * abs(best[0]):
-            best = (p, frame.point(t), t, rest)
-        if agrees:
-            break
-    p_best, (xg, xl, xr), _, (conv, grad_rel, newton_step, hess) = best
-    curvature = _largest_eigenvalue(hess) if hess else math.nan
-
-    x_opt = {name: float(v) for name, v in zip(_FREE_ORDER, (xg, xl, xr)) if name in free}
-    active = tuple(
-        name for name in free
-        if min(abs(x_opt[name] - box[name][0]), abs(x_opt[name] - box[name][1]))
-        <= _BOUND_FLAG_FRACTION * (box[name][1] - box[name][0]))
-    eta = float(1.0 - (1.0 - eta_c) * (xr - xl) / xg) if p_best > 0.0 else None
-    return OptResult(x_opt=x_opt, p_max=float(p_best), eta_at_pmax=eta,
-                     evals=evals, converged=bool(conv),
-                     degenerate=False, active_bounds=active, grad_rel=grad_rel,
-                     newton_step=newton_step, max_curvature=curvature, starts=starts)
+_MAXIMIZE = inspect.signature(maximize_power)
 
 
 @dataclass(frozen=True)
@@ -682,6 +888,27 @@ class CurvePoint:
     error: str | None = None
 
 
+def _curve_params(base: ModelParams, eta_c) -> ModelParams:
+    """``base`` at Carnot efficiency eta_c: the lead temperature set to
+    (1 - eta_c) * temp_p, the photon temperature and the scaled operating
+    variables of ``base`` kept."""
+    eta_c = float(eta_c)
+    if not 0.0 < eta_c < 1.0:
+        raise DomainError(f"eta_c values must lie in (0, 1), got {eta_c}")
+    return base.replace(temp=(1.0 - eta_c) * base.temp_p).with_scaled(*scaled_energies(base))
+
+
+def _curve_point(eta_c: float, res) -> CurvePoint:
+    """The curve point of one maximization result, an error flagged as a gap."""
+    eta_ca = 1.0 - math.sqrt(1.0 - eta_c)
+    if isinstance(res, Exception):
+        return CurvePoint(eta_c=eta_c, eta_ca=eta_ca, eta_at_pmax=None,
+                          p_max=math.nan, error=str(res))
+    return CurvePoint(eta_c=eta_c, eta_ca=eta_ca, eta_at_pmax=res.eta_at_pmax,
+                      p_max=res.p_max, x_opt=res.x_opt, converged=res.converged,
+                      degenerate=res.degenerate)
+
+
 def efficiency_at_max_power_curve(base: ModelParams, eta_c_grid,
                                   free=_FREE_ORDER, bounds=None,
                                   **opt_kwargs) -> list[CurvePoint]:
@@ -690,29 +917,13 @@ def efficiency_at_max_power_curve(base: ModelParams, eta_c_grid,
     For each eta_c the lead temperature is set to (1 - eta_c) * temp_p with
     the photon temperature held at its base value, the scaled operating
     variables of ``base`` are carried over, and power is maximized over
-    ``free``.  Optimizer failures at individual points are recorded as
-    flagged gaps and the curve continues.
+    ``free``, every point in one batched search.  A refused point is
+    recorded as a flagged gap and the curve continues.
     """
-    points = []
-    for eta_c in eta_c_grid:
-        eta_c = float(eta_c)
-        if not 0.0 < eta_c < 1.0:
-            raise DomainError(f"eta_c values must lie in (0, 1), got {eta_c}")
-        eta_ca = 1.0 - math.sqrt(1.0 - eta_c)
-        params = base.replace(temp=(1.0 - eta_c) * base.temp_p).with_scaled(
-            *scaled_energies(base))
-        try:
-            res = maximize_power(params, free=free, bounds=bounds, **opt_kwargs)
-        except NoUniqueSteadyStateError as exc:
-            points.append(CurvePoint(eta_c=eta_c, eta_ca=eta_ca,
-                                     eta_at_pmax=None, p_max=math.nan,
-                                     error=str(exc)))
-            continue
-        points.append(CurvePoint(
-            eta_c=eta_c, eta_ca=eta_ca, eta_at_pmax=res.eta_at_pmax,
-            p_max=res.p_max, x_opt=res.x_opt, converged=res.converged,
-            degenerate=res.degenerate))
-    return points
+    grid = [float(e) for e in eta_c_grid]
+    params = [_curve_params(base, e) for e in grid]
+    return [_curve_point(e, res) for e, res in
+            zip(grid, _maximize_rows(params, free, bounds, **opt_kwargs))]
 
 
 def grid_search_power(params: ModelParams, free, bounds=None,

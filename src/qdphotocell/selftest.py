@@ -3,8 +3,9 @@
 A compact, seeded subset of the package's property suite: probability
 conservation, current balance, the coherence zero loci, oracle equivalence
 between the linear solve and time integration, detailed balance of the
-rates, the algebraic power/efficiency identities, the Carnot bound, and
-optimizer determinism.  Intended as a quick health check of an
+rates, the algebraic power/efficiency identities, the Carnot bound,
+optimizer determinism, and a sweep row computed alone equal to the same row
+inside a sweep.  Intended as a quick health check of an
 installation, not a replacement for the full pytest suite.
 """
 
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from .dynamics import DensityState, build_generator, evolve, spectral_gap, steady_state
+from .experiments import run_fig2
 from .model import ModelParams, build_rates, params_from_scaled
 from .optimize import maximize_power
 from .thermo import currents, reference_efficiencies, thermo_report
@@ -175,6 +177,17 @@ def _check_optimizer():
     return 3, failures
 
 
+def _check_sweep_row():
+    failures = []
+    # the middle row of a 3x3 sweep, and the same (r_p, r_l) swept alone
+    middle = run_fig2([0.0, 0.5, 1.0], workers=1).rows[4]
+    (alone,) = run_fig2([0.5], workers=1).rows
+    if repr(alone) != repr(middle):
+        failures.append(f"fig2 row (0.5, 0.5) alone {alone} differs from the same "
+                        f"row in a 3x3 sweep {middle}")
+    return 1, failures
+
+
 _SUITES = (
     ("generator-conservation", _check_conservation),
     ("current-balance", _check_current_balance),
@@ -184,6 +197,7 @@ _SUITES = (
     ("thermo-identities", _check_thermo_identities),
     ("equilibrium-null", _check_equilibrium_null),
     ("optimizer-determinism", _check_optimizer),
+    ("sweep-row-alone", _check_sweep_row),
 )
 
 

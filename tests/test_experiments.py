@@ -146,6 +146,17 @@ class TestFig3:
         assert by_tau[0.0] >= by_tau["inf"] - 1e-7
 
 
+    @pytest.mark.parametrize("run, labels", [(run_fig3a, (0.0, 0.9)),
+                                             (run_fig3b, (0.0, INFINITE))])
+    def test_malformed_option_flags_the_rows(self, run, labels):
+        # refused once for the sweep, as fig2 does: every row flagged, sweep done
+        table = run(labels, [0.3, 0.6], workers=1, bounds={"x_l": 3})
+        assert len(table.rows) == 4
+        for row in table.rows:
+            assert row["error"] == ("bounds.x_l must be a pair of finite numbers "
+                                    "with lo < hi, got 3")
+            assert row["eta_at_pmax"] is None and math.isnan(row["p_max"])
+
     def test_degenerate_region_flagged(self):
         # a box with no positive power: the row says so, as a fig2 row does
         table = run_fig3a([0.0], [0.5], workers=1, **FAST_OPT, bounds={

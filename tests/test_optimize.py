@@ -96,8 +96,8 @@ def _is_float_tuple(t, dim):
 
 
 class TestObjectiveContract:
-    """The float simplex and the Newton line search hand their objectives
-    tuples of Python floats."""
+    """The float simplex hands its objective tuples of Python floats, and the
+    batched Newton search hands each row's stop rule its optima as such."""
 
     def test_nelder_mead_hands_fn_float_tuples(self):
         seen = []
@@ -111,16 +111,16 @@ class TestObjectiveContract:
 
     @pytest.mark.parametrize("free", [("x_l", "x_r"), ("x_g", "x_l", "x_r")])
     def test_maximize_power_objective_on_float_tuples(self, monkeypatch, free):
-        # the Newton line search's objective, and the certificate it returns
+        # the optima the lanes hand the stop rule, and the certificate returned
         seen, scores = [], []
-        power = optimize._Frame.power
+        add = optimize._Starts.add
 
-        def spy(frame, consts, t):
+        def spy(book, t, p, *rest):
             seen.append(t)
-            scores.append(power(frame, consts, t))
-            return scores[-1]
+            scores.append(p)
+            return add(book, t, p, *rest)
 
-        monkeypatch.setattr(optimize._Frame, "power", spy)
+        monkeypatch.setattr(optimize._Starts, "add", spy)
         res = maximize_power(params_from_scaled(2.0, 0.0, 0.0, r_p=0.9), free=free)
         assert seen and all(_is_float_tuple(t, len(free)) for t in seen)
         assert all(type(f) is float for f in scores)
@@ -653,6 +653,88 @@ def test_optimum_on_a_face_of_the_x_r_box():
                                                        all_starts=True))
 
 
+def test_x_r_face_still_binds():
+    # at every optimum on a face of the x_r box the power still rises through
+    # that face (dP/dx_r at fixed x_g, x_l points out of the box), so the
+    # face refinement kept a constraint that binds
+    faces = 0
+    for seed in (2, 3, 4):
+        for p, free, bounds in _bit_identity_draws(np.random.default_rng(seed), 120):
+            try:
+                res = maximize_power(p, free=free, bounds=bounds)
+            except NoUniqueSteadyStateError:
+                continue
+            if "x_r" not in res.active_bounds:
+                continue
+            faces += 1
+            x = {"x_g": p.x_g, "x_l": p.x_l, **res.x_opt}
+            lo, hi = {**DEFAULT_BOUNDS, **(bounds or {})}["x_r"]
+            slope = _power_gradient(_kernel_constants(p), np.array(
+                [[x["x_g"]], [x["x_l"]], [x["x_r"] + 1j * _CS_STEP]]))[0]
+            outward = 1.0 if abs(x["x_r"] - hi) < abs(x["x_r"] - lo) else -1.0
+            assert outward * slope > 0.0
+    assert faces >= 1
+
+
+class TestBatchInvariance:
+    """A row computed alone equals the same row inside any batch, bit for
+    bit; batch lengths 1, 7, 8, 9 and 441 hit numpy's SIMD loop tails."""
+
+    @pytest.fixture(scope="class")
+    def fig2(self):
+        # the default fig2 sweep (441 rows), the params of its rows, and the
+        # engine's results for all of them
+        table = run_fig2(workers=1)
+        params = [params_from_scaled(row["x_g"], 0.0, 0.0, r_p=row["r_p"], r_l=row["r_l"])
+                  for row in table.rows]
+        return table, params, optimize._maximize_rows(params)
+
+    @staticmethod
+    def _same(results, rows):
+        assert [repr(r) for r in results] == [repr(r) for r in rows]
+
+    def test_engine_matches_the_fig2_table(self, fig2):
+        table, _, whole = fig2
+        for row, res in zip(table.rows, whole):
+            assert (row["p_max"], row["x_l"], row["x_r"], row["eta"]) == (
+                res.p_max, res.x_opt["x_l"], res.x_opt["x_r"], res.eta_at_pmax)
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9])
+    def test_sub_batches_match_the_whole_sweep(self, fig2, length):
+        _, params, whole = fig2
+        for first in (0, 215, 441 - length):
+            self._same(optimize._maximize_rows(params[first:first + length]),
+                       whole[first:first + length])
+
+    def test_maximize_power_alone_matches_the_sweep(self, fig2):
+        _, params, whole = fig2
+        for k in (0, 21, 220, 439, 440):  # 440 is the dark-state corner
+            self._same([maximize_power(params[k])], whole[k:k + 1])
+
+    @pytest.mark.parametrize("length", [7, 8, 9])
+    def test_three_variable_batches(self, length):
+        # fig3-like rows: eta_c and tau vary along the batch
+        params = [params_from_scaled(2.0, 0.0, 0.0, temp=(1.0 - ec) * 5780.0, temp_p=5780.0,
+                                     r_p=0.9, tau=(0.0, 1.0, INFINITE)[k % 3])
+                  for k, ec in enumerate(np.linspace(0.05, 0.95, length))]
+        free = ("x_g", "x_l", "x_r")
+        self._same(optimize._maximize_rows(params, free),
+                   [maximize_power(p, free=free) for p in params])
+
+    def test_refused_row_flags_only_itself(self):
+        good = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
+        cut = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9, gamma_p=0.0, gamma_l=0.0)
+        split = good.replace(delta21=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = optimize._maximize_rows([good, cut, good, split])
+        assert repr(results[0]) == repr(results[2]) == repr(maximize_power(good))
+        assert isinstance(results[1], NoUniqueSteadyStateError)
+        with pytest.raises(NoUniqueSteadyStateError, match=f"^{results[1]}$"):
+            maximize_power(cut)
+        assert isinstance(results[3], DomainError) and "delta21 = 0" in str(results[3])
+
+
 class TestStopRule:
     """The refinement stops at the first start that agrees with the incumbent,
     and runs at most refine_top starts."""
@@ -663,18 +745,16 @@ class TestStopRule:
     def _patched(monkeypatch, displace):
         """Count the starts; ``displace[n]`` maps start n's (t, p, span)."""
         calls = []
-        refine = optimize._refine
+        add = optimize._Starts.add
 
-        def wrapper(frame, *args):
-            results = []
-            for t, p, *rest in refine(frame, *args):
-                calls.append(1)
-                if len(calls) in displace:
-                    t, p = displace[len(calls)](np.array(t), p, np.array(frame.span))
-                results.append((tuple(t), p, *rest))
-            return results
+        def wrapper(book, t, p, *rest):
+            calls.append(1)
+            if len(calls) in displace:
+                t, p = displace[len(calls)](np.array(t), p, np.array(book.span))
+                t = tuple(t.tolist())
+            return add(book, t, p, *rest)
 
-        monkeypatch.setattr(optimize, "_refine", wrapper)
+        monkeypatch.setattr(optimize._Starts, "add", wrapper)
         return calls
 
     @staticmethod
