@@ -370,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="PATH", help="output file for tables")
         sp.add_argument("--format", choices=FORMATS, dest="fmt")
         sp.add_argument("--workers", help=f"accepted and checked, no effect: sweeps run "
-                                          f"in one process (default: ${_WORKERS_ENV} "
-                                          "or available CPUs)")
+                                          f"in one process (default: ${_WORKERS_ENV}, "
+                                          "else none, echoed as null)")
         sp.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
         for name in _PARAM_FLAGS:

@@ -179,12 +179,12 @@ def _jsonable(value):
     return value
 
 
-def _resolve_workers(workers) -> int:
+def _resolve_workers(workers) -> int | None:
     """A worker count: an integer >= 1 or a numeric string such as "2",
-    never a boolean or a float; None means the CPU count.  The sweeps run in
-    one process and only validate it."""
+    never a boolean or a float; None, no count, stays None.  The sweeps run
+    in one process and only validate it."""
     if workers is None:
-        return os.cpu_count() or 1
+        return None
     try:
         count = int(workers) if isinstance(workers, str) else workers
     except ValueError:

@@ -16,12 +16,12 @@ The gradient is exact: a complex step through the closed-form kernel
 (:func:`_power_gradient`).  The Hessian is central differences of it.  One
 search runs any number of rows (parameter sets sharing the free variables,
 box and options) at once (:class:`_Batch`): all rows' seed grids in chunked
-array calls, then all their starts as lanes in lockstep, each round one
-kernel call for every lane's Newton stencil and one per line-search trial
-for every lane still searching.  The per-row constants are arrays
-(:func:`_row_constants`) and every step is elementwise in the lanes, so a
-row's result is the same alone or inside any batch; a refused point flags
-only its own row.  Every optimum carries its certificate: the relative
+array calls, then their starts in waves of lanes run in lockstep, each
+round one kernel call for every lane's Newton stencil and one per
+line-search trial for every lane still searching.  The per-row constants
+are arrays (:func:`_row_constants`) and every step is elementwise in the
+lanes, so a row's result is the same alone or inside any batch; a refused
+point flags only its own row.  Every optimum carries its certificate: the relative
 gradient, the Newton step left and the largest curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
@@ -123,11 +123,13 @@ _SINGULAR_MESSAGE = ("degenerate steady-state system is singular or ill-conditio
 def _kernel_constants(params: ModelParams) -> tuple:
     """The constants :func:`_degenerate_steady` reads, computed once per params.
 
-    (gamma_p, gamma_l, gamma_r, r_p, r_l, tau, pinned, 1 - eta_c, gamma_ref):
-    ``pinned`` holds Re rho12 at zero (tau = INFINITE or the dark-state
-    corner), and ``gamma_ref``, the power unit, is gamma_p, or 1 when the
-    photon field is off.  Raises DomainError for split levels
-    (delta21 != 0), which the closed form does not cover.
+    (gamma_p, gamma_l, gamma_r, r_p, r_l, 1 - r_p, 1 - r_l, tau / 2,
+    1 - eta_c, gamma_ref): where Re rho12 is pinned at zero (tau = INFINITE
+    or the dark-state corner) the three coherence constants read 0, 0, -1,
+    which reduces the kernel's coherence row to u = 0.  ``gamma_ref``, the
+    power unit, is gamma_p, or 1 when the photon field is off.  Raises
+    DomainError for split levels (delta21 != 0), which the closed form does
+    not cover.
     """
     if params.delta21 != 0.0:
         raise DomainError("the closed-form kernel supports the degenerate "
@@ -135,9 +137,9 @@ def _kernel_constants(params: ModelParams) -> tuple:
     gp, gl, rp, rl, tau = params.gamma_p, params.gamma_l, params.r_p, params.r_l, params.tau
     dark = (tau == 0.0 and (gp == 0.0 or rp == 1.0) and (gl == 0.0 or rl == 1.0)
             and not (gp == 0.0 and gl == 0.0))
+    coherence = (0.0, 0.0, -1.0) if tau == INFINITE or dark else (1.0 - rp, 1.0 - rl, 0.5 * tau)
     eta_c = 1.0 - params.temp / params.temp_p
-    return (gp, gl, params.gamma_r, rp, rl, tau, tau == INFINITE or dark,
-            1.0 - eta_c, gp if gp > 0.0 else 1.0)
+    return (gp, gl, params.gamma_r, rp, rl, *coherence, 1.0 - eta_c, gp if gp > 0.0 else 1.0)
 
 
 def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
@@ -152,9 +154,10 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = T
     u = Re rho12.  That vector is their signed 3x3 cofactors, normalized by
     the trace 2 g + rho_e + rho0; every component, rho0 included, comes from
     its own cofactor, never from 1 - 2 g - rho_e, which loses rho0 to
-    cancellation where the dot is nearly full.  u is pinned to zero for
-    tau = INFINITE and in the dark-state corner, which selects the
-    decoherence-continuity branch of its two-dimensional kernel.
+    cancellation where the dot is nearly full.  For tau = INFINITE and in
+    the dark-state corner the constants make the coherence row read u = 0,
+    which selects the decoherence-continuity branch of its two-dimensional
+    kernel; floats, arrays, stacked rows and complex steps share this path.
 
     Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
     when the trace vanishes against the product of the three row norms.  The
@@ -162,9 +165,9 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = T
     are refused exactly where their real points are.  With ``refuse`` false
     nothing is raised and the power of each refused point reads NaN, so a
     batch of rows can flag its rows one by one.  ``consts`` may hold one
-    array entry per point (a batch of rows), ``pinned`` then a mask.
+    array entry per point (a batch of rows).
     """
-    gp, gl, gr, rp, rl, tau, pinned, one_minus_eta_c, gamma_ref = consts
+    gp, gl, gr, rp, rl, kp, kl, half_tau, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
     bm = gp * (1.0 + n)
     flp = gl * fl
@@ -180,18 +183,8 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = T
     # corner, where the coherence row itself nearly repeats the ground row.
     a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
     b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
-    if isinstance(pinned, np.ndarray):
-        c0 = (1.0 - rp) * bp + (1.0 - rl) * flm
-        c3 = np.where(pinned, 1.0, -(c0 + 0.5 * tau))
-        c0, c1, c2 = (np.where(pinned, 0.0, c) for c in (c0, -(1.0 - rp) * bm,
-                                                         -(1.0 - rl) * flp))
-    elif pinned:
-        c0 = c1 = c2 = 0.0
-        c3 = 1.0
-    else:
-        c0 = (1.0 - rp) * bp + (1.0 - rl) * flm
-        c1, c2 = -(1.0 - rp) * bm, -(1.0 - rl) * flp
-        c3 = -(c0 + 0.5 * tau)
+    c0 = kp * bp + kl * flm
+    c1, c2, c3 = -kp * bm, -kl * flp, -(c0 + half_tau)
 
     # 2x2 minors of the excited and coherence rows, then cofactor expansion
     # along the ground row
@@ -408,26 +401,6 @@ def _cholesky_solve(a, b):
     return x, ok
 
 
-def _largest_eigenvalue(h):
-    """The largest eigenvalue of a symmetric matrix of order 1 to 3 (nested
-    lists) in closed form, on Python floats (Smith, Commun. ACM 4, 168, 1961)."""
-    if len(h) == 1:
-        return h[0][0]
-    if len(h) == 2:
-        (a, b), (_, c) = h
-        return 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
-    q = (h[0][0] + h[1][1] + h[2][2]) / 3.0
-    off = h[0][1] * h[0][1] + h[0][2] * h[0][2] + h[1][2] * h[1][2]
-    p = math.sqrt(((h[0][0] - q) ** 2 + (h[1][1] - q) ** 2 + (h[2][2] - q) ** 2
-                   + 2.0 * off) / 6.0)
-    if p == 0.0:
-        return q
-    (a, b, c), (_, d, e), (_, _, f) = [[v / p for v in row] for row in h]
-    a, d, f = a - q / p, d - q / p, f - q / p
-    half_det = 0.5 * (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c))
-    return q + 2.0 * p * math.cos(math.acos(min(1.0, max(-1.0, half_det))) / 3.0)
-
-
 class _Starts:
     """The refined starts of one row, taken in rank order, and its stop rule.
 
@@ -622,7 +595,6 @@ class _Batch:
             lanes["fresh"] = np.zeros_like(fresh)
         dim, ir, span = len(self.free), self.slots[2], self.span[:, 0].tolist()
         steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
-        lanes = _take(lanes, ~self.flagged[lanes["row"]])
         rows, t, face = lanes["row"], lanes["t"], lanes["face"]
         up = np.minimum(t + _HESS_STEP * self.span, self.hi)
         down = np.maximum(t - _HESS_STEP * self.span, self.lo)
@@ -671,14 +643,10 @@ class _Batch:
         lam = np.zeros(len(rows))
         x, ok = _cholesky_solve(neg_h, gs)
         while not ok.all():
-            bad = ~ok
             diag = np.max([np.where(free[i], np.abs(neg_h[i][i]), 0.0) for i in range(dim)], axis=0)
-            lam[bad] = np.where(lam[bad] > 0.0, 10.0 * lam[bad], 1e-6 * np.maximum(diag[bad], 1.0))
-            x_bad, ok[bad] = _cholesky_solve(
-                [[v[bad] + lam[bad] * (i == j) for j, v in enumerate(row)]
-                 for i, row in enumerate(neg_h)], [v[bad] for v in gs])
-            for j in range(dim):
-                x[j][bad] = x_bad[j]
+            lam = np.where(ok, lam, np.where(lam > 0.0, 10.0 * lam, 1e-6 * np.maximum(diag, 1.0)))
+            x, ok = _cholesky_solve([[v + lam * (i == j) for j, v in enumerate(row)]
+                                     for i, row in enumerate(neg_h)], gs)
         step, decrement = np.max(np.abs(x), axis=0), 0.0
         for gj, xj in zip(gs, x):
             decrement = decrement + gj * xj
@@ -732,45 +700,34 @@ class _Batch:
     def run(self):
         """One OptResult, or the NoUniqueSteadyStateError that flags it, per row.
 
-        Each row's two best seeds start together; a further seed starts,
-        one at a time, only while the row's starts disagree (:class:`_Starts`).
+        The starts run in waves, every lane of a wave in lockstep: the
+        first wave holds each row's two best seeds, and a row whose starts
+        disagree so far (:class:`_Starts`) has its next seed in the next
+        wave.  Lanes are independent, so a row's result does not depend on
+        the wave its starts run in.
         """
         size, seeds, starts = self.seed()
         first = np.cumsum([0] + [len(s) for s in seeds]).tolist()
         span = self.span[:, 0].tolist()
         books = [_Starts(s, span, self.f_rel_tol) for s in seeds]
-
-        def launch(pairs):
-            """New lanes from (row, rank) pairs, their powers not yet evaluated."""
-            m, rows = len(pairs), np.array([r for r, _ in pairs], dtype=int)
-            return {"row": rows, "rank": np.array([k for _, k in pairs], dtype=int),
-                    "t": starts[:, [first[r] + k for r, k in pairs]],
-                    "p": np.full(m, math.nan), "evals": np.ones(m, dtype=int),
-                    "polished": np.zeros(m, dtype=bool), "face": np.full(m, math.nan),
-                    "fresh": np.ones(m, dtype=bool)}
-
-        lanes = launch([(r, k) for r, s in enumerate(seeds) if not self.flagged[r]
-                        for k in range(min(2, len(s)))])
-        running, finished = np.bincount(lanes["row"], minlength=len(seeds)), {}
-        while lanes["row"].size:
-            lanes, stopped = self.ascend(lanes)
-            for row, *result in stopped:
-                finished.setdefault(row, []).append(result)
-                running[row] -= 1
-            pairs = []
-            for row in [r for r in finished if not running[r]]:
-                if self.flagged[row]:
-                    continue
-                book = books[row]
-                for _, *result in sorted(finished.pop(row)):
-                    if book.add(*result):
-                        break
-                else:
-                    pairs.append((row, book.starts))
-                    running[row] += 1
-            if pairs:
-                new = launch(pairs)
-                lanes = {k: np.concatenate([lanes[k], new[k]], axis=-1) for k in lanes}
+        wave = [(r, k) for r, s in enumerate(seeds) if not self.flagged[r]
+                for k in range(min(2, len(s)))]
+        while wave:
+            m, (rows, ranks) = len(wave), np.array(wave, dtype=int).T
+            lanes = {"row": rows, "rank": ranks, "t": starts[:, [first[r] + k for r, k in wave]],
+                     "p": np.full(m, math.nan), "evals": np.ones(m, dtype=int),
+                     "polished": np.zeros(m, dtype=bool), "face": np.full(m, math.nan),
+                     "fresh": np.ones(m, dtype=bool)}
+            finished = {}
+            while lanes["row"].size:
+                lanes, stopped = self.ascend(lanes)
+                for row, *result in stopped:
+                    finished.setdefault(row, []).append(result)
+            # a row's starts go to its stop rule in rank order; a row they
+            # leave undecided runs its next seed in the next wave
+            wave = [(row, books[row].starts) for row, found in sorted(finished.items())
+                    if not self.flagged[row]
+                    and not any(books[row].add(*result) for _, *result in sorted(found))]
         return self.results(books, size)
 
     def results(self, books, size):
@@ -804,7 +761,7 @@ class _Batch:
                 x_opt=x_opt, p_max=p, eta_at_pmax=eta, evals=size + book.evals,
                 converged=conv, degenerate=False, active_bounds=active,
                 grad_rel=grad_rel, newton_step=newton_step,
-                max_curvature=_largest_eigenvalue(hess) if hess else math.nan,
+                max_curvature=float(np.linalg.eigvalsh(hess)[-1]) if hess else math.nan,
                 starts=book.starts))
         return out
 
@@ -850,12 +807,13 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     Multi-start Newton search: a coarse deterministic seed grid
     (``seeds_per_dim`` points per free dimension, window-relative in the
     x_r direction), then projected Newton ascent (:meth:`_Batch.ascend`)
-    from the best seeds in rank order, the first two in lockstep, each
-    moved first to the vertex of a parabola through its grid neighbours.
-    The refinement stops after the first start whose optimum agrees with
-    the best one so far (powers within ``f_rel_tol``, each search
-    coordinate within sqrt(``f_rel_tol``) of its range), so two starts are
-    the usual case; ``refine_top`` bounds the starts run, and
+    from the best seeds in rank order, each moved first to the vertex of a
+    parabola through its grid neighbours.  The starts run in waves
+    (:meth:`_Batch.run`): the two best seeds together, then one more seed
+    per wave.  The refinement stops after the first start whose optimum
+    agrees with the best one so far (powers within ``f_rel_tol``, each
+    search coordinate within sqrt(``f_rel_tol``) of its range), so two
+    starts are the usual case; ``refine_top`` bounds the starts run, and
     ``max_evals_per_seed`` the kernel evaluations of each.  The best
     refined point wins; powers within ``f_rel_tol`` of each other tie, and
     the better-ranked seed wins a tie, since rounding alone orders them.  A

@@ -117,6 +117,15 @@ class TestFig2:
             assert row["error"].startswith("bounds.x_l must be a pair")
             assert row["p_max"] is None
 
+    def test_no_free_energy_source_flags_every_row(self):
+        # temp = temp_p (eta_c = 0): no seed grid runs, every row is degenerate
+        table = run_fig2([0.0, 0.5], temp=5780.0, temp_p=5780.0, workers=1)
+        assert len(table.rows) == 4
+        for row in table.rows:
+            assert row["p_max"] == 0.0 and row["eta"] is None
+            assert row["error"] == "degenerate-operating-region"
+            assert row["converged"] is False
+
     @pytest.mark.parametrize("workers", [2.7, True, "two"])
     def test_bad_worker_count_refused(self, workers):
         with pytest.raises(ConfigError, match="worker count"):
