@@ -26,8 +26,8 @@ gradient, the Newton step left and the largest curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
 the seed grid, and the ascent never leaves positive power, so the maximizer
-stays inside the converter regime; a vanished operating region is reported
-via the ``degenerate`` flag rather than an error.
+stays inside the converter regime; a search none of whose seeds has
+positive power is reported via the ``degenerate`` flag rather than an error.
 """
 
 from __future__ import annotations
@@ -285,19 +285,21 @@ def _power_gradient(consts: tuple, points, refuse: bool = True):
 class OptResult:
     """Outcome of a power maximization.
 
-    ``p_max`` is in units of k_B * temp_p * gamma_p.  ``degenerate`` marks an
-    empty operating region (no seed produced positive power); ``eta_at_pmax``
-    is then None.  ``active_bounds`` lists free variables whose optimum sits
-    on the search box within 1e-6 of the range.  ``starts`` counts the
-    Newton starts run, 0 when degenerate.
+    ``p_max`` is in units of k_B * temp_p * gamma_p.  ``degenerate`` means no
+    seed had positive power, which proves the region empty only with x_r
+    free; ``eta_at_pmax`` is then None.  ``active_bounds`` lists free
+    variables whose optimum sits on the search box within 1e-6 of the range.
+    ``starts`` counts the Newton starts run, 0 when degenerate.
 
     The certificate is taken at the optimum, in the search coordinates t of
     its start (see :func:`maximize_power`; on a face of the x_r box, t less
-    nu) and over the coordinates not held at a bound: ``grad_rel`` is max |dP/dt_i| / P, ``newton_step`` max
-    |H^-1 grad P| (the distance left to the stationary point) and
-    ``max_curvature`` the largest eigenvalue of the Hessian H, negative at a
-    strict maximum.  All three are NaN when degenerate; with every
-    coordinate at a bound the first two are 0 and ``max_curvature`` is NaN.
+    nu) and over the coordinates not held at a bound: ``grad_rel`` is
+    max |dP/dt_i| / P, ``newton_step`` max |H^-1 grad P| (the distance left
+    to the stationary point; where H is not negative definite, the gradient
+    step of _MAX_STEP of a range) and ``max_curvature`` the largest
+    eigenvalue of H, negative at a strict maximum.  All three are NaN when
+    degenerate; with every coordinate at a bound the first two are 0 and
+    ``max_curvature`` is NaN.
     """
 
     x_opt: dict
@@ -558,20 +560,21 @@ class _Batch:
         """One lockstep round of projected Newton ascent over ``lanes``.
 
         ``lanes`` maps row, rank (of the lane's seed in its row), t (d, m),
-        p, evals, polished (the last step a full Newton step taken without
-        the line search), face (the x_r face a lane is pinned to, NaN off a
-        face) and fresh (p not yet evaluated) to arrays over the lanes.  A
-        round evaluates the fresh powers, then every lane's stencil in one
-        gradient call: the decoded points of t and of one point either side
-        of it along each coordinate, each with one imaginary step per
-        coordinate (:func:`_power_gradient`).  The Hessian is central
-        differences of it.  On the coordinates not held at a bound
-        (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982), -H plus a
-        Levenberg term, grown tenfold until Cholesky succeeds, gives the
-        step; a backtracking line search, one kernel call per trial for all
-        lanes still searching, each trial retracted into the box, takes it.
-        At a face of x_r's box, which is no face of the box in t, a lane
-        goes on with x_r pinned there and nu out of the search.
+        p (the power at t), evals, polished (the last step a full Newton
+        step taken without the line search) and face (the x_r face a lane is
+        pinned to, NaN off a face) to arrays over the lanes.  A round
+        evaluates every lane's stencil in one gradient call: the decoded
+        points of t and of one point either side of it along each
+        coordinate, each with one imaginary step per coordinate
+        (:func:`_power_gradient`).  The Hessian is central differences of
+        it.  On the coordinates not held at a bound (Bertsekas, SIAM J.
+        Control Optim. 20, 221-246, 1982) the step is Newton's, or the
+        range-scaled gradient cut to _MAX_STEP where -H is not positive
+        definite; a backtracking line search, one kernel call per trial for
+        all lanes still searching, each trial retracted into the box, takes
+        it.  At a face of x_r's box, which is no face of the box in t, a
+        lane goes on with x_r pinned there, its power evaluated anew, and nu
+        out of the search.
 
         A lane stops, converged, where H is negative definite on the free
         coordinates and the Newton step is within ``x_rel_tol`` of every
@@ -587,12 +590,6 @@ class _Batch:
         :class:`OptResult`, the Hessian on the free coordinates in place of
         its largest eigenvalue.
         """
-        fresh = lanes["fresh"]
-        if fresh.any():
-            rows = lanes["row"][fresh]
-            lanes["p"][fresh] = self.power(rows, *self.point(lanes["t"][:, fresh], rows,
-                                                             lanes["face"][fresh]))
-            lanes["fresh"] = np.zeros_like(fresh)
         dim, ir, span = len(self.free), self.slots[2], self.span[:, 0].tolist()
         steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
         rows, t, face = lanes["row"], lanes["t"], lanes["face"]
@@ -628,8 +625,11 @@ class _Batch:
                 switch = ends[0] | ends[1]
                 lanes["face"] = np.where(ends[0], self.box["x_r"][0],
                                          np.where(ends[1], self.box["x_r"][1], face))
-                lanes["fresh"], lanes["polished"] = switch, lanes["polished"] & ~switch
-                lanes["evals"] = lanes["evals"] + switch
+                lanes["polished"] &= ~switch
+                lanes["evals"] += switch
+                if switch.any():
+                    p[switch] = self.power(rows[switch], *self.point(
+                        t[:, switch], rows[switch], lanes["face"][switch]))
             lo[ir], hi[ir] = np.maximum(lo[ir], limits[0]), np.minimum(hi[ir], limits[1])
         free = [~((t[j] <= lo[j]) & (g[j] < 0.0) | (t[j] >= hi[j]) & (g[j] > 0.0))
                 for j in range(dim)]
@@ -640,18 +640,16 @@ class _Batch:
         gs = [np.where(free[j], g[j] * span[j], 0.0) for j in range(dim)]
         neg_h = [[np.where(free[i] & free[j], -hess[i][j] * span[i] * span[j], float(i == j))
                   for j in range(dim)] for i in range(dim)]
-        lam = np.zeros(len(rows))
         x, ok = _cholesky_solve(neg_h, gs)
-        while not ok.all():
-            diag = np.max([np.where(free[i], np.abs(neg_h[i][i]), 0.0) for i in range(dim)], axis=0)
-            lam = np.where(ok, lam, np.where(lam > 0.0, 10.0 * lam, 1e-6 * np.maximum(diag, 1.0)))
-            x, ok = _cholesky_solve([[v + lam * (i == j) for j, v in enumerate(row)]
-                                     for i, row in enumerate(neg_h)], gs)
+        # where -H is not positive definite there, the gradient step cut to _MAX_STEP
+        top = np.max(np.abs(gs), axis=0)
+        x = [np.where(ok, xj, gj * (_MAX_STEP / np.where(top > 0.0, top, 1.0)))
+             for xj, gj in zip(x, gs)]
         step, decrement = np.max(np.abs(x), axis=0), 0.0
         for gj, xj in zip(gs, x):
             decrement = decrement + gj * xj
-        newton = (lam == 0.0) & (decrement <= self.f_rel_tol * p)
-        converged = (lam == 0.0) & ((step <= self.x_rel_tol) | lanes["polished"] & newton)
+        newton = ok & (decrement <= self.f_rel_tol * p)
+        converged = ok & ((step <= self.x_rel_tol) | lanes["polished"] & newton)
         stop = ~switch & (converged | (lanes["evals"] >= self.max_evals) | (step == 0.0))
         search = ~switch & ~stop
 
@@ -703,8 +701,9 @@ class _Batch:
         The starts run in waves, every lane of a wave in lockstep: the
         first wave holds each row's two best seeds, and a row whose starts
         disagree so far (:class:`_Starts`) has its next seed in the next
-        wave.  Lanes are independent, so a row's result does not depend on
-        the wave its starts run in.
+        wave.  A wave's starting powers take one kernel call.  Lanes are
+        independent, so a row's result does not depend on the wave its
+        starts run in.
         """
         size, seeds, starts = self.seed()
         first = np.cumsum([0] + [len(s) for s in seeds]).tolist()
@@ -714,10 +713,10 @@ class _Batch:
                 for k in range(min(2, len(s)))]
         while wave:
             m, (rows, ranks) = len(wave), np.array(wave, dtype=int).T
-            lanes = {"row": rows, "rank": ranks, "t": starts[:, [first[r] + k for r, k in wave]],
-                     "p": np.full(m, math.nan), "evals": np.ones(m, dtype=int),
-                     "polished": np.zeros(m, dtype=bool), "face": np.full(m, math.nan),
-                     "fresh": np.ones(m, dtype=bool)}
+            t = starts[:, [first[r] + k for r, k in wave]]
+            lanes = {"row": rows, "rank": ranks, "t": t,
+                     "p": self.power(rows, *self.point(t, rows)), "evals": np.ones(m, dtype=int),
+                     "polished": np.zeros(m, dtype=bool), "face": np.full(m, math.nan)}
             finished = {}
             while lanes["row"].size:
                 lanes, stopped = self.ascend(lanes)

@@ -109,10 +109,11 @@ def thermo_report(state: DensityState, params: ModelParams) -> ThermoReport:
 
     The output power is computed both as bias times current and in the
     scaled-energy form temp_p * [x_g - (1 - eta_c)(x_r - x_l)] * J; the two
-    algebraic forms are asserted equal to 1e-12 relative.  A stationary
-    point with positive power and eta > eta_c raises
-    :class:`SecondLawViolationError`, unless its current is round-off of a
-    zero current, below the floor of its largest term.
+    algebraic forms are asserted equal to 1e-12 relative.  Where
+    temp <= temp_p, a stationary point with positive power and eta > eta_c
+    raises :class:`SecondLawViolationError`, unless its current is round-off
+    of a zero current, below the floor of its largest term.  Above temp_p the
+    leads are the hot bath, eta_c < 0 bounds nothing and eta_ca is NaN.
     """
     j_l, j_r = currents(state, params)
     stationary = abs(j_l + j_r) <= _STATIONARY_TOL * max(1.0, abs(j_l))
@@ -133,12 +134,11 @@ def thermo_report(state: DensityState, params: ModelParams) -> ThermoReport:
             f"power forms disagree: {power!r} vs {power_scaled_form!r}")
 
     eta = power / q_dot_p if q_dot_p != 0.0 else None
-    if params.temp <= params.temp_p:
-        _, eta_ca = reference_efficiencies(params.temp, params.temp_p)
-    else:
-        eta_ca = math.nan  # no converter regime above the photon temperature
+    converter = params.temp <= params.temp_p  # else no converter regime
+    eta_ca = reference_efficiencies(params.temp, params.temp_p)[1] if converter else math.nan
 
-    if stationary and power > 0.0 and eta is not None and eta > eta_c + _SECOND_LAW_SLACK:
+    if (converter and stationary and power > 0.0 and eta is not None
+            and eta > eta_c + _SECOND_LAW_SLACK):
         # the floor takes the rates a second time, so only where the bound is crossed
         args = _lead_current_args(state, build_rates(params))
         largest = 2.0 * max(abs(f * x) for f, x in zip(args[:4], args[4:]))

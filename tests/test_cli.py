@@ -270,6 +270,45 @@ class TestDispatch:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_file_not_json(self, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text("{not json")
+        assert main(["steady", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.strip())
+        assert record["error"] == "ConfigError" and "not valid JSON" in record["message"]
+        assert captured.out == ""
+
+    def test_unwritable_output_exit_code_and_record(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"r_step": 1.0}}))
+        out_file = tmp_path / "nodir" / "x.csv"
+        assert main(["fig2", "--config", str(config), "--out", str(out_file)]) == 4
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "OSError" and "nodir" in record["message"]
+
+    def test_maximize_degenerate_at_equal_temperatures(self, capsys):
+        assert main(["maximize", "--temp", "5780"]) == 0
+        out = capsys.readouterr().out
+        assert "eta_at_pmax = n/a" in out and "degenerate = True" in out
+
+    def test_maximize_warns_on_active_bounds(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"optimizer": {"bounds": {"x_l": [-20, -3]}}}))
+        assert main(["maximize", "--r-p", "0.9", "--config", str(config)]) == 0
+        assert "warning: optimum sits on bounds of x_l" in capsys.readouterr().out
+
+    def test_steady_dark_state_note(self, capsys):
+        assert main(["steady", "--r-p", "1", "--r-l", "1"]) == 0
+        assert "note: dark-state degeneracy" in capsys.readouterr().out
+
+    def test_thermo_with_leads_hotter_than_photons(self, capsys):
+        # no Carnot bound applies above temp_p: a heat-engine state is reported
+        assert main(["thermo", "--x-g", "5", "--x-l", "-2", "--x-r", "2",
+                     "--temp", "8000"]) == 0
+        out = capsys.readouterr().out
+        assert "power = 19.615" in out and "eta_ca = nan" in out
+
     def test_fig2_writes_table_and_respects_force(self, capsys, tmp_path):
         out_file = tmp_path / "map.csv"
         config = tmp_path / "cfg.json"

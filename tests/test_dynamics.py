@@ -79,6 +79,20 @@ def _superoperator_steady(p):
     return np.linalg.solve(M, b).reshape(4, 4)
 
 
+class TestDensityState:
+    @pytest.mark.parametrize("state, match", [
+        (DensityState(1.2, 0.0, -0.2, 0.0), "population rho1"),
+        (DensityState(0.5, 0.5, 0.0, 0.0, 0.6), "exceeds rho1\\*rho2"),
+    ])
+    def test_validate_refuses(self, state, match):
+        with pytest.raises(DomainError, match=match):
+            state.validate()
+
+    def test_from_vector_refuses_wrong_length(self):
+        with pytest.raises(DomainError, match=r"shape \(6,\), got \(5,\)"):
+            DensityState.from_vector(np.zeros(5))
+
+
 class TestGeneratorStructure:
     def test_left_null_vector_over_draws(self, rng):
         for _ in range(300):
@@ -143,6 +157,13 @@ class TestGeneratorStructure:
         r = build_rates(params_from_scaled(2.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             build_generator(r, 0.0, -1.0)
+
+    @pytest.mark.parametrize("delta21, tau, name", [
+        (0.0, math.nan, "tau"), (-1.0, 0.0, "delta21"), (math.nan, 0.0, "delta21")])
+    def test_bad_tau_or_splitting_rejected(self, delta21, tau, name):
+        r = build_rates(params_from_scaled(2.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            build_generator(r, delta21, tau)
 
     def test_matches_full_superoperator_oracle(self, rng):
         # the reduced 6x6 generator's steady state must agree with the

@@ -836,6 +836,53 @@ class TestStopRule:
         assert maximize_power(self.PARAMS, refine_top=2).starts == len(calls) == 2
 
 
+class TestIndefiniteHessianStep:
+    """Where -H is not positive definite on a lane's free coordinates, the lane
+    steps along its range-scaled gradient.  No workload meets such a Hessian,
+    so the first Cholesky solve of each search is made to fail on every lane,
+    and the search must still reach the optimum it reaches unforced."""
+
+    @staticmethod
+    def _first_solve_fails(monkeypatch):
+        solve, calls = optimize._cholesky_solve, []
+
+        def forced(a, b):
+            x, ok = solve(a, b)
+            calls.append(ok.size)
+            return x, ok & (len(calls) > 1)
+
+        monkeypatch.setattr(optimize, "_cholesky_solve", forced)
+        return calls
+
+    @staticmethod
+    def _same(got, want):
+        assert got.converged and want.converged
+        assert abs(got.p_max - want.p_max) <= 1e-12 * want.p_max
+        assert abs(got.eta_at_pmax - want.eta_at_pmax) <= 1e-7
+
+    @pytest.mark.parametrize("free, kwargs", [
+        (("x_l", "x_r"), {"r_p": 0.9}),
+        (("x_g", "x_l", "x_r"), {"r_p": 0.6, "r_l": 0.1, "tau": 1.0}),
+        (("x_g", "x_l", "x_r"), {"r_p": 0.9, "tau": INFINITE, "temp": 1500.0}),
+    ])
+    def test_maximize_power(self, monkeypatch, free, kwargs):
+        p = params_from_scaled(2.0, -1.0, 0.5, **kwargs)
+        want = maximize_power(p, free=free)
+        calls = self._first_solve_fails(monkeypatch)
+        self._same(maximize_power(p, free=free), want)
+        assert calls[0] >= 2  # every lane of the first wave took the gradient step
+
+    def test_fig2_sweep(self, monkeypatch):
+        want = run_fig2([0.0, 0.5, 1.0], workers=1).rows
+        calls = self._first_solve_fails(monkeypatch)
+        got = run_fig2([0.0, 0.5, 1.0], workers=1).rows
+        assert calls[0] == 18 and len(got) == 9
+        for row, ref in zip(got, want):
+            assert not row["error"] and row["converged"] and ref["converged"]
+            assert abs(row["p_max"] - ref["p_max"]) <= 1e-12 * ref["p_max"]
+            assert abs(row["eta"] - ref["eta"]) <= 1e-7
+
+
 # Five pinned oracle configurations: (r_p, r_l, tau, temp, box around the
 # optimum).  Box widths are sized so a 400-point axis resolves the quadratic
 # peak to well below the 1e-6 relative gate.

@@ -170,6 +170,17 @@ class TestThermoReport:
         with pytest.raises(SecondLawViolationError, match="above the Carnot bound"):
             thermo_report(st, p)
 
+    def test_leads_hotter_than_photons_are_no_violation(self):
+        # above temp_p the leads are the hot bath and eta_c < 0 bounds nothing:
+        # this heat engine takes 202.5 from the leads, gives 182.9 to the
+        # photons and produces entropy
+        p = params_from_scaled(5.0, -2.0, 2.0, temp=8000.0)
+        rep = thermo_report(solve(p), p)
+        assert rep.stationary and rep.power > 0.0 and rep.eta_c < 0.0
+        assert math.isnan(rep.eta_ca)
+        heat_from_leads = rep.power - rep.q_dot_p
+        assert -rep.q_dot_p / p.temp_p - heat_from_leads / p.temp > 0.0
+
     def test_nonstationary_input_flagged(self):
         p = params_from_scaled(2.0, -1.0, 3.0)
         rep = thermo_report(DensityState(0.0, 0.0, 0.0, 1.0), p)
