@@ -45,6 +45,12 @@ _NORM_ROW_INDEX = 3
 # having no unique solution.
 _COND_LIMIT = 1e12
 
+# Largest replaced-row residual of a steady state, relative to max(1, |A_ij|).
+_RESIDUAL_TOL = 1e-10
+
+# Largest trace drift of a stable integration at a block boundary.
+_TRACE_DRIFT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DensityState:
@@ -222,7 +228,7 @@ class SteadySolution:
     dark_state_branch: bool = False
 
 
-def steady_state(gen: Generator, residual_tol: float = 1e-10) -> SteadySolution:
+def steady_state(gen: Generator) -> SteadySolution:
     """Solve A v = 0 with unit trace; unique for irreducible dynamics.
 
     The empty-state row is replaced by the normalization row and the square
@@ -262,7 +268,7 @@ def steady_state(gen: Generator, residual_tol: float = 1e-10) -> SteadySolution:
     full_residual = float(np.abs(A @ v).max())
     replaced_residual = float(abs(A[_NORM_ROW_INDEX] @ v))
     # A is finite (Generator checks), so this float max is numpy's max |A_ij|
-    if replaced_residual > residual_tol * max(1.0, *map(abs, A.ravel().tolist())):
+    if replaced_residual > _RESIDUAL_TOL * max(1.0, *map(abs, A.ravel().tolist())):
         raise NoUniqueSteadyStateError(
             f"replaced-row residual {replaced_residual:.3e} exceeds tolerance; "
             "the computed kernel vector is not a steady state")
@@ -299,14 +305,13 @@ def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
     return M
 
 
-def evolve(gen: Generator, initial: DensityState, duration: float, dt: float,
-           trace_drift_tol: float = 1e-6) -> DensityState:
+def evolve(gen: Generator, initial: DensityState, duration: float, dt: float) -> DensityState:
     """Integrate v' = A v with fixed-step fourth-order Runge-Kutta.
 
     For a linear autonomous system the four RK4 stages collapse into a
     constant one-step propagator; steps are applied in blocks of up to 1024
     via exact binary powering, with the probability trace monitored at every
-    block boundary.  Instability (trace drift beyond ``trace_drift_tol`` or
+    block boundary.  Instability (trace drift beyond _TRACE_DRIFT_TOL or
     non-finite values) raises :class:`StepInstabilityError`.
 
     With ``dt <= 1e-3 / gamma`` the trace is preserved to 1e-9 over
@@ -328,15 +333,14 @@ def evolve(gen: Generator, initial: DensityState, duration: float, dt: float,
 
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
     h = duration / n_steps
-    M = _rk4_step_matrix(gen.matrix, h)
-    if not np.all(np.isfinite(M)):
-        raise StepInstabilityError("step matrix is not finite; reduce dt")
-
     block = 1024
     M_block = None
     remaining = n_steps
     # overflow during divergence is the detection signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
+        M = _rk4_step_matrix(gen.matrix, h)
+        if not np.all(np.isfinite(M)):
+            raise StepInstabilityError("step matrix is not finite; reduce dt")
         while remaining > 0:
             take = min(block, remaining)
             if take == block:
@@ -351,8 +355,8 @@ def evolve(gen: Generator, initial: DensityState, duration: float, dt: float,
             v = P @ v
             remaining -= take
             drift = abs(v[:4].sum() - 1.0)
-            if not np.all(np.isfinite(v)) or drift > trace_drift_tol:
+            if not np.all(np.isfinite(v)) or drift > _TRACE_DRIFT_TOL:
                 raise StepInstabilityError(
-                    f"trace drift {drift:.3e} exceeds {trace_drift_tol:.1e} with "
+                    f"trace drift {drift:.3e} exceeds {_TRACE_DRIFT_TOL:.1e} with "
                     f"dt = {h:.3e}; reduce the step size")
     return DensityState.from_vector(v)

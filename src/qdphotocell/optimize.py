@@ -116,6 +116,7 @@ _SINGULAR_REL = 1e-12
 # rows' grids in one pass: in-cache arrays keep the kernel near its best
 # time per point.
 _SEED_CHUNK = 4096
+_GRID_CHUNK = 65536  # grid_search_power's points per kernel call
 _SINGULAR_MESSAGE = ("degenerate steady-state system is singular or ill-conditioned; "
                      "the transition network likely does not connect all four dot states")
 
@@ -376,11 +377,12 @@ def _ranked_seeds(t_grid, p_grid, top):
 
 
 def _cholesky_solve(a, b):
-    """x with a x = b for symmetric matrices ``a`` (nested lists of lane
-    arrays) in every lane at once, and the mask of the lanes where ``a`` is
-    positive definite; x is meaningless in the others."""
+    """x with a x = b in every lane at once, for ``a`` a (d, d, m) stack of
+    symmetric matrices and ``b`` a (d, m) array, lane axis last, and the
+    mask of the lanes where ``a`` is positive definite; x, (d, m), is
+    meaningless in the others."""
     n, ok = len(b), np.ones(len(b[0]), dtype=bool)
-    low = [[None] * n for _ in range(n)]
+    low, x = np.zeros_like(a), np.array(b)
     for i in range(n):
         for j in range(i + 1):
             s = a[i][j]
@@ -391,7 +393,6 @@ def _cholesky_solve(a, b):
             else:
                 ok &= s > 0.0
                 low[i][i] = np.sqrt(np.where(s > 0.0, s, 1.0))
-    x = list(b)
     for i in range(n):
         for k in range(i):
             x[i] = x[i] - low[i][k] * x[k]
@@ -559,22 +560,23 @@ class _Batch:
     def ascend(self, lanes):
         """One lockstep round of projected Newton ascent over ``lanes``.
 
-        ``lanes`` maps row, rank (of the lane's seed in its row), t (d, m),
-        p (the power at t), evals, polished (the last step a full Newton
-        step taken without the line search) and face (the x_r face a lane is
-        pinned to, NaN off a face) to arrays over the lanes.  A round
-        evaluates every lane's stencil in one gradient call: the decoded
-        points of t and of one point either side of it along each
-        coordinate, each with one imaginary step per coordinate
-        (:func:`_power_gradient`).  The Hessian is central differences of
-        it.  On the coordinates not held at a bound (Bertsekas, SIAM J.
-        Control Optim. 20, 221-246, 1982) the step is Newton's, or the
-        range-scaled gradient cut to _MAX_STEP where -H is not positive
-        definite; a backtracking line search, one kernel call per trial for
-        all lanes still searching, each trial retracted into the box, takes
-        it.  At a face of x_r's box, which is no face of the box in t, a
-        lane goes on with x_r pinned there, its power evaluated anew, and nu
-        out of the search.
+        ``lanes`` maps row, rank (of the lane's seed in its row), t, p (the
+        power at t), evals, polished (the last step a full Newton step taken
+        without the line search) and face (the x_r face a lane is pinned to,
+        NaN off a face) to arrays over the m lanes.  Every per-coordinate
+        quantity is a (coordinate, lane) array: t, the gradient, the free
+        mask and the step (d, m), the Hessian (d, d, m).  A round evaluates
+        every lane's stencil in one gradient call: the decoded points of t
+        and of one point either side of it along each coordinate, each with
+        one imaginary step per coordinate (:func:`_power_gradient`).  The
+        Hessian is central differences of it.  On the coordinates not held
+        at a bound (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982) the
+        step is Newton's, or the range-scaled gradient cut to _MAX_STEP
+        where -H is not positive definite; a backtracking line search, one
+        kernel call per trial for all lanes still searching, each trial
+        retracted into the box, takes it.  At a face of x_r's box, which is
+        no face of the box in t, a lane goes on with x_r pinned there, its
+        power evaluated anew, and nu out of the search.
 
         A lane stops, converged, where H is negative definite on the free
         coordinates and the Newton step is within ``x_rel_tol`` of every
@@ -590,14 +592,13 @@ class _Batch:
         :class:`OptResult`, the Hessian on the free coordinates in place of
         its largest eigenvalue.
         """
-        dim, ir, span = len(self.free), self.slots[2], self.span[:, 0].tolist()
+        dim, ir, span = len(self.free), self.slots[2], self.span
         steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
         rows, t, face = lanes["row"], lanes["t"], lanes["face"]
-        up = np.minimum(t + _HESS_STEP * self.span, self.hi)
-        down = np.maximum(t - _HESS_STEP * self.span, self.lo)
-        stencil = np.repeat(t[:, None], 2 * dim + 1, axis=1)
-        for j in range(dim):
-            stencil[j, 1 + 2 * j], stencil[j, 2 + 2 * j] = up[j], down[j]
+        up = np.minimum(t + _HESS_STEP * span, self.hi)
+        down = np.maximum(t - _HESS_STEP * span, self.lo)
+        stencil, j = np.repeat(t[:, None], 2 * dim + 1, axis=1), np.arange(dim)
+        stencil[j, 1 + 2 * j], stencil[j, 2 + 2 * j] = up, down
         points = np.array(np.broadcast_arrays(*self.decode(stencil[:, :, None] + steps,
                                                            rows, face)))
         grad = _power_gradient(tuple(c[rows] for c in self.consts), points, refuse=False)
@@ -607,12 +608,11 @@ class _Batch:
         rows, t, p, face = lanes["row"], lanes["t"], lanes["p"], lanes["face"]
         on_face = ~np.isnan(face)
         lanes["evals"] = lanes["evals"] + (2 * (dim - on_face) + 1) * (dim - on_face)
-        g = grad[0]
-        hess = [[0.5 * ((grad[1 + 2 * j, i] - grad[2 + 2 * j, i]) / width[j]
-                        + (grad[1 + 2 * i, j] - grad[2 + 2 * i, j]) / width[i])
-                 for j in range(dim)] for i in range(dim)]
+        # slope[j, i]: the central difference of dP/dt_i along t_j
+        g, slope = grad[0], (grad[1::2] - grad[2::2]) / width[:, None]
+        hess = 0.5 * (slope.swapaxes(0, 1) + slope)
 
-        lo, hi = list(self.lo), list(self.hi)
+        lo, hi = self.lo, self.hi
         switch = np.zeros(len(rows), dtype=bool)
         if ir is not None:
             limits = self.nu_limits(t, rows)
@@ -630,32 +630,28 @@ class _Batch:
                 if switch.any():
                     p[switch] = self.power(rows[switch], *self.point(
                         t[:, switch], rows[switch], lanes["face"][switch]))
+            lo, hi = lo.repeat(len(rows), axis=1), hi.repeat(len(rows), axis=1)
             lo[ir], hi[ir] = np.maximum(lo[ir], limits[0]), np.minimum(hi[ir], limits[1])
-        free = [~((t[j] <= lo[j]) & (g[j] < 0.0) | (t[j] >= hi[j]) & (g[j] > 0.0))
-                for j in range(dim)]
+        free = ~((t <= lo) & (g < 0.0) | (t >= hi) & (g > 0.0))
         if ir is not None:
-            free[ir] = free[ir] & ~on_face
+            free[ir] &= ~on_face
 
         # the Newton step on the free coordinates, scaled by their ranges
-        gs = [np.where(free[j], g[j] * span[j], 0.0) for j in range(dim)]
-        neg_h = [[np.where(free[i] & free[j], -hess[i][j] * span[i] * span[j], float(i == j))
-                  for j in range(dim)] for i in range(dim)]
+        gs = np.where(free, g * span, 0.0)
+        neg_h = np.where(free[:, None] & free, -hess * span[:, None] * span,
+                         np.eye(dim)[:, :, None])
         x, ok = _cholesky_solve(neg_h, gs)
         # where -H is not positive definite there, the gradient step cut to _MAX_STEP
         top = np.max(np.abs(gs), axis=0)
-        x = [np.where(ok, xj, gj * (_MAX_STEP / np.where(top > 0.0, top, 1.0)))
-             for xj, gj in zip(x, gs)]
-        step, decrement = np.max(np.abs(x), axis=0), 0.0
-        for gj, xj in zip(gs, x):
-            decrement = decrement + gj * xj
+        x = np.where(ok, x, gs * (_MAX_STEP / np.where(top > 0.0, top, 1.0)))
+        step, decrement = np.max(np.abs(x), axis=0), sum(gs * x)
         newton = ok & (decrement <= self.f_rel_tol * p)
         converged = ok & ((step <= self.x_rel_tol) | lanes["polished"] & newton)
         stop = ~switch & (converged | (lanes["evals"] >= self.max_evals) | (step == 0.0))
         search = ~switch & ~stop
 
         # the line search: a full Newton step below resolution is taken untried
-        scale = np.minimum(1.0, _MAX_STEP / np.where(search, step, 1.0))
-        move = np.array([scale * x[j] * span[j] for j in range(dim)])
+        move = np.minimum(1.0, _MAX_STEP / np.where(search, step, 1.0)) * x * span
         searching = search.copy()
         for k in range(_BACKTRACKS):
             idx = np.flatnonzero(searching)
@@ -664,9 +660,7 @@ class _Batch:
             trial = self.retract(t[:, idx] + 0.5 ** k * move[:, idx], rows[idx], face[idx])
             p_trial = self.power(rows[idx], *self.point(trial, rows[idx], face[idx]))
             lanes["evals"][idx] += 1
-            gain = 0.0
-            for j in range(dim):
-                gain = gain + g[j, idx] * (trial[j] - t[j, idx])
+            gain = sum(g[:, idx] * (trial - t[:, idx]))
             took = ~np.isnan(p_trial) & (newton[idx] | (p_trial > p[idx])
                                          & (p_trial - p[idx] >= _ARMIJO * gain))
             hit = idx[took]
@@ -676,9 +670,8 @@ class _Batch:
 
         stopped = []
         if done.any():
-            free_done = np.array(free)[:, done]
-            newton_step = np.max(np.where(free_done, np.abs(np.array(x)[:, done]) * self.span,
-                                          0.0), axis=0)
+            free_done = free[:, done]
+            newton_step = np.max(np.where(free_done, np.abs(x[:, done]) * span, 0.0), axis=0)
             grad_rel = np.max(np.where(free_done, np.abs(g[:, done]), 0.0), axis=0) / p[done]
             t_out = t[:, done]
             if ir is not None:  # back to nu
@@ -687,12 +680,12 @@ class _Batch:
                                      ((face[done] - xl) / xg - 1.0) / self.window[rows[done]],
                                      t_out[ir])
             for k, lane in enumerate(np.flatnonzero(done).tolist()):
-                kept = [j for j in range(dim) if free[j][lane]]
+                kept = free[:, lane]
                 stopped.append((int(rows[lane]), int(lanes["rank"][lane]),
                                 tuple(t_out[:, k].tolist()), float(p[lane]),
                                 int(lanes["evals"][lane]), bool(converged[lane]),
                                 float(grad_rel[k]), float(newton_step[k]),
-                                [[float(hess[i][j][lane]) for j in kept] for i in kept]))
+                                hess[kept][:, kept, lane].tolist()))
         return _take(lanes, ~done & ~self.flagged[rows]), stopped
 
     def run(self):
@@ -883,8 +876,7 @@ def efficiency_at_max_power_curve(base: ModelParams, eta_c_grid,
             zip(grid, _maximize_rows(params, free, bounds, **opt_kwargs))]
 
 
-def grid_search_power(params: ModelParams, free, bounds=None,
-                      n_per_dim: int = 400, chunk: int = 65536):
+def grid_search_power(params: ModelParams, free, bounds=None, n_per_dim: int = 400):
     """Exhaustive rectangular grid search oracle over the original variables.
 
     Evaluates power on an ``n_per_dim`` grid per free dimension inside the
@@ -901,8 +893,8 @@ def grid_search_power(params: ModelParams, free, bounds=None,
 
     best_p = 0.0
     best_coords = {name: base[name] for name in free}
-    for start in range(0, total, chunk):
-        sl = slice(start, min(start + chunk, total))
+    for start in range(0, total, _GRID_CHUNK):
+        sl = slice(start, min(start + _GRID_CHUNK, total))
         vals = {**base, **{name: arr[sl] for name, arr in zip(free, flat)}}
         obs = steady_observables_grid(params, vals["x_g"], vals["x_l"], vals["x_r"])
         p = np.where(obs["power"] > 0.0, obs["power"], 0.0)

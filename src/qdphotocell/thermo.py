@@ -71,7 +71,10 @@ def currents(state: DensityState, params: ModelParams) -> tuple[float, float]:
 class ThermoReport:
     """Steady-state thermodynamic observables.
 
-    ``eta`` is None when the converter current vanishes (0/0 efficiency).
+    ``eta`` is power / q_dot_p in every regime, None when the converter
+    current vanishes (0/0 efficiency).  Above temp_p it is negative (-0.107
+    at x_g = 5, x_l = -2, x_r = 2, temp = 8000 K) and is not the efficiency
+    of the heat engine the leads then drive.
     ``stationary`` is False when the input state failed the current-balance
     check; the values are still reported but should not be read as
     steady-state thermodynamics.

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qdphotocell
-from qdphotocell import DEFAULT_BOUNDS, INFINITE, ModelParams, maximize_power
+from qdphotocell import DEFAULT_BOUNDS, INFINITE, ModelParams, maximize_power, selftest
 from qdphotocell.cli import main, parse_config
 from qdphotocell.errors import ConfigError
 from qdphotocell.experiments import SWEEP_DEFAULTS
@@ -148,6 +148,8 @@ class TestParseConfig:
     ("fig2", {"sweep": {"r_step": 0.3}}, "sweep: r grid step 0.3"),
     ("maximize", {"sweep": {"r_step": 0.3}}, "sweep: r grid step 0.3"),
     ("fig3a", {"sweep": {"eta_c_lo": 0.6, "eta_c_hi": 0.4}}, "sweep: eta_c grid"),
+    ("fig2", {"sweep": {"r_step": 0}}, "sweep: r grid step must lie in (0, 1], got 0.0"),
+    ("fig2", {"sweep": {"r_step": 2}}, "sweep: r grid step must lie in (0, 1], got 2.0"),
 ])
 def test_malformed_value_exit_code_and_record(capsys, tmp_path, cmd, doc, where):
     config = tmp_path / "bad.json"
@@ -383,6 +385,14 @@ class TestDispatch:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+
+    def test_selftest_failure_reported_and_exits_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "_SUITES", (("forced", lambda: (1, ["forced failure"])),))
+        lines = []
+        assert selftest.run_selftest(report=lines.append) == (0, 1)
+        assert lines[:2] == ["FAIL forced: 1/1 checks failed", "     forced failure"]
+        assert main(["selftest"]) == 5
+        assert "FAIL forced" in capsys.readouterr().out
 
 
 def test_module_entry_point_version():

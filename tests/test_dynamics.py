@@ -359,6 +359,17 @@ class TestEvolve:
         with pytest.raises(StepInstabilityError):
             evolve(make_gen(p), DensityState(0.0, 0.0, 0.0, 1.0), 2000.0, 5.0)
 
+    @pytest.mark.parametrize("duration, dt, match", [
+        # the step matrix overflows: refused without a RuntimeWarning first
+        (1e300, 1e300, "step matrix is not finite"),
+        # a finite step matrix whose steps let the trace run away
+        (1e4, 1e3, "trace drift .* exceeds"),
+    ])
+    def test_unstable_step_messages(self, duration, dt, match):
+        p = params_from_scaled(2.0, -1.0, 3.0, r_p=0.9)
+        with pytest.raises(StepInstabilityError, match=match):
+            evolve(make_gen(p), DensityState(0.0, 0.0, 0.0, 1.0), duration, dt)
+
     @pytest.mark.parametrize("duration,dt", [(-1.0, 1e-3), (1.0, 0.0),
                                              (1.0, -1e-3), (math.nan, 1e-3)])
     def test_bad_arguments(self, duration, dt):

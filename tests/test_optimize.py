@@ -883,6 +883,51 @@ class TestIndefiniteHessianStep:
             assert abs(row["eta"] - ref["eta"]) <= 1e-7
 
 
+class TestNewtonStopRules:
+    """The lane stop rules the workloads never reach: every lane of the
+    default sweeps stops on a Newton step within x_rel_tol."""
+
+    PARAMS = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
+
+    def test_resolution_rule_converges_below_x_rel_tol(self):
+        # a Newton step of 1e-15 of the range is below what the kernel
+        # resolves; two full Newton steps with a decrement within f_rel_tol
+        # of the power converge the lane with a larger step left
+        res = maximize_power(self.PARAMS, x_rel_tol=1e-15)
+        assert res.converged and res.starts == 2
+        assert res.newton_step > 40 * 1e-15
+
+    def test_evaluation_cap_stops_every_start(self):
+        full = maximize_power(self.PARAMS)
+        res = maximize_power(self.PARAMS, max_evals_per_seed=5)
+        # no start converges, so none agrees with another and all eight run
+        assert not res.converged and res.starts == 8
+        assert 0.0 < res.p_max <= full.p_max
+
+
+class TestCholeskySolve:
+    """The hand-written lane solver agrees with LAPACK on seeded stacks that
+    mix positive-definite and indefinite lanes."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_lapack(self, dim):
+        rng = np.random.default_rng(dim)
+        m = 64
+        q = np.linalg.qr(rng.normal(size=(m, dim, dim)))[0]
+        eig = rng.uniform(0.1, 10.0, size=(m, dim)) * np.where(
+            rng.random((m, dim)) < 0.25, -1.0, 1.0)
+        a = q @ (eig[:, :, None] * q.swapaxes(1, 2))
+        a = 0.5 * (a + a.swapaxes(1, 2))
+        b = rng.normal(size=(m, dim))
+        x, ok = optimize._cholesky_solve(a.transpose(1, 2, 0), b.T)
+        want_ok = np.linalg.eigvalsh(a)[..., 0] > 0.0
+        assert 0 < want_ok.sum() < m
+        assert np.array_equal(ok, want_ok)
+        want = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
+        err = np.linalg.norm(x.T[ok] - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+
 # Five pinned oracle configurations: (r_p, r_l, tau, temp, box around the
 # optimum).  Box widths are sized so a 400-point axis resolves the quadratic
 # peak to well below the 1e-6 relative gate.
