@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import itertools
 import json
 import math
 import numbers
@@ -59,6 +60,10 @@ SWEEP_DEFAULTS = {
 #: Photon cross coupling of the fig3a/fig3b curve families.
 FIG3_R_P = 0.9
 
+#: The most points a sweep grid may have: a step that asks for more is refused
+#: from its point count, before the grid is built.
+MAX_GRID_POINTS = 10_001
+
 #: Output formats of :meth:`SweepTable.write`, the first the default.
 FORMATS = ("csv", "json")
 
@@ -75,6 +80,9 @@ def default_r_grid(step: float = SWEEP_DEFAULTS["r_step"]) -> list[float]:
     if not 0.0 < step <= 1.0:
         raise ConfigError(f"r grid step must lie in (0, 1], got {step}")
     n = round(1.0 / step)
+    if n >= MAX_GRID_POINTS:
+        raise ConfigError(f"r_step {step} asks for {n + 1} grid points, more than "
+                          f"{MAX_GRID_POINTS}")
     if abs(n * step - 1.0) > 1e-9:
         raise ConfigError(f"r grid step {step} does not evenly divide [0, 1]")
     return [round(k * step, 12) for k in range(n + 1)]
@@ -87,15 +95,11 @@ def default_eta_c_grid(lo: float = SWEEP_DEFAULTS["eta_c_lo"],
     if not (0.0 < lo <= hi < 1.0 and step > 0.0):
         raise ConfigError("eta_c grid needs 0 < lo <= hi < 1 and step > 0, got "
                           f"lo={lo}, hi={hi}, step={step}")
-    vals = []
-    k = 0
-    while True:
-        v = round(lo + k * step, 12)
-        if v > hi + 1e-12:
-            break
-        vals.append(min(v, hi))
-        k += 1
-    return vals
+    if (hi - lo + 1e-12) / step >= MAX_GRID_POINTS:
+        raise ConfigError(f"eta_c_step {step} asks for more than {MAX_GRID_POINTS} "
+                          f"grid points over [{lo}, {hi}]")
+    values = (round(lo + k * step, 12) for k in itertools.count())
+    return [min(v, hi) for v in itertools.takewhile(lambda v: v <= hi + 1e-12, values)]
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 The output power is positive only inside the operating window
 x_g < x_r - x_l < x_g / (1 - eta_c), which collapses to a thin diagonal
 strip near equilibrium.  A plain rectangular seed grid in (x_l, x_r) can
-miss the strip entirely, so whenever x_r is free the search runs in
-window-relative coordinates: x_r = x_l + x_g * (1 + nu * eta_c / (1 - eta_c))
+miss the strip entirely, so whenever x_r is free the seed grid is
+window-relative in that direction: x_r = x_l + x_g * (1 + nu * eta_c / (1 - eta_c))
 with nu in (0, 1).  Seeding uses a coarse grid per free dimension, of which
 only the points at or above the ``refine_top``-th best power are ranked.
-The best seeds are refined in rank order by projected Newton ascent until a
-start lands in the basin of the best optimum so far (usually the second
-start), or the ``refine_top`` seeds are used up.  No randomness anywhere:
-identical configuration produces bit-identical results.
+The best seeds are refined in rank order by projected Newton ascent in
+(x_g, x_l, x_r), whose box is a box, until a start lands in the basin of the
+best optimum so far (usually the second start), or the ``refine_top`` seeds
+are used up.  Newton's step does not depend on the coordinates; only its
+stencil, its step cap and its stop test take x_r's steps across the window,
+in units of its width.  No randomness anywhere: identical configuration
+produces bit-identical results.
 
 The gradient is exact: a complex step through the closed-form kernel
 (:func:`_power_gradient`).  The Hessian is central differences of it.  One
@@ -76,14 +79,11 @@ _FREE_ORDER = ("x_g", "x_l", "x_r")
 # (f_rel_tol, x_rel_tol) are tolerances
 _COUNT_LEAST = {"seeds_per_dim": 2, "refine_top": 1, "max_evals_per_seed": 1}
 
-# Interior margin for the window coordinate; both window edges carry zero power.
-_NU_MARGIN = 1e-9
-
 # Two refined optima share a basin when their powers agree within f_rel_tol,
 # relative, and each search coordinate within f_rel_tol ** _SAME_BASIN_X_EXP of
-# its range.  Newton's stop pins a start's own coordinates closer, but on a
-# face of x_r's box a start converges in x_g and x_l, and the nu it implies
-# moves with them by more than x_rel_tol.
+# its range.  Newton's stop pins a converged start closer than that; the
+# square root is how closely a power within f_rel_tol pins a point near a
+# maximum, so the test also holds for starts stopped on their power.
 _SAME_BASIN_X_EXP = 0.5
 
 # Complex-step size of the gradient: no difference is taken, so any step this
@@ -93,11 +93,13 @@ _CS_STEP = 1e-30
 _OCC_SIGN = np.array([1.0, -1.0, -1.0])
 
 # The Hessian is central differences of the gradient over this fraction of
-# each search coordinate's range; its O(step^2) error slows Newton's rate but
-# does not move the point where the gradient vanishes.
+# each search coordinate's range, or of the operating window's width where
+# that is less; its O(step^2) error slows Newton's rate but does not move the
+# point where the gradient vanishes.
 _HESS_STEP = 1e-4
 
-# A Newton step is cut to at most this fraction of each coordinate's range;
+# A Newton step is cut to at most this fraction of each coordinate's step
+# unit (_Batch.ascend: a range, or for x_r the window's width across it);
 # the line search then halves it at most _BACKTRACKS times and takes the first
 # point that gains _ARMIJO of the first-order prediction.
 _MAX_STEP = 0.1
@@ -292,12 +294,11 @@ class OptResult:
     variables whose optimum sits on the search box within 1e-6 of the range.
     ``starts`` counts the Newton starts run, 0 when degenerate.
 
-    The certificate is taken at the optimum, in the search coordinates t of
-    its start (see :func:`maximize_power`; on a face of the x_r box, t less
-    nu) and over the coordinates not held at a bound: ``grad_rel`` is
-    max |dP/dt_i| / P, ``newton_step`` max |H^-1 grad P| (the distance left
+    The certificate is taken at the optimum, in the free variables among
+    (x_g, x_l, x_r) that are not held at a bound: ``grad_rel`` is
+    max |dP/dx_i| / P, ``newton_step`` max |H^-1 grad P| (the distance left
     to the stationary point; where H is not negative definite, the gradient
-    step of _MAX_STEP of a range) and ``max_curvature`` the largest
+    step of _MAX_STEP of a step unit) and ``max_curvature`` the largest
     eigenvalue of H, negative at a strict maximum.  All three are NaN when
     degenerate; with every coordinate at a bound the first two are 0 and
     ``max_curvature`` is NaN.
@@ -443,14 +444,12 @@ class _Batch:
     """The rows of one batched search, their shared frame, and the lockstep
     ascent of all their starts.
 
-    Search coordinates t hold the free names in ``_FREE_ORDER`` order; the
-    others stay at each row's (x_g, x_l, x_r).  A free x_r is held as the
-    window coordinate nu in (_NU_MARGIN, 1 - _NU_MARGIN),
-    x_r = x_l + x_g (1 + nu * window), and x_r's own box then bounds nu
-    through x_g and x_l.  Arrays of search vectors are (d, ..., m), one
-    entry per coordinate and the lane axis last, read with an array of the
-    rows of the lanes.  Every step is elementwise in the lanes, so a row's
-    result does not depend on the rows beside it.
+    Search coordinates t hold the free names in ``_FREE_ORDER`` order, in
+    the box of those names; the others stay at each row's (x_g, x_l, x_r).
+    Arrays of search vectors are (d, ..., m), one entry per coordinate and
+    the lane axis last, read with an array of the rows of the lanes.  Every
+    step is elementwise in the lanes, so a row's result does not depend on
+    the rows beside it.
     """
 
     def __init__(self, params, free, box, seeds_per_dim, refine_top, f_rel_tol,
@@ -458,7 +457,7 @@ class _Batch:
         self.free, self.box, self.spd, self.top = free, box, seeds_per_dim, refine_top
         self.f_rel_tol, self.x_rel_tol, self.max_evals = f_rel_tol, x_rel_tol, max_evals_per_seed
         self.slots = tuple(free.index(k) if k in free else None for k in _FREE_ORDER)
-        lo, hi = zip(*[(_NU_MARGIN, 1.0 - _NU_MARGIN) if k == "x_r" else box[k] for k in free])
+        lo, hi = zip(*[box[k] for k in free])
         self.lo, self.hi = np.array(lo)[:, None], np.array(hi)[:, None]
         self.span = self.hi - self.lo
         self.consts = _row_constants(params)
@@ -467,37 +466,9 @@ class _Batch:
         self.window = np.array([e / (1.0 - e) for e in self.eta_c])
         self.flagged = np.zeros(len(params), dtype=bool)
 
-    def decode(self, t, rows, face=None):
-        """(x_g, x_l, x_r) of search vectors of the rows ``rows``; x_r sits
-        at ``face`` in the lanes where that is a number, not NaN."""
-        ig, il, ir = self.slots
-        xg = self.base[0, rows] if ig is None else t[ig]
-        xl = self.base[1, rows] if il is None else t[il]
-        if ir is None:
-            return xg, xl, self.base[2, rows]
-        xr = xl + xg * (1.0 + t[ir] * self.window[rows])  # slot ir holds nu
-        return xg, xl, xr if face is None else np.where(np.isnan(face), xr, face)
-
-    def nu_limits(self, t, rows):
-        """The nu at which x_r meets either end of its box, at t's x_g and x_l."""
-        xg, xl, _ = self.decode(t, rows)
-        return [((r - xl) / xg - 1.0) / self.window[rows] for r in self.box["x_r"]]
-
-    def retract(self, t, rows, face):
-        """t clipped into the box, a free nu off a face further to keep x_r in its box."""
-        t, ir = np.minimum(np.maximum(t, self.lo), self.hi), self.slots[2]
-        if ir is not None:
-            lo, hi = self.nu_limits(t, rows)
-            t[ir] = np.where(np.isnan(face), np.minimum(np.maximum(t[ir], lo), hi), t[ir])
-        return t
-
-    def point(self, t, rows, face=None):
-        """(x_g, x_l, x_r) of retracted search vectors, x_r clipped into its
-        box against the rounding of the decode."""
-        xg, xl, xr = self.decode(t, rows, face)
-        if self.slots[2] is not None:
-            xr = np.minimum(np.maximum(xr, self.box["x_r"][0]), self.box["x_r"][1])
-        return xg, xl, xr
+    def decode(self, t, rows):
+        """(x_g, x_l, x_r) of search vectors of the rows ``rows``."""
+        return tuple(self.base[k, rows] if s is None else t[s] for k, s in enumerate(self.slots))
 
     def power(self, rows, xg, xl, xr):
         """The kernel's power at points of the rows ``rows`` in one array
@@ -515,20 +486,29 @@ class _Batch:
     def seed(self):
         """The seed grid of every row and each row's ranked seeds.
 
-        The grids are evaluated in chunks of about _SEED_CHUNK points.
-        Returns (points per grid, seed indices per row, starts), starts
-        (d, n) holding each ranked seed of every row, in row and rank
-        order, moved along each axis by at most half a grid step to the
+        A free x_r is gridded in the window coordinate nu in (0, 1),
+        x_r = x_l + x_g (1 + nu * eta_c / (1 - eta_c)): near equilibrium the
+        operating window is a thin strip that a rectangular grid in x_r
+        misses.  The grids are evaluated in chunks of about _SEED_CHUNK
+        points.  Returns (points per grid, seed indices per row, starts),
+        starts (d, n) holding each ranked seed of every row, in row and rank
+        order, moved along each grid axis by at most half a grid step to the
         vertex of the parabola through its power and its two grid
         neighbours', where all three are positive and the parabola opens
-        down.  Not along x_g: across its coarse grid the power is far from
-        quadratic, and moving x_g too made fig3-like 3-D runs longer.
+        down, then decoded to x_r and clipped into the box.  Not along x_g:
+        across its coarse grid the power is far from quadratic, and moving
+        x_g too made fig3-like 3-D runs longer.
         """
         spd, ig, ir = self.spd, self.slots[0], self.slots[2]
         axes = [np.linspace(lo, hi, spd) for lo, hi in zip(self.lo[:, 0], self.hi[:, 0])]
         if ir is not None:
             # strictly interior window points seed better than edge-touching ones
             axes[ir] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
+
+        def point(t, rows):  # (x_g, x_l, x_r) of grid vectors
+            xg, xl, xr = self.decode(t, rows)
+            return xg, xl, xr if ir is None else xl + xg * (1.0 + t[ir] * self.window[rows])
+
         t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
         n_rows, size = len(self.window), len(t_grid)
         r_lo, r_hi = self.box["x_r"] if ir is not None else (-math.inf, math.inf)
@@ -536,7 +516,7 @@ class _Batch:
         per = max(1, _SEED_CHUNK // size)
         for first in range(0, n_rows, per):
             rows = np.arange(first, min(first + per, n_rows))[:, None]
-            xg, xl, xr = self.decode(t_grid.T, rows)
+            xg, xl, xr = point(t_grid.T, rows)
             power = self.power(rows, xg, xl, xr)
             p_grid[first:first + per] = np.where(
                 (r_lo <= xr) & (xr <= r_hi) & (power > 0.0), power, 0.0)
@@ -555,110 +535,98 @@ class _Batch:
             move = inner & (pm > 0.0) & (pp > 0.0) & (bend < 0.0)
             shift = np.minimum(np.maximum(0.5 * (pm - pp) / np.where(move, bend, -1.0), -0.5), 0.5)
             starts[j] = np.where(move, starts[j] + shift * float(axis[1] - axis[0]), starts[j])
-        return size, seeds, self.retract(starts, rows, np.full(len(rows), math.nan))
+        if ir is not None:
+            starts[ir] = point(starts, rows)[2]
+        return size, seeds, np.minimum(np.maximum(starts, self.lo), self.hi)
 
     def ascend(self, lanes):
         """One lockstep round of projected Newton ascent over ``lanes``.
 
         ``lanes`` maps row, rank (of the lane's seed in its row), t, p (the
-        power at t), evals, polished (the last step a full Newton step taken
-        without the line search) and face (the x_r face a lane is pinned to,
-        NaN off a face) to arrays over the m lanes.  Every per-coordinate
-        quantity is a (coordinate, lane) array: t, the gradient, the free
-        mask and the step (d, m), the Hessian (d, d, m).  A round evaluates
-        every lane's stencil in one gradient call: the decoded points of t
-        and of one point either side of it along each coordinate, each with
-        one imaginary step per coordinate (:func:`_power_gradient`).  The
-        Hessian is central differences of it.  On the coordinates not held
-        at a bound (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982) the
-        step is Newton's, or the range-scaled gradient cut to _MAX_STEP
-        where -H is not positive definite; a backtracking line search, one
-        kernel call per trial for all lanes still searching, each trial
-        retracted into the box, takes it.  At a face of x_r's box, which is
-        no face of the box in t, a lane goes on with x_r pinned there, its
-        power evaluated anew, and nu out of the search.
+        power at t), evals and polished (the last step a full Newton step
+        taken without the line search) to arrays over the m lanes.  Every
+        per-coordinate quantity is a (coordinate, lane) array: t, the
+        gradient, the free mask and the step (d, m), the Hessian (d, d, m).
+        A round evaluates every lane's stencil in one gradient call: the
+        points of t and of one point either side of it along each
+        coordinate, each with one imaginary step per coordinate
+        (:func:`_power_gradient`).  On the coordinates not held at a bound
+        (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982) the step is
+        Newton's, or the gradient cut to _MAX_STEP where -H is not positive
+        definite; a backtracking line search, one kernel call per trial for
+        all lanes still searching, each trial clipped into the box, takes
+        it.  x_g and x_l step in units of their ranges.  x_r steps in units
+        of the operating window's width W = x_g eta_c / (1 - eta_c), capped
+        at x_r's range, and is measured across the window at fixed x_g and
+        x_l, dx_r - dx_l - dx_g (x_r - x_l) / x_g: near equilibrium the
+        window is a strip far thinner than any range.  The Hessian is
+        central differences over _HESS_STEP of each unit, and of W where
+        that is less.
 
         A lane stops, converged, where H is negative definite on the free
-        coordinates and the Newton step is within ``x_rel_tol`` of every
-        range, or where a full Newton step with a decrement g.(-H)^-1.g
-        within ``f_rel_tol`` of the power, a gain the kernel cannot resolve
-        and so taken without the line search, is followed by another such.
-        It stops unconverged when the line search fails or its evaluations
+        coordinates and the Newton step is within ``x_rel_tol`` of a unit,
+        or where a full Newton step with a decrement g.(-H)^-1.g within
+        ``f_rel_tol`` of the power, a gain the kernel cannot resolve and so
+        taken without the line search, is followed by another such.  It
+        stops unconverged when the line search fails or its evaluations
         (stencil points and trials) reach ``max_evals_per_seed``.
 
         Returns the lanes left and, per stopped lane, (row, rank, t, p,
-        evals, converged, grad_rel, newton_step, hess): t a tuple of floats
-        with nu restored on a face, and the certificate at t as in
-        :class:`OptResult`, the Hessian on the free coordinates in place of
-        its largest eigenvalue.
+        evals, converged, grad_rel, newton_step, hess): t a tuple of floats,
+        and the certificate at t as in :class:`OptResult`, the Hessian on
+        the free coordinates in place of its largest eigenvalue.
         """
-        dim, ir, span = len(self.free), self.slots[2], self.span
+        dim, ir = len(self.free), self.slots[2]
         steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
-        rows, t, face = lanes["row"], lanes["t"], lanes["face"]
-        up = np.minimum(t + _HESS_STEP * span, self.hi)
-        down = np.maximum(t - _HESS_STEP * span, self.lo)
+        rows, t = lanes["row"], lanes["t"]
+        unit = self.span.repeat(len(rows), axis=1)
+        if ir is not None:
+            unit[ir] = np.minimum(self.decode(t, rows)[0] * self.window[rows], self.span[ir])
+        reach = _HESS_STEP * (self.span if ir is None else np.minimum(self.span, unit[ir]))
+        up, down = np.minimum(t + reach, self.hi), np.maximum(t - reach, self.lo)
         stencil, j = np.repeat(t[:, None], 2 * dim + 1, axis=1), np.arange(dim)
         stencil[j, 1 + 2 * j], stencil[j, 2 + 2 * j] = up, down
-        points = np.array(np.broadcast_arrays(*self.decode(stencil[:, :, None] + steps,
-                                                           rows, face)))
+        points = np.array(np.broadcast_arrays(*self.decode(stencil[:, :, None] + steps, rows)))
         grad = _power_gradient(tuple(c[rows] for c in self.consts), points, refuse=False)
         self._flag(rows, grad)
         keep = ~self.flagged[rows]
-        lanes, grad, width = _take(lanes, keep), grad[..., keep], (up - down)[:, keep]
-        rows, t, p, face = lanes["row"], lanes["t"], lanes["p"], lanes["face"]
-        on_face = ~np.isnan(face)
-        lanes["evals"] = lanes["evals"] + (2 * (dim - on_face) + 1) * (dim - on_face)
+        lanes, grad, unit = _take(lanes, keep), grad[..., keep], unit[:, keep]
+        width = (up - down)[:, keep]
+        rows, t, p = lanes["row"], lanes["t"], lanes["p"]
+        lanes["evals"] = lanes["evals"] + (2 * dim + 1) * dim
         # slope[j, i]: the central difference of dP/dt_i along t_j
         g, slope = grad[0], (grad[1::2] - grad[2::2]) / width[:, None]
         hess = 0.5 * (slope.swapaxes(0, 1) + slope)
+        free = ~((t <= self.lo) & (g < 0.0) | (t >= self.hi) & (g > 0.0))
 
-        lo, hi = self.lo, self.hi
-        switch = np.zeros(len(rows), dtype=bool)
-        if ir is not None:
-            limits = self.nu_limits(t, rows)
-            if dim > 1:
-                # nu is held at a face of x_r's box with the gradient pointing
-                # out, and another coordinate is left: pin x_r to that face
-                ends = [~on_face & (lo[ir] < v) & (v < hi[ir]) & held for v, held in zip(
-                    limits, ((t[ir] <= limits[0]) & (g[ir] < 0.0),
-                             (t[ir] >= limits[1]) & (g[ir] > 0.0)))]
-                switch = ends[0] | ends[1]
-                lanes["face"] = np.where(ends[0], self.box["x_r"][0],
-                                         np.where(ends[1], self.box["x_r"][1], face))
-                lanes["polished"] &= ~switch
-                lanes["evals"] += switch
-                if switch.any():
-                    p[switch] = self.power(rows[switch], *self.point(
-                        t[:, switch], rows[switch], lanes["face"][switch]))
-            lo, hi = lo.repeat(len(rows), axis=1), hi.repeat(len(rows), axis=1)
-            lo[ir], hi[ir] = np.maximum(lo[ir], limits[0]), np.minimum(hi[ir], limits[1])
-        free = ~((t <= lo) & (g < 0.0) | (t >= hi) & (g > 0.0))
-        if ir is not None:
-            free[ir] &= ~on_face
-
-        # the Newton step on the free coordinates, scaled by their ranges
-        gs = np.where(free, g * span, 0.0)
-        neg_h = np.where(free[:, None] & free, -hess * span[:, None] * span,
+        # the Newton step on the free coordinates, in their step units
+        gs = np.where(free, g * unit, 0.0)
+        neg_h = np.where(free[:, None] & free, -hess * unit[:, None] * unit,
                          np.eye(dim)[:, :, None])
         x, ok = _cholesky_solve(neg_h, gs)
         # where -H is not positive definite there, the gradient step cut to _MAX_STEP
         top = np.max(np.abs(gs), axis=0)
         x = np.where(ok, x, gs * (_MAX_STEP / np.where(top > 0.0, top, 1.0)))
-        step, decrement = np.max(np.abs(x), axis=0), sum(gs * x)
+        dx, decrement = x * unit, sum(gs * x)
+        extent = np.abs(x)
+        if ir is not None:  # x_r's step across the window
+            xg, xl, xr = self.decode(t, rows)
+            dg, dl, dr = (0.0 if k is None else dx[k] for k in self.slots)
+            extent[ir] = np.abs(dr - dl - dg * (xr - xl) / xg) / unit[ir]
+        step = np.max(extent, axis=0)
         newton = ok & (decrement <= self.f_rel_tol * p)
         converged = ok & ((step <= self.x_rel_tol) | lanes["polished"] & newton)
-        stop = ~switch & (converged | (lanes["evals"] >= self.max_evals) | (step == 0.0))
-        search = ~switch & ~stop
+        stop = converged | (lanes["evals"] >= self.max_evals) | (step == 0.0)
 
         # the line search: a full Newton step below resolution is taken untried
-        move = np.minimum(1.0, _MAX_STEP / np.where(search, step, 1.0)) * x * span
-        searching = search.copy()
+        move = np.minimum(1.0, _MAX_STEP / np.where(stop, 1.0, step)) * dx
+        searching = ~stop
         for k in range(_BACKTRACKS):
             idx = np.flatnonzero(searching)
             if not idx.size:
                 break
-            trial = self.retract(t[:, idx] + 0.5 ** k * move[:, idx], rows[idx], face[idx])
-            p_trial = self.power(rows[idx], *self.point(trial, rows[idx], face[idx]))
+            trial = np.minimum(np.maximum(t[:, idx] + 0.5 ** k * move[:, idx], self.lo), self.hi)
+            p_trial = self.power(rows[idx], *self.decode(trial, rows[idx]))
             lanes["evals"][idx] += 1
             gain = sum(g[:, idx] * (trial - t[:, idx]))
             took = ~np.isnan(p_trial) & (newton[idx] | (p_trial > p[idx])
@@ -671,18 +639,12 @@ class _Batch:
         stopped = []
         if done.any():
             free_done = free[:, done]
-            newton_step = np.max(np.where(free_done, np.abs(x[:, done]) * span, 0.0), axis=0)
+            newton_step = np.max(np.where(free_done, np.abs(dx[:, done]), 0.0), axis=0)
             grad_rel = np.max(np.where(free_done, np.abs(g[:, done]), 0.0), axis=0) / p[done]
-            t_out = t[:, done]
-            if ir is not None:  # back to nu
-                xg, xl, _ = self.decode(t_out, rows[done])
-                t_out[ir] = np.where(on_face[done],
-                                     ((face[done] - xl) / xg - 1.0) / self.window[rows[done]],
-                                     t_out[ir])
             for k, lane in enumerate(np.flatnonzero(done).tolist()):
                 kept = free[:, lane]
                 stopped.append((int(rows[lane]), int(lanes["rank"][lane]),
-                                tuple(t_out[:, k].tolist()), float(p[lane]),
+                                tuple(t[:, lane].tolist()), float(p[lane]),
                                 int(lanes["evals"][lane]), bool(converged[lane]),
                                 float(grad_rel[k]), float(newton_step[k]),
                                 hess[kept][:, kept, lane].tolist()))
@@ -708,8 +670,8 @@ class _Batch:
             m, (rows, ranks) = len(wave), np.array(wave, dtype=int).T
             t = starts[:, [first[r] + k for r, k in wave]]
             lanes = {"row": rows, "rank": ranks, "t": t,
-                     "p": self.power(rows, *self.point(t, rows)), "evals": np.ones(m, dtype=int),
-                     "polished": np.zeros(m, dtype=bool), "face": np.full(m, math.nan)}
+                     "p": self.power(rows, *self.decode(t, rows)), "evals": np.ones(m, dtype=int),
+                     "polished": np.zeros(m, dtype=bool)}
             finished = {}
             while lanes["row"].size:
                 lanes, stopped = self.ascend(lanes)
@@ -724,26 +686,20 @@ class _Batch:
 
     def results(self, books, size):
         """The OptResult of each row from its starts, or the error that flags it."""
-        won = [r for r, book in enumerate(books) if book.best and not self.flagged[r]]
-        optima = {}
-        if won:
-            t = np.array([books[r].best[1] for r in won]).T
-            optima = dict(zip(won, zip(*(np.broadcast_to(v, len(won)).tolist()
-                                         for v in self.point(t, np.array(won))))))
         out = []
         for row, book in enumerate(books):
             if self.flagged[row]:
                 out.append(NoUniqueSteadyStateError(_SINGULAR_MESSAGE))
                 continue
-            if row not in optima:  # no seed had positive power
-                base = dict(zip(_FREE_ORDER, self.base[:, row].tolist()))
+            base = dict(zip(_FREE_ORDER, self.base[:, row].tolist()))
+            if book.best is None:  # no seed had positive power
                 out.append(OptResult(x_opt={k: base[k] for k in self.free}, p_max=0.0,
                                      eta_at_pmax=None, evals=size, converged=False,
                                      degenerate=True))
                 continue
-            p, _, (conv, grad_rel, newton_step, hess) = book.best
-            xg, xl, xr = optima[row]
-            x_opt = {k: v for k, v in zip(_FREE_ORDER, (xg, xl, xr)) if k in self.free}
+            p, t, (conv, grad_rel, newton_step, hess) = book.best
+            x_opt = dict(zip(self.free, t))
+            xg, xl, xr = {**base, **x_opt}.values()
             box = self.box
             active = tuple(k for k in self.free
                            if min(abs(x_opt[k] - box[k][0]), abs(x_opt[k] - box[k][1]))

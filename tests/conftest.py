@@ -36,12 +36,16 @@ from qdphotocell.model import ModelParams, RateSet, bose_occupation, fermi_occup
 from qdphotocell.optimize import (
     _BOUND_FLAG_FRACTION,
     _FREE_ORDER,
-    _NU_MARGIN,
     _SAME_BASIN_X_EXP,
-    _steady_at,
+    _degenerate_steady,
+    _kernel_constants,
     _validated_options,
 )
 from qdphotocell.selftest import draw_params
+
+# Interior margin of the window coordinate nu in reference_maximize_power's
+# simplex; both window edges carry zero power.
+_NU_MARGIN = 1e-9
 
 
 def draw_fast_mixing_params(rng, min_gap=0.11, **fixed):
@@ -137,9 +141,9 @@ class PolishedOptimum:
     In the window coordinate nu the efficiency is eta = eta_c * (1 - nu).
     ``grad_rel`` is max |dP/dt_i| / P and ``newton_step`` max |H^-1 grad P|
     (the distance left to the stationary point), both at the polished
-    point; ``max_curvature`` is the largest Hessian eigenvalue, negative at
-    a strict maximum.  ``result`` is the :func:`maximize_power` optimum it
-    started from.
+    point; ``max_curvature`` is the largest eigenvalue of the Hessian
+    ``hess`` in (x_g, x_l, nu), negative at a strict maximum.  ``result`` is
+    the :func:`maximize_power` optimum it started from.
     """
 
     eta_c: float
@@ -148,6 +152,7 @@ class PolishedOptimum:
     grad_rel: float
     newton_step: float
     max_curvature: float
+    hess: np.ndarray
     result: OptResult
 
 
@@ -170,7 +175,7 @@ def polish_max_power(eta_c, tau):
         grad_rel=float(np.abs(grad).max() / power),
         newton_step=float(np.abs(np.linalg.solve(hess, grad)).max()),
         max_curvature=float(np.linalg.eigvalsh(hess).max()),
-        result=res)
+        hess=hess, result=res)
 
 
 @dataclass(frozen=True)
@@ -217,9 +222,9 @@ def near_equilibrium_fits():
 # ---- Nelder-Mead oracles -----------------------------------------------------
 
 # The derivative-free simplex that refined maximize_power's seeds before
-# projected Newton did.  A test-side oracle, not used by the package; it keeps
-# its simplex on Python floats and must return exactly what the array simplex
-# below returns.
+# projected Newton did.  A test-side oracle, not used by the package, and the
+# simplex of reference_maximize_power; it keeps its simplex on Python floats
+# and must return exactly what the array simplex below returns.
 def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
                 x_scale=None, max_evals=2000):
     """Deterministic Nelder-Mead minimization with relative tolerances.
@@ -313,7 +318,7 @@ def nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
             x_spread_of(simplex))
 
 
-# The simplex held in numpy arrays, the oracle of reference_maximize_power.
+# The simplex held in numpy arrays, the reference the float simplex is pinned to.
 def reference_nelder_mead(fn, x0, step, *, f_rel_tol=1e-9, x_rel_tol=1e-8,
                           x_scale=None, max_evals=2000):
     """Deterministic Nelder-Mead minimization with relative tolerances.
@@ -617,11 +622,12 @@ def reference_steady_state(gen: Generator, residual_tol: float = 1e-10) -> Stead
 
 # ---- maximize_power oracle ----------------------------------------------------
 
-# qdphotocell.optimize.maximize_power as it read with a Nelder-Mead refinement,
-# before its hot path was made lean: the objective takes an array and re-reads
-# params through _steady_at on every evaluation, and all 4,096 (or 256) seeds
-# are lexsorted.  It runs on the array simplex above, so it is wholly
-# test-side, the derivative-free oracle of the package's Newton search.
+# qdphotocell.optimize.maximize_power as it read with a Nelder-Mead refinement:
+# the objective clips, decodes the window coordinate nu and box-tests on
+# floats, the kernel constants computed once, and all 4,096 (or 256) seeds
+# are lexsorted.  It runs on the float simplex above, which the array simplex
+# pins bit for bit, so it is wholly test-side, the derivative-free oracle of
+# the package's Newton search.
 # ``all_starts`` refines all ``refine_top`` best seeds, as the search did
 # before it stopped at the first start that agrees with the incumbent.
 def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
@@ -677,17 +683,19 @@ def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=No
     t_lo, t_hi = (np.array(b) for b in zip(*t_box))
 
     evals = 0
+    consts = _kernel_constants(params)
 
     def neg_power(t):
-        # the Nelder-Mead objective: -power inside the box and the converter
-        # regime, -0.0 elsewhere
+        # the Nelder-Mead objective on any sequence of floats: -power inside
+        # the box and the converter regime, -0.0 elsewhere
         nonlocal evals
         evals += 1
-        t = [min(max(v, lo), hi) for v, (lo, hi) in zip(t.tolist(), t_box)]
+        t = [min(max(v, lo), hi) for v, (lo, hi) in zip(t, t_box)]
         xg, xl, xr = decode(t)
         if not r_lo <= xr <= r_hi:
             return -0.0
-        p = _steady_at(params, xg, xl, xr)[0]
+        p = _degenerate_steady(consts, xg, xl, xr, bose_occupation(xg),
+                               fermi_occupation(xl), fermi_occupation(xr))[0]
         return -p if p > 0.0 else -0.0
 
     # ---- seed grid (vectorized) ----
@@ -720,7 +728,7 @@ def reference_maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=No
     best = None  # (power, decoded point, t, converged)
     for starts, i in enumerate(seeds, 1):
         t0 = np.minimum(np.maximum(t_grid[i], t_lo + step), t_hi - step)
-        tb, fb, used, conv, _, _ = reference_nelder_mead(
+        tb, fb, used, conv, _, _ = nelder_mead(
             neg_power, t0, step,
             f_rel_tol=f_rel_tol, x_rel_tol=x_rel_tol,
             x_scale=t_range, max_evals=max_evals_per_seed)

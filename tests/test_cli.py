@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,26 @@ def test_malformed_value_exit_code_and_record(capsys, tmp_path, cmd, doc, where)
     assert record["error"] == "ConfigError"
     assert where in record["message"]
     assert captured.out == ""  # refused before the resolved config is echoed
+
+
+@pytest.mark.parametrize("cmd, key, step", [("steady", "r_step", 1e-9),
+                                            ("fig3a", "eta_c_step", 1e-12)])
+def test_huge_sweep_grid_refused_before_it_is_built(capsys, tmp_path, cmd, key, step):
+    # 1e-9 asks for 10^9 + 1 r values and 1e-12 for ~9e11 eta_c values; the
+    # point count is refused before any is built, for every command
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"sweep": {key: step}}))
+    tracemalloc.start()
+    try:
+        code = main([cmd, "--config", str(config)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert code == 2 and record["error"] == "ConfigError" and captured.out == ""
+    assert f"sweep: {key} {step} asks for" in record["message"]
+    assert peak < 1_000_000
 
 
 def test_config_schema_doc_matches_defaults():

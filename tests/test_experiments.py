@@ -16,7 +16,8 @@ from qdphotocell import (
     run_fig3b,
 )
 from qdphotocell.errors import ConfigError, OutputExistsError
-from qdphotocell.experiments import SweepTable, default_eta_c_grid, default_r_grid
+from qdphotocell.experiments import (MAX_GRID_POINTS, SweepTable, default_eta_c_grid,
+                                     default_r_grid)
 from conftest import general_path_observables
 
 FAST_OPT = {"seeds_per_dim": 8, "refine_top": 4}
@@ -43,6 +44,15 @@ class TestGrids:
             default_r_grid(0.3)
         with pytest.raises(ConfigError):
             default_eta_c_grid(step=-0.1)
+
+    def test_point_cap(self):
+        # MAX_GRID_POINTS points are built; one more is refused from the count
+        assert len(default_r_grid(1e-4)) == MAX_GRID_POINTS
+        assert len(default_eta_c_grid(0.05, 0.95, 0.9 / 10_000)) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="r_step"):
+            default_r_grid(1.0 / 10_001)
+        with pytest.raises(ConfigError, match="eta_c_step"):
+            default_eta_c_grid(0.05, 0.95, 0.9 / 10_001)
 
 
 class TestFig2:

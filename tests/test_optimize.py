@@ -389,8 +389,8 @@ class TestKernelRefusal:
 
 
 def _search_gradient(params, eta_c, t):
-    """The package's complex-step gradient of the power in the search
-    coordinates t = (x_g, x_l, nu) of a 3-D search."""
+    """The package's complex-step gradient of the power in the window
+    coordinates t = (x_g, x_l, nu) of a 3-D seed grid."""
     xg, xl, nu = (np.asarray(t, dtype=complex) + 1j * _CS_STEP * np.eye(3)).T
     xr = xl + xg * (1.0 + nu * eta_c / (1.0 - eta_c))
     return _power_gradient(_kernel_constants(params), np.array([xg, xl, xr]))
@@ -411,7 +411,9 @@ class TestPowerGradient:
 
     def test_is_the_certificate_at_the_optimum(self):
         # a converged optimum is within x_rel_tol (1e-8) of each range of the
-        # stationary point, and its grad_rel is this gradient's
+        # stationary point, where the gradient in the window coordinates
+        # vanishes too: within approx's default absolute 1e-12 of grad_rel,
+        # which is taken in (x_g, x_l, x_r)
         p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
         res = maximize_power(p, free=("x_g", "x_l", "x_r"))
         eta_c = 1.0 - p.temp / p.temp_p
@@ -420,6 +422,17 @@ class TestPowerGradient:
         grad_rel = np.abs(_search_gradient(p, eta_c, t)).max() / res.p_max
         assert res.converged and res.newton_step <= 1e-8 * 29.9 and grad_rel <= 1e-6
         assert grad_rel == pytest.approx(res.grad_rel, rel=1e-3)
+
+    def test_certificate_is_in_the_box_coordinates(self):
+        # Newton runs in (x_g, x_l, x_r), so grad_rel is the largest
+        # derivative of the power along them at x_opt, over the power; both
+        # are ~1e-14, so no absolute tolerance
+        p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
+        res = maximize_power(p, free=("x_g", "x_l", "x_r"))
+        x = np.array([res.x_opt[k] for k in ("x_g", "x_l", "x_r")])
+        grad = _power_gradient(_kernel_constants(p), x[:, None] + 1j * _CS_STEP * np.eye(3))
+        assert res.converged and not res.active_bounds
+        assert np.abs(grad).max() / res.p_max == pytest.approx(res.grad_rel, rel=1e-3, abs=0.0)
 
 
 class TestMaximizePower:
@@ -660,10 +673,9 @@ def test_matches_all_starts_oracle_on_bounded_draws(rng):
 
 
 def test_optimum_on_a_face_of_the_x_r_box():
-    # x_r is decoded from the window coordinate, so its box is no box in the
-    # search coordinates; the optimum of this draw sits on its upper face,
-    # and a search that stops at the face without moving along it ends
-    # 8.7e-6 relative below the simplex's p_max
+    # the optimum of this draw sits on the upper face of the x_r box, and a
+    # search that stops at the face without moving along it ends 8.7e-6
+    # relative below the simplex's p_max
     p, free, bounds = list(_bit_identity_draws(np.random.default_rng(1), 66))[20]
     got = maximize_power(p, free=free, bounds=bounds)
     assert free == ("x_g", "x_r") and got.active_bounds == ("x_r",)
@@ -676,7 +688,7 @@ def test_optimum_on_a_face_of_the_x_r_box():
 def test_x_r_face_still_binds():
     # at every optimum on a face of the x_r box the power still rises through
     # that face (dP/dx_r at fixed x_g, x_l points out of the box), so the
-    # face refinement kept a constraint that binds
+    # projected search held a constraint that binds
     faces = 0
     for seed in (2, 3, 4):
         for p, free, bounds in _bit_identity_draws(np.random.default_rng(seed), 120):
@@ -1028,7 +1040,15 @@ class TestNearEquilibriumExpansion:
                 res = pt.result
                 assert res.p_max == pytest.approx(pt.power, rel=5e-12)
                 assert abs(res.eta_at_pmax - pt.eta) <= 1e-9
-                assert res.max_curvature == pytest.approx(pt.max_curvature, rel=1e-4)
+                # the engine's curvature is in (x_g, x_l, x_r), the polish's in
+                # (x_g, x_l, nu): pull the polished Hessian back through
+                # d(x_g, x_l, nu)/d(x_g, x_l, x_r), nu = ((x_r - x_l)/x_g - 1)/window
+                xg, xl, xr = (res.x_opt[k] for k in ("x_g", "x_l", "x_r"))
+                width = xg * pt.eta_c / (1.0 - pt.eta_c)
+                jac = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                [(xl - xr) / (xg * width), -1.0 / width, 1.0 / width]])
+                curvature = np.linalg.eigvalsh(jac.T @ pt.hess @ jac).max()
+                assert res.max_curvature == pytest.approx(curvature, rel=1e-4)
                 assert res.grad_rel <= 1e-6 and res.newton_step <= 1e-6
 
     def test_coherence_raises_b_short_of_curzon_ahlborn(self, near_equilibrium_fits):
