@@ -190,10 +190,6 @@ class ModelParams:
         """Lead-referenced excited-level energy, (eps_l + eps_g - mu_r) / temp."""
         return (self.eps_l + self.eps_g - self.mu_r) / self.temp
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.delta21 == 0.0
-
     def with_scaled(self, x_g=None, x_l=None, x_r=None) -> "ModelParams":
         """Copy of these parameters with the given scaled energies substituted."""
         x = [s if v is None else v for s, v in zip(scaled_energies(self), (x_g, x_l, x_r))]

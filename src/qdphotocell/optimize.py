@@ -1,19 +1,17 @@
 """Power maximization over scaled energy variables.
 
 The output power is positive only inside the operating window
-x_g < x_r - x_l < x_g / (1 - eta_c), which collapses to a thin diagonal
-strip near equilibrium.  A plain rectangular seed grid in (x_l, x_r) can
-miss the strip entirely, so whenever x_r is free the seed grid is
-window-relative in that direction: x_r = x_l + x_g * (1 + nu * eta_c / (1 - eta_c))
-with nu in (0, 1).  Seeding uses a coarse grid per free dimension, of which
-only the points at or above the ``refine_top``-th best power are ranked.
-The best seeds are refined in rank order by projected Newton ascent in
-(x_g, x_l, x_r), whose box is a box, until a start lands in the basin of the
-best optimum so far (usually the second start), or the ``refine_top`` seeds
-are used up.  Newton's step does not depend on the coordinates; only its
-stencil, its step cap and its stop test take x_r's steps across the window,
-in units of its width.  No randomness anywhere: identical configuration
-produces bit-identical results.
+x_g < x_r - x_l < x_g / (1 - eta_c), a thin diagonal strip near equilibrium
+that a rectangular seed grid can miss.  So the last free coordinate in
+(x_g, x_l, x_r), the window coordinate, is seeded across the window, in
+nu in (0, 1) with (x_r - x_l) / x_g = 1 + nu * eta_c / (1 - eta_c).  Of the
+coarse seed grid the points at or above the ``refine_top``-th best power
+are ranked and refined in rank order by projected Newton ascent in
+(x_g, x_l, x_r), whose box is a box, until a start lands in the basin of
+the best optimum so far (usually the second), or the seeds are used up.
+Newton's stencil, step cap and stop test take the window coordinate's
+steps across the window, in units of its width.  No randomness anywhere:
+identical configuration produces bit-identical results.
 
 The gradient is exact: a complex step through the closed-form kernel
 (:func:`_power_gradient`).  The Hessian is central differences of it.  One
@@ -24,8 +22,8 @@ round one kernel call for every lane's Newton stencil and one per
 line-search trial for every lane still searching.  The per-row constants
 are arrays (:func:`_row_constants`) and every step is elementwise in the
 lanes, so a row's result is the same alone or inside any batch; a refused
-point flags only its own row.  Every optimum carries its certificate: the relative
-gradient, the Newton step left and the largest curvature there.
+point flags only its own row.  Every optimum carries its certificate: the
+relative gradient, the Newton step left and the largest curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
 the seed grid, and the ascent never leaves positive power, so the maximizer
@@ -99,7 +97,7 @@ _OCC_SIGN = np.array([1.0, -1.0, -1.0])
 _HESS_STEP = 1e-4
 
 # A Newton step is cut to at most this fraction of each coordinate's step
-# unit (_Batch.ascend: a range, or for x_r the window's width across it);
+# unit (_Batch.ascend: a range, or the window's width along its coordinate);
 # the line search then halves it at most _BACKTRACKS times and takes the first
 # point that gains _ARMIJO of the first-order prediction.
 _MAX_STEP = 0.1
@@ -289,10 +287,9 @@ class OptResult:
     """Outcome of a power maximization.
 
     ``p_max`` is in units of k_B * temp_p * gamma_p.  ``degenerate`` means no
-    seed had positive power, which proves the region empty only with x_r
-    free; ``eta_at_pmax`` is then None.  ``active_bounds`` lists free
-    variables whose optimum sits on the search box within 1e-6 of the range.
-    ``starts`` counts the Newton starts run, 0 when degenerate.
+    seed had positive power; ``eta_at_pmax`` is then None.  ``active_bounds``
+    lists free variables whose optimum sits on the search box within 1e-6 of
+    the range.  ``starts`` counts the Newton starts run, 0 when degenerate.
 
     The certificate is taken at the optimum, in the free variables among
     (x_g, x_l, x_r) that are not held at a bound: ``grad_rel`` is
@@ -457,6 +454,7 @@ class _Batch:
         self.free, self.box, self.spd, self.top = free, box, seeds_per_dim, refine_top
         self.f_rel_tol, self.x_rel_tol, self.max_evals = f_rel_tol, x_rel_tol, max_evals_per_seed
         self.slots = tuple(free.index(k) if k in free else None for k in _FREE_ORDER)
+        self.k_win = _FREE_ORDER.index(free[-1])  # the window coordinate, the last free one
         lo, hi = zip(*[box[k] for k in free])
         self.lo, self.hi = np.array(lo)[:, None], np.array(hi)[:, None]
         self.span = self.hi - self.lo
@@ -486,40 +484,43 @@ class _Batch:
     def seed(self):
         """The seed grid of every row and each row's ranked seeds.
 
-        A free x_r is gridded in the window coordinate nu in (0, 1),
-        x_r = x_l + x_g (1 + nu * eta_c / (1 - eta_c)): near equilibrium the
-        operating window is a thin strip that a rectangular grid in x_r
-        misses.  The grids are evaluated in chunks of about _SEED_CHUNK
+        The window coordinate x_k is gridded in nu, at which
+        q = (x_r - x_l) / x_g = 1 + nu * eta_c / (1 - eta_c) gives x_g = (x_r - x_l) / q,
+        x_l = x_r - x_g q or x_r = x_l + x_g q, clipped into x_k's box; a
+        clipped point scores zero.  The grids are evaluated in chunks of about _SEED_CHUNK
         points.  Returns (points per grid, seed indices per row, starts),
         starts (d, n) holding each ranked seed of every row, in row and rank
         order, moved along each grid axis by at most half a grid step to the
         vertex of the parabola through its power and its two grid
         neighbours', where all three are positive and the parabola opens
-        down, then decoded to x_r and clipped into the box.  Not along x_g:
-        across its coarse grid the power is far from quadratic, and moving
-        x_g too made fig3-like 3-D runs longer.
+        down, then decoded and clipped into the box.  Not along x_g, nor
+        along nu where x_g is the window coordinate: across its coarse grid
+        the power is far from quadratic, and moving x_g too made fig3-like
+        3-D runs longer.
         """
-        spd, ig, ir = self.spd, self.slots[0], self.slots[2]
+        spd, ig, k_win = self.spd, self.slots[0], self.k_win
         axes = [np.linspace(lo, hi, spd) for lo, hi in zip(self.lo[:, 0], self.hi[:, 0])]
-        if ir is not None:
-            # strictly interior window points seed better than edge-touching ones
-            axes[ir] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
+        # strictly interior window points seed better than edge-touching ones
+        axes[-1] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
+        lo, hi = self.box[self.free[-1]]
 
         def point(t, rows):  # (x_g, x_l, x_r) of grid vectors
-            xg, xl, xr = self.decode(t, rows)
-            return xg, xl, xr if ir is None else xl + xg * (1.0 + t[ir] * self.window[rows])
+            x = list(self.decode(t, rows))
+            xg, xl, xr = x
+            q = 1.0 + t[-1] * self.window[rows]
+            x[k_win] = (xr - xl) / q if k_win == 0 else xr - xg * q if k_win == 1 else xl + xg * q
+            return x
 
         t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
         n_rows, size = len(self.window), len(t_grid)
-        r_lo, r_hi = self.box["x_r"] if ir is not None else (-math.inf, math.inf)
         p_grid = np.empty((n_rows, size))
         per = max(1, _SEED_CHUNK // size)
         for first in range(0, n_rows, per):
             rows = np.arange(first, min(first + per, n_rows))[:, None]
-            xg, xl, xr = point(t_grid.T, rows)
-            power = self.power(rows, xg, xl, xr)
-            p_grid[first:first + per] = np.where(
-                (r_lo <= xr) & (xr <= r_hi) & (power > 0.0), power, 0.0)
+            x = point(t_grid.T, rows)
+            decoded, x[k_win] = x[k_win], np.minimum(np.maximum(x[k_win], lo), hi)
+            power = self.power(rows, *x)
+            p_grid[first:first + per] = np.where((x[k_win] == decoded) & (power > 0.0), power, 0.0)
         seeds = _ranked_seeds(t_grid, p_grid, self.top)
 
         rows = np.array([r for r, s in enumerate(seeds) for _ in s], dtype=int)
@@ -535,8 +536,7 @@ class _Batch:
             move = inner & (pm > 0.0) & (pp > 0.0) & (bend < 0.0)
             shift = np.minimum(np.maximum(0.5 * (pm - pp) / np.where(move, bend, -1.0), -0.5), 0.5)
             starts[j] = np.where(move, starts[j] + shift * float(axis[1] - axis[0]), starts[j])
-        if ir is not None:
-            starts[ir] = point(starts, rows)[2]
+        starts[-1] = point(starts, rows)[k_win]
         return size, seeds, np.minimum(np.maximum(starts, self.lo), self.hi)
 
     def ascend(self, lanes):
@@ -555,13 +555,12 @@ class _Batch:
         Newton's, or the gradient cut to _MAX_STEP where -H is not positive
         definite; a backtracking line search, one kernel call per trial for
         all lanes still searching, each trial clipped into the box, takes
-        it.  x_g and x_l step in units of their ranges.  x_r steps in units
-        of the operating window's width W = x_g eta_c / (1 - eta_c), capped
-        at x_r's range, and is measured across the window at fixed x_g and
-        x_l, dx_r - dx_l - dx_g (x_r - x_l) / x_g: near equilibrium the
-        window is a strip far thinner than any range.  The Hessian is
-        central differences over _HESS_STEP of each unit, and of W where
-        that is less.
+        it.  A coordinate steps in units of its range, the window coordinate
+        x_k in units of the window's width W along it, capped at its range,
+        measured across the window as the step of x_k alone that moves
+        q = (x_r - x_l) / x_g as far: near equilibrium the window is a strip
+        far thinner than any range.  The Hessian is central differences over
+        _HESS_STEP of each unit, and of W where that is less.
 
         A lane stops, converged, where H is negative definite on the free
         coordinates and the Newton step is within ``x_rel_tol`` of a unit,
@@ -576,13 +575,18 @@ class _Batch:
         and the certificate at t as in :class:`OptResult`, the Hessian on
         the free coordinates in place of its largest eigenvalue.
         """
-        dim, ir = len(self.free), self.slots[2]
+        dim = len(self.free)
         steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
         rows, t = lanes["row"], lanes["t"]
         unit = self.span.repeat(len(rows), axis=1)
-        if ir is not None:
-            unit[ir] = np.minimum(self.decode(t, rows)[0] * self.window[rows], self.span[ir])
-        reach = _HESS_STEP * (self.span if ir is None else np.minimum(self.span, unit[ir]))
+        xg, xl, xr = self.decode(t, rows)
+        # slope = |dq/dx_k| x_g for the window coordinate x_k, q = (x_r - x_l) / x_g:
+        # the window's width along x_k is x_g eta_c / (1 - eta_c) over it, and a
+        # step crosses the window by |dx_r - dx_l - dx_g q| = |dx_k| slope
+        slope = (xr - xl) / xg if self.k_win == 0 else 1.0
+        unit[-1] = np.minimum(xg * self.window[rows] / slope, self.span[-1])
+        cross = unit[-1] * slope
+        reach = _HESS_STEP * np.minimum(self.span, unit[-1])
         up, down = np.minimum(t + reach, self.hi), np.maximum(t - reach, self.lo)
         stencil, j = np.repeat(t[:, None], 2 * dim + 1, axis=1), np.arange(dim)
         stencil[j, 1 + 2 * j], stencil[j, 2 + 2 * j] = up, down
@@ -591,7 +595,7 @@ class _Batch:
         self._flag(rows, grad)
         keep = ~self.flagged[rows]
         lanes, grad, unit = _take(lanes, keep), grad[..., keep], unit[:, keep]
-        width = (up - down)[:, keep]
+        width, cross = (up - down)[:, keep], cross[keep]
         rows, t, p = lanes["row"], lanes["t"], lanes["p"]
         lanes["evals"] = lanes["evals"] + (2 * dim + 1) * dim
         # slope[j, i]: the central difference of dP/dt_i along t_j
@@ -608,11 +612,10 @@ class _Batch:
         top = np.max(np.abs(gs), axis=0)
         x = np.where(ok, x, gs * (_MAX_STEP / np.where(top > 0.0, top, 1.0)))
         dx, decrement = x * unit, sum(gs * x)
-        extent = np.abs(x)
-        if ir is not None:  # x_r's step across the window
-            xg, xl, xr = self.decode(t, rows)
-            dg, dl, dr = (0.0 if k is None else dx[k] for k in self.slots)
-            extent[ir] = np.abs(dr - dl - dg * (xr - xl) / xg) / unit[ir]
+        # the window coordinate's step across the window
+        extent, (xg, xl, xr) = np.abs(x), self.decode(t, rows)
+        dg, dl, dr = (0.0 if k is None else dx[k] for k in self.slots)
+        extent[-1] = np.abs(dr - dl - dg * (xr - xl) / xg) / cross
         step = np.max(extent, axis=0)
         newton = ok & (decrement <= self.f_rel_tol * p)
         converged = ok & ((step <= self.x_rel_tol) | lanes["polished"] & newton)
@@ -753,8 +756,8 @@ def maximize_power(params: ModelParams, free=("x_l", "x_r"), bounds=None, *,
     """Maximize output power over the chosen scaled energy variables.
 
     Multi-start Newton search: a coarse deterministic seed grid
-    (``seeds_per_dim`` points per free dimension, window-relative in the
-    x_r direction), then projected Newton ascent (:meth:`_Batch.ascend`)
+    (``seeds_per_dim`` points per free dimension, window-relative along the
+    last free one), then projected Newton ascent (:meth:`_Batch.ascend`)
     from the best seeds in rank order, each moved first to the vertex of a
     parabola through its grid neighbours.  The starts run in waves
     (:meth:`_Batch.run`): the two best seeds together, then one more seed

@@ -315,6 +315,16 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "eta_at_pmax = n/a" in out and "degenerate = True" in out
 
+    def test_maximize_finds_the_window_with_x_r_fixed(self, capsys, tmp_path):
+        # x_l alone is gridded across the operating window; a rectangular grid
+        # in x_l misses it at this point and reports degenerate
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"optimizer": {"free": ["x_l"]}}))
+        assert main(["maximize", "--x-g", "2", "--x-l", "-1", "--x-r", "0.5", "--r-p", "0.9",
+                     "--temp", "5491", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "degenerate = False" in out and "converged = True" in out
+
     def test_maximize_warns_on_active_bounds(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"optimizer": {"bounds": {"x_l": [-20, -3]}}}))

@@ -149,7 +149,7 @@ class TestFig3:
         assert len(table.rows) == 4
         for row in table.rows:
             assert row["eta_ca"] == pytest.approx(
-                1.0 - math.sqrt(1.0 - row["eta_c"]), rel=1e-12)
+                1.0 - math.sqrt(1.0 - row["eta_c"]), rel=1e-12, abs=0.0)
             assert row["eta_at_pmax"] is not None
             assert row["temp"] == pytest.approx((1.0 - row["eta_c"]) * 5780.0)
         # coherent lead decoupling wins at both grid points

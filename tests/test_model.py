@@ -25,11 +25,11 @@ class TestBoseOccupation:
 
     def test_closed_form_at_one(self):
         # 1/(e - 1)
-        assert bose_occupation(1.0) == pytest.approx(0.5819767068693265, rel=1e-12)
+        assert bose_occupation(1.0) == pytest.approx(0.5819767068693265, rel=1e-12, abs=0.0)
 
     def test_large_argument_decays_without_overflow(self):
         assert 0.0 < bose_occupation(50.0) < 1e-21
-        assert bose_occupation(700.0) == pytest.approx(math.exp(-700.0), rel=1e-12)
+        assert bose_occupation(700.0) == pytest.approx(math.exp(-700.0), rel=1e-12, abs=0.0)
         assert bose_occupation(900.0) >= 0.0  # underflows to zero, no exception
 
     def test_zero_is_a_distinct_singularity_error(self):
@@ -58,15 +58,15 @@ class TestFermiOccupation:
         assert fermi_occupation(0.0) == 0.5
 
     def test_closed_form(self):
-        assert fermi_occupation(2.0) == pytest.approx(0.1192029220221175, rel=1e-12)
-        assert fermi_occupation(-2.0) == pytest.approx(0.8807970779778823, rel=1e-12)
+        assert fermi_occupation(2.0) == pytest.approx(0.1192029220221175, rel=1e-12, abs=0.0)
+        assert fermi_occupation(-2.0) == pytest.approx(0.8807970779778823, rel=1e-12, abs=0.0)
 
     def test_particle_hole_symmetry(self):
         for x in np.linspace(-30.0, 30.0, 301):
             assert abs(fermi_occupation(float(x)) + fermi_occupation(float(-x)) - 1.0) <= 1e-15
 
     def test_extreme_arguments(self):
-        assert fermi_occupation(700.0) == pytest.approx(math.exp(-700.0), rel=1e-12)
+        assert fermi_occupation(700.0) == pytest.approx(math.exp(-700.0), rel=1e-12, abs=0.0)
         assert fermi_occupation(-700.0) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None])
@@ -97,7 +97,7 @@ class TestScaledEnergies:
         x_g, x_l, x_r = scaled_energies(p)
         assert x_g == 2.0
         assert x_l == 0.0
-        assert x_r == pytest.approx(2.0 * 5780.0 / 295.0, rel=1e-15)
+        assert x_r == pytest.approx(2.0 * 5780.0 / 295.0, rel=1e-15, abs=0.0)
 
     def test_fig2_temperatures(self):
         p = params_from_scaled(2.0, 0.0, 0.0)
@@ -122,7 +122,7 @@ class TestScaledEnergies:
             x_l = rng.uniform(-5.0, 5.0)
             x_r = rng.uniform(-5.0, 5.0)
             p = params_from_scaled(x_g, x_l, x_r)
-            assert p.x_g == pytest.approx(x_g, rel=1e-14)
+            assert p.x_g == pytest.approx(x_g, rel=1e-14, abs=0.0)
             assert p.x_l == pytest.approx(x_l, abs=1e-14)
             assert abs(p.x_r - x_r) <= 1e-14 * max(1.0, p.eps_g / p.temp)
 
@@ -243,17 +243,18 @@ class TestBuildRates:
 
     def test_diagonal_absorption_value(self):
         r = build_rates(params_from_scaled(2.0, 0.0, 0.0, gamma=1.0))
-        assert r.b_plus[0, 0] == pytest.approx(0.15651764274966565, rel=1e-12)
+        assert r.b_plus[0, 0] == pytest.approx(0.15651764274966565, rel=1e-12, abs=0.0)
 
     def test_cross_to_diagonal_ratio_is_r(self, rng):
         for _ in range(200):
             p = draw_params(rng)
             r = build_rates(p)
             if p.r_p > 0:
-                assert r.b_plus[0, 1] / r.b_plus[0, 0] == pytest.approx(p.r_p, rel=1e-15)
-                assert r.b_minus[0, 1] / r.b_minus[0, 0] == pytest.approx(p.r_p, rel=1e-15)
+                assert r.b_plus[0, 1] / r.b_plus[0, 0] == pytest.approx(p.r_p, rel=1e-15, abs=0.0)
+                assert r.b_minus[0, 1] / r.b_minus[0, 0] == pytest.approx(p.r_p, rel=1e-15, abs=0.0)
             if p.r_l > 0:
-                assert r.f_l_plus[0, 1] / r.f_l_plus[0, 0] == pytest.approx(p.r_l, rel=1e-15)
+                assert r.f_l_plus[0, 1] / r.f_l_plus[0, 0] == pytest.approx(p.r_l, rel=1e-15,
+                                                                            abs=0.0)
 
     def test_degenerate_symmetry(self, rng):
         for _ in range(100):
@@ -273,21 +274,21 @@ class TestBuildRates:
             p = draw_params(rng)
             r = build_rates(p)
             assert r.b_plus[0, 0] / r.b_minus[0, 0] == pytest.approx(
-                math.exp(-p.x_g), rel=1e-12)
+                math.exp(-p.x_g), rel=1e-12, abs=0.0)
             assert r.f_l_plus[0, 0] / r.f_l_minus[0, 0] == pytest.approx(
-                math.exp(-p.x_l), rel=1e-12)
+                math.exp(-p.x_l), rel=1e-12, abs=0.0)
             assert r.f_r_plus / r.f_r_minus == pytest.approx(
-                math.exp(-p.x_r), rel=1e-12)
+                math.exp(-p.x_r), rel=1e-12, abs=0.0)
 
     def test_split_levels_use_their_own_transition_energies(self):
         p = params_from_scaled(2.0, 0.5, 1.5, r_p=0.4, r_l=0.6, delta21=590.0)
         r = build_rates(p)
         x_1 = p.eps_g / p.temp_p
         x_2 = (p.eps_g - p.delta21) / p.temp_p
-        assert r.b_plus[0, 0] == pytest.approx(bose_occupation(x_1), rel=1e-14)
-        assert r.b_plus[1, 1] == pytest.approx(bose_occupation(x_2), rel=1e-14)
+        assert r.b_plus[0, 0] == pytest.approx(bose_occupation(x_1), rel=1e-14, abs=0.0)
+        assert r.b_plus[1, 1] == pytest.approx(bose_occupation(x_2), rel=1e-14, abs=0.0)
         # cross entries carry the column's energy argument
-        assert r.b_plus[0, 1] == pytest.approx(0.4 * bose_occupation(x_2), rel=1e-14)
-        assert r.b_plus[1, 0] == pytest.approx(0.4 * bose_occupation(x_1), rel=1e-14)
+        assert r.b_plus[0, 1] == pytest.approx(0.4 * bose_occupation(x_2), rel=1e-14, abs=0.0)
+        assert r.b_plus[1, 0] == pytest.approx(0.4 * bose_occupation(x_1), rel=1e-14, abs=0.0)
         x_g2 = (p.eps_l + p.delta21 - p.mu_l) / p.temp
-        assert r.f_l_plus[1, 1] == pytest.approx(fermi_occupation(x_g2), rel=1e-14)
+        assert r.f_l_plus[1, 1] == pytest.approx(fermi_occupation(x_g2), rel=1e-14, abs=0.0)

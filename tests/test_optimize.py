@@ -688,13 +688,19 @@ def test_optimum_on_a_face_of_the_x_r_box():
 def test_x_r_face_still_binds():
     # at every optimum on a face of the x_r box the power still rises through
     # that face (dP/dx_r at fixed x_g, x_l points out of the box), so the
-    # projected search held a constraint that binds
-    faces = 0
+    # projected search held a constraint that binds.  The draws run in one
+    # batch per (free, bounds) group; TestBatchInvariance pins that a row's
+    # result does not depend on the batch
+    groups = {}
     for seed in (2, 3, 4):
         for p, free, bounds in _bit_identity_draws(np.random.default_rng(seed), 120):
-            try:
-                res = maximize_power(p, free=free, bounds=bounds)
-            except NoUniqueSteadyStateError:
+            key = free, None if bounds is None else tuple(bounds.items())
+            groups.setdefault(key, []).append(p)
+    faces = 0
+    for (free, bounds), params in groups.items():
+        bounds = None if bounds is None else dict(bounds)
+        for p, res in zip(params, optimize._maximize_rows(params, free, bounds)):
+            if isinstance(res, NoUniqueSteadyStateError):
                 continue
             if "x_r" not in res.active_bounds:
                 continue
@@ -706,6 +712,50 @@ def test_x_r_face_still_binds():
             outward = 1.0 if abs(x["x_r"] - hi) < abs(x["x_r"] - lo) else -1.0
             assert outward * slope > 0.0
     assert faces >= 1
+
+
+def _x_r_fixed_draws(rng, n):
+    """Params for searches with x_r fixed: x_g in U[0.5, 10], x_l and x_r in
+    U[-5, 5], r_p and r_l in U[0, 1], tau in U[0, 10], temp in U[300, 5000] K."""
+    for _ in range(n):
+        x_g = rng.uniform(0.5, 10.0)
+        x_l, x_r = rng.uniform(-5.0, 5.0, 2)
+        r_p, r_l = rng.uniform(0.0, 1.0, 2)
+        yield params_from_scaled(x_g, x_l, x_r, r_p=r_p, r_l=r_l, tau=rng.uniform(0.0, 10.0),
+                                 temp=rng.uniform(300.0, 5000.0))
+
+
+def _assert_finds_the_grids_best(p, free, n_per_dim):
+    """The search reaches the rectangular grid's best power, to 1e-9 relative,
+    and is neither degenerate nor unconverged where that power is positive;
+    the grid's power."""
+    want, _ = grid_search_power(p, free, n_per_dim=n_per_dim)
+    got = maximize_power(p, free=free)
+    assert got.p_max >= (1.0 - 1e-9) * want
+    if want > 0.0:
+        assert not got.degenerate and got.converged
+    return want
+
+
+class TestWindowWithXrFixed:
+    """The last free coordinate is gridded across the operating window
+    whichever it is; the simplex oracle stops short on such searches, so the
+    exhaustive grid referees them."""
+
+    @pytest.mark.parametrize("free, kwargs", [
+        (("x_g",), {"r_p": 0.6, "r_l": 0.1, "tau": 1.0, "temp": 1500.0}),
+        (("x_l",), {"r_p": 0.9, "temp": 5491.0}),
+    ])
+    def test_points_a_rectangular_grid_misses(self, free, kwargs):
+        p = params_from_scaled(2.0, -1.0, 0.5, **kwargs)
+        assert _assert_finds_the_grids_best(p, free, 4000) > 0.0
+
+    @pytest.mark.parametrize("free", [("x_g",), ("x_l",), ("x_g", "x_l")])
+    def test_matches_the_grid_on_draws(self, rng, free):
+        n_per_dim = 2000 if len(free) == 1 else 200
+        powers = [_assert_finds_the_grids_best(p, free, n_per_dim)
+                  for p in _x_r_fixed_draws(rng, 12)]
+        assert sum(w > 0.0 for w in powers) >= 4
 
 
 class TestBatchInvariance:
@@ -775,6 +825,13 @@ class TestBatchInvariance:
         self._same(optimize._maximize_rows(params, free),
                    [maximize_power(p, free=free) for p in params])
 
+    @pytest.mark.parametrize("free", [("x_g",), ("x_l",), ("x_g", "x_l")])
+    def test_x_r_fixed_batches(self, free):
+        # rows whose window coordinate is x_g or x_l, at different operating points
+        params = list(_x_r_fixed_draws(np.random.default_rng(5), 9))
+        self._same(optimize._maximize_rows(params, free),
+                   [maximize_power(p, free=free) for p in params])
+
     def test_refused_row_flags_only_itself(self):
         good = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
         cut = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9, gamma_p=0.0, gamma_l=0.0)
@@ -836,7 +893,7 @@ class TestStopRule:
         got = maximize_power(self.PARAMS)
         # no honest start agrees with the displaced incumbent
         assert got.starts == len(calls) == 8
-        assert got.p_max == pytest.approx(want.p_max * (1.0 + 1e-6), rel=1e-12)
+        assert got.p_max == pytest.approx(want.p_max * (1.0 + 1e-6), rel=1e-12, abs=0.0)
         assert got.x_opt["x_l"] == pytest.approx(want.x_opt["x_l"] + 0.04, abs=1e-5)
 
     def test_refine_top_one_runs_one_start(self, monkeypatch):
@@ -1029,7 +1086,7 @@ class TestNearEquilibriumExpansion:
                 assert pt.grad_rel <= 1e-8
                 assert pt.newton_step <= 1e-7
                 # the Newton optimum is already the polished stationary point
-                assert pt.power == pytest.approx(res.p_max, rel=1e-10)
+                assert pt.power == pytest.approx(res.p_max, rel=1e-10, abs=0.0)
                 assert abs(pt.eta - res.eta_at_pmax) <= 1e-8
 
     def test_newton_optimum_is_the_polished_one(self, near_equilibrium_fits):
@@ -1038,7 +1095,7 @@ class TestNearEquilibriumExpansion:
         for fit in near_equilibrium_fits.values():
             for pt in fit.points:
                 res = pt.result
-                assert res.p_max == pytest.approx(pt.power, rel=5e-12)
+                assert res.p_max == pytest.approx(pt.power, rel=5e-12, abs=0.0)
                 assert abs(res.eta_at_pmax - pt.eta) <= 1e-9
                 # the engine's curvature is in (x_g, x_l, x_r), the polish's in
                 # (x_g, x_l, nu): pull the polished Hessian back through

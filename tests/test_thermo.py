@@ -33,8 +33,8 @@ class TestCurrents:
         p = params_from_scaled(2.0, 0.0, 0.0, gamma=1.0)
         st = DensityState(0.0, 0.0, 0.0, 1.0)
         j_l, j_r = currents(st, p)
-        assert j_l == pytest.approx(2.0, rel=1e-15)
-        assert j_r == pytest.approx(1.0, rel=1e-15)
+        assert j_l == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert j_r == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_balance_at_steady_state(self, rng):
         for _ in range(300):
@@ -136,7 +136,7 @@ class TestThermoReport:
             assert rep.stationary
             if rep.eta is not None:
                 want = 1.0 - (1.0 - rep.eta_c) * (p.x_r - p.x_l) / p.x_g
-                assert rep.eta == pytest.approx(want, rel=1e-12)
+                assert rep.eta == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert rep.power == pytest.approx(rep.eta * rep.q_dot_p, rel=1e-12)
 
     def test_second_law_over_operating_grid(self):
