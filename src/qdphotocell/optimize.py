@@ -248,16 +248,26 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
 
     Returns a dict with arrays ``power`` (units k_B * temp_p * gamma_p),
     ``j`` (converter current) and ``rho12_re``; Im rho12 vanishes for
-    degenerate levels.  Supports the degenerate configuration only
+    degenerate levels.  The inputs are not expanded: each occupation and
+    each term of the kernel is computed at the shape of the inputs it reads
+    (a scalar x_g once, open-mesh axes once per axis value), and numpy
+    broadcasts them inside the kernel, so the outputs take the broadcast
+    shape of (x_g, x_l, x_r).  Supports the degenerate configuration only
     (delta21 = 0), where the steady state has a closed form; tests pin it to
     :func:`qdphotocell.dynamics.steady_state` over the whole search box.
-    Raises :class:`NoUniqueSteadyStateError` if any grid point has no unique
-    steady state.
+    Raises DomainError for inputs that do not broadcast together, are not
+    finite, or have x_g <= 0, and :class:`NoUniqueSteadyStateError` if any
+    grid point has no unique steady state.
     """
     consts = _kernel_constants(params)
-    x_g, x_l, x_r = np.broadcast_arrays(
-        np.asarray(x_g, dtype=float), np.asarray(x_l, dtype=float),
-        np.asarray(x_r, dtype=float))
+    x_g, x_l, x_r = (np.asarray(v, dtype=float) for v in (x_g, x_l, x_r))
+    try:
+        np.broadcast_shapes(x_g.shape, x_l.shape, x_r.shape)
+    except ValueError:
+        raise DomainError(f"x_g, x_l and x_r must broadcast together, got shapes "
+                          f"{x_g.shape}, {x_l.shape} and {x_r.shape}") from None
+    if not all(np.isfinite(v).all() for v in (x_g, x_l, x_r)):
+        raise DomainError("x_g, x_l and x_r must be finite everywhere on the grid")
     if np.any(x_g <= 0.0):
         raise DomainError("x_g must be positive everywhere on the grid")
     power, j, _, _, _, u = _degenerate_steady(
@@ -481,46 +491,63 @@ class _Batch:
         bad = np.isnan(values)
         self.flagged[np.broadcast_to(rows, bad.shape)[bad]] = True
 
-    def seed(self):
-        """The seed grid of every row and each row's ranked seeds.
+    def window_point(self, t, rows):
+        """(x_g, x_l, x_r) of search vectors ``t`` of the rows ``rows`` whose
+        window coordinate x_k holds nu, at which
+        q = (x_r - x_l) / x_g = 1 + nu * eta_c / (1 - eta_c) gives
+        x_g = (x_r - x_l) / q, x_l = x_r - x_g q or x_r = x_l + x_g q."""
+        x = list(self.decode(t, rows))
+        xg, xl, xr = x
+        q = 1.0 + t[-1] * self.window[rows]
+        k = self.k_win
+        x[k] = (xr - xl) / q if k == 0 else xr - xg * q if k == 1 else xl + xg * q
+        return x
 
-        The window coordinate x_k is gridded in nu, at which
-        q = (x_r - x_l) / x_g = 1 + nu * eta_c / (1 - eta_c) gives x_g = (x_r - x_l) / q,
-        x_l = x_r - x_g q or x_r = x_l + x_g q, clipped into x_k's box; a
-        clipped point scores zero.  The grids are evaluated in chunks of about _SEED_CHUNK
-        points.  Returns (points per grid, seed indices per row, starts),
-        starts (d, n) holding each ranked seed of every row, in row and rank
-        order, moved along each grid axis by at most half a grid step to the
-        vertex of the parabola through its power and its two grid
-        neighbours', where all three are positive and the parabola opens
-        down, then decoded and clipped into the box.  Not along x_g, nor
-        along nu where x_g is the window coordinate: across its coarse grid
-        the power is far from quadratic, and moving x_g too made fig3-like
-        3-D runs longer.
+    def grid_power(self, axes):
+        """The seed-grid power of every row, (rows, points) with the points
+        in the C order of the grid on ``axes`` (the window coordinate's in nu).
+
+        A point scores zero where its decoded window coordinate lies outside
+        that coordinate's box (the kernel sees it clipped into the box) and
+        where its power is not positive.  The grid is evaluated on its axes,
+        an open mesh (``np.ix_``) with the rows on a leading axis, so each
+        term of the kernel is computed once per value of the coordinates it
+        reads; all rows' grids go in kernel calls of about _SEED_CHUNK points.
         """
-        spd, ig, k_win = self.spd, self.slots[0], self.k_win
-        axes = [np.linspace(lo, hi, spd) for lo, hi in zip(self.lo[:, 0], self.hi[:, 0])]
-        # strictly interior window points seed better than edge-touching ones
-        axes[-1] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
-        lo, hi = self.box[self.free[-1]]
-
-        def point(t, rows):  # (x_g, x_l, x_r) of grid vectors
-            x = list(self.decode(t, rows))
-            xg, xl, xr = x
-            q = 1.0 + t[-1] * self.window[rows]
-            x[k_win] = (xr - xl) / q if k_win == 0 else xr - xg * q if k_win == 1 else xl + xg * q
-            return x
-
-        t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        n_rows, size = len(self.window), len(t_grid)
+        k, (lo, hi) = self.k_win, self.box[self.free[-1]]
+        n_rows, size, mesh = len(self.window), math.prod(map(len, axes)), np.ix_(*axes)
         p_grid = np.empty((n_rows, size))
         per = max(1, _SEED_CHUNK // size)
         for first in range(0, n_rows, per):
-            rows = np.arange(first, min(first + per, n_rows))[:, None]
-            x = point(t_grid.T, rows)
-            decoded, x[k_win] = x[k_win], np.minimum(np.maximum(x[k_win], lo), hi)
+            rows = np.arange(first, min(first + per, n_rows)).reshape((-1,) + (1,) * len(axes))
+            x = self.window_point(mesh, rows)
+            decoded, x[k] = x[k], np.minimum(np.maximum(x[k], lo), hi)
             power = self.power(rows, *x)
-            p_grid[first:first + per] = np.where((x[k_win] == decoded) & (power > 0.0), power, 0.0)
+            p_grid[first:first + per] = np.where((x[k] == decoded) & (power > 0.0),
+                                                 power, 0.0).reshape(len(rows), size)
+        return p_grid
+
+    def seed(self):
+        """The seed grid of every row and each row's ranked seeds.
+
+        The window coordinate is gridded in nu (:meth:`window_point`), and
+        :meth:`grid_power` scores the grid; ``t_grid``, the flattened grid,
+        serves the ranking and the parabola moves.  Returns (points per
+        grid, seed indices per row, starts), starts (d, n) holding each ranked
+        seed of every row, in row and rank order, moved along each grid axis
+        by at most half a grid step to the vertex of the parabola through its
+        power and its two grid neighbours', where all three are positive and
+        the parabola opens down, then decoded and clipped into the box.  Not
+        along x_g, nor along nu where x_g is the window coordinate: across its
+        coarse grid the power is far from quadratic, and moving x_g too made
+        fig3-like 3-D runs longer.
+        """
+        spd, ig = self.spd, self.slots[0]
+        axes = [np.linspace(lo, hi, spd) for lo, hi in zip(self.lo[:, 0], self.hi[:, 0])]
+        # strictly interior window points seed better than edge-touching ones
+        axes[-1] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
+        t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        size, p_grid = len(t_grid), self.grid_power(axes)
         seeds = _ranked_seeds(t_grid, p_grid, self.top)
 
         rows = np.array([r for r, s in enumerate(seeds) for _ in s], dtype=int)
@@ -536,7 +563,7 @@ class _Batch:
             move = inner & (pm > 0.0) & (pp > 0.0) & (bend < 0.0)
             shift = np.minimum(np.maximum(0.5 * (pm - pp) / np.where(move, bend, -1.0), -0.5), 0.5)
             starts[j] = np.where(move, starts[j] + shift * float(axis[1] - axis[0]), starts[j])
-        starts[-1] = point(starts, rows)[k_win]
+        starts[-1] = self.window_point(starts, rows)[self.k_win]
         return size, seeds, np.minimum(np.maximum(starts, self.lo), self.hi)
 
     def ascend(self, lanes):

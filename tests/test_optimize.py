@@ -1,6 +1,7 @@
 """Optimizer correctness: oracle agreement, determinism, orderings."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -235,10 +236,96 @@ class TestBatchedEvaluatorConsistency:
         obs = steady_observables_grid(p, 2.0, xl[:, None], xr[None, :])
         assert obs["power"].shape == (7, 5)
 
+    @pytest.mark.parametrize("fixed", [{"tau": 0.0}, {"tau": 1.5}, {"tau": INFINITE},
+                                       {"r_p": 1.0, "r_l": 1.0, "tau": 0.0}])
+    def test_unexpanded_inputs_give_the_bits_of_dense_ones(self, rng, fixed):
+        # the kernel broadcasts inside: a scalar x_g with 2-D x_l and x_r,
+        # open-mesh axes and all-0-d inputs give the bits of dense copies
+        p = params_from_scaled(2.0, 0.0, 0.0, **{"r_p": 0.4, "r_l": 0.1, **fixed})
+        cases = [
+            (2.5, rng.uniform(-5.0, 5.0, (7, 5)), rng.uniform(-5.0, 5.0, (7, 5))),
+            np.ix_(rng.uniform(0.5, 10.0, 4), rng.uniform(-5.0, 5.0, 6),
+                   rng.uniform(-5.0, 5.0, 3)),
+            (rng.uniform(0.5, 10.0, (3, 1)), rng.uniform(-5.0, 5.0, (1, 5)), 1.5),
+            (np.array(2.5), -1.0, np.float64(1.5)),
+        ]
+        for x in cases:
+            got = steady_observables_grid(p, *x)
+            want = steady_observables_grid(p, *map(np.array, np.broadcast_arrays(*x)))
+            shape = np.broadcast_shapes(*(np.shape(v) for v in x))
+            for k in ("power", "j", "rho12_re"):
+                assert np.shape(got[k]) == shape
+                assert np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes()
+
     def test_non_positive_bandgap_rejected(self):
         p = params_from_scaled(2.0, 0.0, 0.0)
         with pytest.raises(DomainError, match="^x_g must be positive everywhere on the grid$"):
             steady_observables_grid(p, [1.0, -0.5], 0.0, 1.0)
+
+    @pytest.mark.parametrize("x", [(2.0, math.nan, 1.0), (math.inf, 0.0, 1.0),
+                                   (2.0, 0.0, [1.0, -math.inf]), ([2.0, math.nan], 0.0, 1.0),
+                                   (-math.inf, 0.0, 1.0)])
+    def test_non_finite_inputs_rejected(self, x):
+        p = params_from_scaled(2.0, 0.0, 0.0)
+        with pytest.raises(DomainError,
+                           match="^x_g, x_l and x_r must be finite everywhere on the grid$"):
+            steady_observables_grid(p, *x)
+
+    def test_shapes_that_do_not_broadcast_rejected(self):
+        p = params_from_scaled(2.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match=re.escape(
+                "x_g, x_l and x_r must broadcast together, got shapes (), (3,) and (4, 1, 2)")):
+            steady_observables_grid(p, 2.0, np.zeros(3), np.ones((4, 1, 2)))
+
+    @pytest.mark.parametrize("free", [("x_g",), ("x_l",), ("x_r",), ("x_g", "x_l"),
+                                      ("x_g", "x_r"), ("x_l", "x_r"), ("x_g", "x_l", "x_r")])
+    def test_seed_grid_matches_the_flat_evaluation(self, rng, free):
+        # the open-mesh seed grid gives the bits of the flattened meshgrid's
+        # evaluation: the kernel's power, the clip mask, the seeds and the
+        # starts.  20 rows in a box whose window coordinate's face clips
+        # part of every grid; 2-D and 3-D grids take several kernel chunks
+        bounds = {"x_g": (0.5, 3.0), "x_l": (-3.0, 1.0), "x_r": (-1.0, 4.0)}
+        params = [params_from_scaled(rng.uniform(0.5, 3.0), rng.uniform(-3.0, 1.0),
+                                     rng.uniform(-1.0, 4.0), r_p=rng.uniform(0.0, 1.0),
+                                     r_l=rng.uniform(0.0, 1.0), tau=rng.uniform(0.0, 10.0),
+                                     temp=rng.uniform(300.0, 4000.0)) for _ in range(20)]
+        free, box = optimize._validated_options(free, bounds)
+        new, ref = (optimize._Batch(params, free, box, 16, 8, 1e-9, 1e-8, 2000)
+                    for _ in range(2))
+        flat, raw = {}, []
+
+        def flat_grid_power(axes):  # all rows at every point of the flattened grid
+            k, (lo, hi) = ref.k_win, ref.box[ref.free[-1]]
+            t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            rows = np.arange(len(params))[:, None]
+            x = ref.window_point(t_grid.T, rows)
+            decoded, x[k] = x[k], np.minimum(np.maximum(x[k], lo), hi)
+            flat["raw"] = power = ref.power(rows, *x)
+            flat["clipped"] = x[k] != decoded
+            flat["p"] = np.where((x[k] == decoded) & (power > 0.0), power, 0.0)
+            return flat["p"]
+
+        def grid_power(axes):
+            flat["got"] = grid(axes)
+            return flat["got"]
+
+        def power(rows, *x):
+            raw.append(kernel(rows, *x))
+            return raw[-1]
+
+        ref.grid_power = flat_grid_power
+        grid, kernel = new.grid_power, new.power
+        new.grid_power, new.power = grid_power, power
+        want, got = ref.seed(), new.seed()
+        raw = np.concatenate([chunk.reshape(len(chunk), -1) for chunk in raw])
+        assert raw.tobytes() == flat["raw"].tobytes()
+        assert flat["got"].tobytes() == flat["p"].tobytes()
+        # the points the clip zeroes, and that there are some
+        zeroed = flat["clipped"] & (flat["raw"] > 0.0)
+        assert np.array_equal((flat["got"] == 0.0) & (raw > 0.0), zeroed) and zeroed.any()
+        assert got[:2] == want[:2] and any(got[1])
+        assert got[2].tobytes() == want[2].tobytes()
+        assert not new.flagged.any() and not ref.flagged.any()
 
     def test_split_levels_rejected(self):
         p = params_from_scaled(2.0, 0.0, 0.0, delta21=10.0)
@@ -412,8 +499,9 @@ class TestPowerGradient:
     def test_is_the_certificate_at_the_optimum(self):
         # a converged optimum is within x_rel_tol (1e-8) of each range of the
         # stationary point, where the gradient in the window coordinates
-        # vanishes too: within approx's default absolute 1e-12 of grad_rel,
-        # which is taken in (x_g, x_l, x_r)
+        # vanishes too: within an absolute 1e-12 of grad_rel, which is taken
+        # in (x_g, x_l, x_r).  Both are ~1e-14 and differ by more than rel
+        # 1e-3, so the absolute 1e-12 (approx's default) decides the clause
         p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
         res = maximize_power(p, free=("x_g", "x_l", "x_r"))
         eta_c = 1.0 - p.temp / p.temp_p
@@ -421,7 +509,7 @@ class TestPowerGradient:
         t = [xg, xl, ((xr - xl) / xg - 1.0) * (1.0 - eta_c) / eta_c]
         grad_rel = np.abs(_search_gradient(p, eta_c, t)).max() / res.p_max
         assert res.converged and res.newton_step <= 1e-8 * 29.9 and grad_rel <= 1e-6
-        assert grad_rel == pytest.approx(res.grad_rel, rel=1e-3)
+        assert grad_rel == pytest.approx(res.grad_rel, rel=1e-3, abs=1e-12)
 
     def test_certificate_is_in_the_box_coordinates(self):
         # Newton runs in (x_g, x_l, x_r), so grad_rel is the largest
