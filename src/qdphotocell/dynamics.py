@@ -267,8 +267,10 @@ def steady_state(gen: Generator) -> SteadySolution:
 
     full_residual = float(np.abs(A @ v).max())
     replaced_residual = float(abs(A[_NORM_ROW_INDEX] @ v))
-    # A is finite (Generator checks), so this float max is numpy's max |A_ij|
-    if replaced_residual > _RESIDUAL_TOL * max(1.0, *map(abs, A.ravel().tolist())):
+    # the scale max(1, max |A_ij|) is >= 1, so it is taken only past the bare
+    # tolerance; A is finite (Generator checks), so this float max is numpy's
+    if replaced_residual > _RESIDUAL_TOL and (
+            replaced_residual > _RESIDUAL_TOL * max(1.0, *map(abs, A.ravel().tolist()))):
         raise NoUniqueSteadyStateError(
             f"replaced-row residual {replaced_residual:.3e} exceeds tolerance; "
             "the computed kernel vector is not a steady state")

@@ -290,6 +290,22 @@ class RateSet:
         ])
 
 
+def _lead_rates(params: ModelParams) -> tuple[list, list, float, float]:
+    """The lead coefficients of :func:`build_rates`, their single source:
+    ``f_l_plus`` and ``f_l_minus`` as nested lists of floats, ``f_r_plus``
+    and ``f_r_minus`` as floats, without RateSet's checks."""
+    t = params.temp
+    # level 1 at eps_l, level 2 at eps_l + delta21, the excited level at eps_l + eps_g
+    f1 = fermi_occupation((params.eps_l - params.mu_l) / t)
+    f2 = fermi_occupation((params.eps_l + params.delta21 - params.mu_l) / t)
+    fr = fermi_occupation((params.eps_l + params.eps_g - params.mu_r) / t)
+    # entry [i][j] is the (gamma, r * gamma) weight times the occupation at level j + 1
+    gl, cl = params.gamma_l, params.r_l * params.gamma_l
+    return ([[gl * f1, cl * f2], [cl * f1, gl * f2]],
+            [[gl * (1.0 - f1), cl * (1.0 - f2)], [cl * (1.0 - f1), gl * (1.0 - f2)]],
+            params.gamma_r * fr, params.gamma_r * (1.0 - fr))
+
+
 def build_rates(params: ModelParams) -> RateSet:
     """Evaluate all dissipation coefficients for the given parameters.
 
@@ -297,32 +313,21 @@ def build_rates(params: ModelParams) -> RateSet:
     coefficients are gamma_p * n(x_g) and gamma_p * (1 + n(x_g)), the lead
     coefficients carry the Fermi factors at x_l and x_r, and every cross
     entry is the matching diagonal entry scaled by r_p or r_l.  For
-    delta21 > 0 each entry is evaluated at its own transition energy.
+    delta21 > 0 each entry is evaluated at its own transition energy.  The
+    four lead fields come from :func:`_lead_rates`, which
+    :func:`qdphotocell.thermo.currents` reads too.
     """
-    t = params.temp
     tp = params.temp_p
-    # transition energies: level 1 at eps_l, level 2 at eps_l + delta21
-    eps_1 = params.eps_g                     # eps_e - eps_g1
-    eps_2 = params.eps_g - params.delta21    # eps_e - eps_g2
-    x_1 = eps_1 / tp
-    x_2 = eps_2 / tp
-    x_g1 = (params.eps_l - params.mu_l) / t
-    x_g2 = (params.eps_l + params.delta21 - params.mu_l) / t
-    x_r = (params.eps_l + params.eps_g - params.mu_r) / t
-
-    n1, n2 = bose_occupation(x_1), bose_occupation(x_2)
-    f1, f2 = fermi_occupation(x_g1), fermi_occupation(x_g2)
-    fr = fermi_occupation(x_r)
+    # transition energies eps_e - eps_g1 = eps_g and eps_e - eps_g2 = eps_g - delta21
+    n1 = bose_occupation(params.eps_g / tp)
+    n2 = bose_occupation((params.eps_g - params.delta21) / tp)
+    f_l_plus, f_l_minus, f_r_plus, f_r_minus = _lead_rates(params)
 
     # entry [i][j] is the channel's (gamma, r * gamma) weight times the
     # occupation factor at the transition energy of level j + 1
     gp, cp = params.gamma_p, params.r_p * params.gamma_p
-    gl, cl = params.gamma_l, params.r_l * params.gamma_l
     return RateSet(
         b_plus=[[gp * n1, cp * n2], [cp * n1, gp * n2]],
         b_minus=[[gp * (1.0 + n1), cp * (1.0 + n2)], [cp * (1.0 + n1), gp * (1.0 + n2)]],
-        f_l_plus=[[gl * f1, cl * f2], [cl * f1, gl * f2]],
-        f_l_minus=[[gl * (1.0 - f1), cl * (1.0 - f2)], [cl * (1.0 - f1), gl * (1.0 - f2)]],
-        f_r_plus=params.gamma_r * fr,
-        f_r_minus=params.gamma_r * (1.0 - fr),
+        f_l_plus=f_l_plus, f_l_minus=f_l_minus, f_r_plus=f_r_plus, f_r_minus=f_r_minus,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dynamics import DensityState
 from .errors import DomainError, SecondLawViolationError
-from .model import ModelParams, RateSet, bose_occupation, build_rates, fermi_occupation
+from .model import ModelParams, _lead_rates, bose_occupation, fermi_occupation
 
 __all__ = [
     "ThermoReport",
@@ -46,10 +46,11 @@ def lead_current(f_in, f_out1, f_out2, f_cross, rho0, rho1, rho2, u):
     return 2.0 * f_in * rho0 - (2.0 * f_out1 * rho1 + 2.0 * f_out2 * rho2) - 2.0 * f_cross * u
 
 
-def _lead_current_args(state: DensityState, rates: RateSet) -> tuple:
-    """The arguments of :func:`lead_current` as Python floats."""
-    (flp11, _), (_, flp22) = rates.f_l_plus.tolist()
-    (flm11, flm12), (flm21, flm22) = rates.f_l_minus.tolist()
+def _lead_current_args(state: DensityState, f_l_plus: list, f_l_minus: list) -> tuple:
+    """The arguments of :func:`lead_current` as Python floats, from the
+    nested lists :func:`qdphotocell.model._lead_rates` returns."""
+    (flp11, _), (_, flp22) = f_l_plus
+    (flm11, flm12), (flm21, flm22) = f_l_minus
     return (flp11 + flp22, flm11, flm22, flm21 + flm12,
             state.rho0, state.rho1, state.rho2, state.rho12.real)
 
@@ -60,11 +61,13 @@ def currents(state: DensityState, params: ModelParams) -> tuple[float, float]:
     Both are the trace of the number operator against the respective lead
     dissipator, so they include the coherence contribution on the left side
     (both ground levels couple to the same lead) and satisfy j_l = -j_r at
-    any steady state.
+    any steady state.  The lead coefficients come from
+    :func:`qdphotocell.model._lead_rates`, the single source
+    :func:`qdphotocell.model.build_rates` takes them from.
     """
-    r = build_rates(params)
-    j_r = 2.0 * r.f_r_plus * state.rho0 - 2.0 * r.f_r_minus * state.rho_e
-    return lead_current(*_lead_current_args(state, r)), j_r
+    f_l_plus, f_l_minus, f_r_plus, f_r_minus = _lead_rates(params)
+    j_r = 2.0 * f_r_plus * state.rho0 - 2.0 * f_r_minus * state.rho_e
+    return lead_current(*_lead_current_args(state, f_l_plus, f_l_minus)), j_r
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,9 @@ def thermo_report(state: DensityState, params: ModelParams) -> ThermoReport:
 
     if (converter and stationary and power > 0.0 and eta is not None
             and eta > eta_c + _SECOND_LAW_SLACK):
-        # the floor takes the rates a second time, so only where the bound is crossed
-        args = _lead_current_args(state, build_rates(params))
+        # the floor reads the lead coefficients a second time, so only where
+        # the bound is crossed
+        args = _lead_current_args(state, *_lead_rates(params)[:2])
         largest = 2.0 * max(abs(f * x) for f, x in zip(args[:4], args[4:]))
         if abs(j) > _ROUNDOFF_FLOOR * largest:
             raise SecondLawViolationError(

@@ -226,6 +226,15 @@ class TestSteadyState:
             assert sol.residual <= 1e-10
             assert sol.replaced_row_residual <= 1e-10
 
+    @pytest.mark.parametrize("gamma", [1e6, 1e8, 1e10])
+    def test_large_couplings_pass_the_scaled_residual_gate(self, gamma):
+        # the replaced-row residual grows with the rates (8.2e-11, 4.7e-9 and
+        # 4.4e-7 here); above 1e6 only the max |A_ij| scale admits it
+        gen = make_gen(params_from_scaled(2.0, -1.0, 3.0, gamma=gamma, r_p=0.9, tau=0.5))
+        sol = steady_state(gen)
+        assert repr(sol) == repr(reference_steady_state(gen))
+        assert (sol.replaced_row_residual > 1e-10) == (gamma > 1e6)
+
     def test_disconnected_network_raises(self):
         p = params_from_scaled(2.0, 0.0, 0.0, gamma_l=0.0, gamma_r=0.0)
         with pytest.raises(NoUniqueSteadyStateError, match="connect"):

@@ -10,6 +10,7 @@ from qdphotocell import (
     QdpcError,
     build_generator,
     build_rates,
+    model,
     params_from_scaled,
     steady_state,
     thermo,
@@ -64,11 +65,17 @@ def _path(params, rates_fn, generator_fn, steady_fn):
         return rates, gen, (type(exc), str(exc))
 
 
+def _reference_lead_rates(params):
+    """model._lead_rates' four values, taken from the numpy oracle's RateSet."""
+    r = reference_build_rates(params)
+    return r.f_l_plus.tolist(), r.f_l_minus.tolist(), r.f_r_plus, r.f_r_minus
+
+
 def _assert_identical(params, monkeypatch):
     got = _path(params, build_rates, build_generator, steady_state)
     with monkeypatch.context() as m:
-        # the report's own build_rates call goes through the oracle too
-        m.setattr(thermo, "build_rates", reference_build_rates)
+        # the report's own lead coefficients come from the oracle too
+        m.setattr(thermo, "_lead_rates", _reference_lead_rates)
         want = _path(params, reference_build_rates, reference_build_generator,
                      reference_steady_state)
     (rates, gen, out), (ref_rates, ref_gen, ref_out) = got, want
@@ -102,3 +109,23 @@ def test_zero_couplings_refused_alike(zero, monkeypatch):
                for tau in (0.0, 2.0, INFINITE) for _ in range(20)]
     # one channel off leaves the network connected; two disconnect a state
     assert all(refused) if len(zero) == 2 else not any(refused)
+
+
+def _lead_entries_hex(f_l_plus, f_l_minus, f_r_plus, f_r_minus):
+    entries = [*f_l_plus[0], *f_l_plus[1], *f_l_minus[0], *f_l_minus[1], f_r_plus, f_r_minus]
+    return [float.hex(x) for x in entries]  # float.hex takes Python floats only
+
+
+@pytest.mark.parametrize("kind", sorted(_DRAWS) + ["zero-couplings"])
+def test_lead_rates_helper_is_build_rates_lead_fields(kind):
+    # thermo reads model._lead_rates in place of a RateSet, so both must agree bit for bit
+    rng = np.random.default_rng(707)
+    if kind == "zero-couplings":
+        draws = [draw_params(rng, **{"tau": tau, **zero})
+                 for zero in _ZERO_COUPLINGS for tau in (0.0, 2.0, INFINITE)]
+    else:
+        draws = [_DRAWS[kind](rng) for _ in range(100)]
+    for params in draws:
+        r = build_rates(params)
+        assert _lead_entries_hex(*model._lead_rates(params)) == _lead_entries_hex(
+            r.f_l_plus.tolist(), r.f_l_minus.tolist(), r.f_r_plus, r.f_r_minus)

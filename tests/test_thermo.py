@@ -9,6 +9,7 @@ from qdphotocell import (
     INFINITE,
     DensityState,
     DomainError,
+    RateSet,
     SecondLawViolationError,
     analytic_coherence_structure,
     build_generator,
@@ -169,6 +170,33 @@ class TestThermoReport:
         st = DensityState(0.0, 0.0, 1.0 - rho0, rho0)
         with pytest.raises(SecondLawViolationError, match="above the Carnot bound"):
             thermo_report(st, p)
+
+    def test_report_and_currents_build_no_rate_set(self, monkeypatch):
+        # both read model._lead_rates; the balanced state crosses the Carnot
+        # predicate, so the report also reaches its second-law floor
+        p = params_from_scaled(2.0, -1.0, 0.5)
+        r = build_rates(p)
+        f_in = r.f_l_plus[0, 0] + r.f_l_plus[1, 1]
+        rho0 = 1.0 / (1.0 + (f_in + r.f_r_plus) / r.f_r_minus)
+        balanced = DensityState(0.0, 0.0, 1.0 - rho0, rho0)
+        q = params_from_scaled(2.0, -1.0, 3.0, r_p=0.9)
+        stationary = solve(q)
+        built = []
+        post_init = RateSet.__post_init__
+
+        def spy(rates):
+            built.append(rates)
+            post_init(rates)
+
+        monkeypatch.setattr(RateSet, "__post_init__", spy)
+        assert thermo_report(stationary, q).stationary
+        currents(stationary, q)
+        with pytest.raises(SecondLawViolationError, match="above the Carnot bound"):
+            thermo_report(balanced, p)
+        currents(balanced, p)
+        assert built == []
+        build_rates(p)  # the spy does see a RateSet built
+        assert len(built) == 1
 
     def test_leads_hotter_than_photons_are_no_violation(self):
         # above temp_p the leads are the hot bath and eta_c < 0 bounds nothing:
