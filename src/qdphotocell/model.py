@@ -219,8 +219,8 @@ def params_from_scaled(x_g: float, x_l: float, x_r: float, *,
                        delta21: float = ModelParams.delta21) -> ModelParams:
     """Build ModelParams from scaled energies.
 
-    Gauge choice: eps_l = 0 and mu_l = -x_l * temp.  Only energy differences
-    enter any observable, so the gauge is free.  The scaled -> physical ->
+    Gauge choice: eps_l = 0 and mu_l = 0 - x_l * temp (+0.0 at x_l = 0).
+    Only energy differences enter any observable, so the gauge is free.  The scaled -> physical ->
     scaled round trip holds to rounding only: x_g and x_l can come back an
     ulp off, and x_r, recovered as (eps_g - mu_r) / temp, carries an error of
     order 1e-16 * eps_g / temp.
@@ -230,7 +230,7 @@ def params_from_scaled(x_g: float, x_l: float, x_r: float, *,
     x_r = _require_real("x_r", x_r)
     eps_l = 0.0
     eps_g = x_g * temp_p
-    mu_l = -x_l * temp
+    mu_l = 0.0 - x_l * temp
     mu_r = eps_l + eps_g - x_r * temp
     return ModelParams(
         eps_g=eps_g, eps_l=eps_l, delta21=delta21, mu_l=mu_l, mu_r=mu_r,

@@ -17,13 +17,15 @@ The gradient is exact: a complex step through the closed-form kernel
 (:func:`_power_gradient`).  The Hessian is central differences of it.  One
 search runs any number of rows (parameter sets sharing the free variables,
 box and options) at once (:class:`_Batch`): all rows' seed grids in chunked
-array calls, then their starts in waves of lanes run in lockstep, each
-round one kernel call for every lane's Newton stencil and one per
-line-search trial for every lane still searching.  The per-row constants
-are arrays (:func:`_row_constants`) and every step is elementwise in the
-lanes, so a row's result is the same alone or inside any batch; a refused
-point flags only its own row.  Every optimum carries its certificate: the
-relative gradient, the Newton step left and the largest curvature there.
+array calls, ranked in one sort, then their starts in waves of lanes run in
+lockstep, each round one kernel call for every lane's Newton stencil and
+one per line-search trial for every lane still searching.  A kernel call
+gathers its lanes' constants and fixed coordinates' occupations, each
+computed once per row, and computes the free ones' at their own shapes.
+Every step is elementwise in the lanes, so a row's result is the same
+alone or inside any batch; a refused point flags only its own row.  Every
+optimum carries its certificate: the relative gradient, the Newton step
+left and the largest curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
 the seed grid, and the ascent never leaves positive power, so the maximizer
@@ -85,10 +87,12 @@ _COUNT_LEAST = {"seeds_per_dim": 2, "refine_top": 1, "max_evals_per_seed": 1}
 _SAME_BASIN_X_EXP = 0.5
 
 # Complex-step size of the gradient: no difference is taken, so any step this
-# small gives the derivative to rounding.  _OCC_SIGN turns occ (1 + s occ)
-# into n (1 + n) for the Bose and f (1 - f) for the two Fermi occupations.
+# small gives the derivative to rounding.  _OCC holds the occupations of
+# (x_g, x_l, x_r), and _OCC_SIGN turns occ (1 + s occ) into n (1 + n) for the
+# Bose and f (1 - f) for the two Fermi occupations.
 _CS_STEP = 1e-30
-_OCC_SIGN = np.array([1.0, -1.0, -1.0])
+_OCC = (_bose_array, _fermi_array, _fermi_array)
+_OCC_SIGN = (1.0, -1.0, -1.0)
 
 # The Hessian is central differences of the gradient over this fraction of
 # each search coordinate's range, or of the operating window's width where
@@ -143,7 +147,7 @@ def _kernel_constants(params: ModelParams) -> tuple:
     return (gp, gl, params.gamma_r, rp, rl, *coherence, 1.0 - eta_c, gp if gp > 0.0 else 1.0)
 
 
-def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
+def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     """Closed-form steady state of the degenerate dot, elementwise.
 
     Works alike on Python floats and on broadcast numpy arrays; ``consts`` holds
@@ -165,8 +169,8 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = T
     gate reads real parts, so complex-step inputs (:func:`_power_gradient`)
     are refused exactly where their real points are.  With ``refuse`` false
     nothing is raised and the power of each refused point reads NaN, so a
-    batch of rows can flag its rows one by one.  ``consts`` may hold one
-    array entry per point (a batch of rows).
+    batch of rows can flag its rows one by one.  ``consts`` may be a
+    (constant, ...) array, one entry per point (a batch of rows).
     """
     gp, gl, gr, rp, rl, kp, kl, half_tau, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
@@ -205,16 +209,17 @@ def _degenerate_steady(consts: tuple, x_g, x_l, x_r, n, fl, fr, refuse: bool = T
              * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
              * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
     singular = abs(trace.real) <= _SINGULAR_REL * scale.real
-    if not refuse:
-        trace = np.where(singular, 1.0, trace)
-    elif singular if isinstance(singular, bool) else singular.any():
+    refused = singular if isinstance(singular, bool) else singular.any()
+    if refused and refuse:
         raise NoUniqueSteadyStateError(_SINGULAR_MESSAGE)
+    if refused:
+        trace = np.where(singular, 1.0, trace)
     g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
     # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
     j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
     power = (x_g - one_minus_eta_c * (x_r - x_l)) * j / gamma_ref
-    if not refuse:  # NaN in both parts of a complex power
+    if refused:  # NaN in both parts of a complex power
         power = power * np.where(singular, math.nan, 1.0)
     return power, j, g, e, z, u
 
@@ -229,18 +234,18 @@ def _steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
                               fermi_occupation(x_r))
 
 
-def _row_constants(params) -> tuple:
-    """:func:`_kernel_constants` of each ModelParams in ``params``, stacked:
-    one array per constant, one entry per params."""
-    return tuple(np.array(c) for c in zip(*map(_kernel_constants, params)))
+def _occupations(x):
+    """The Bose occupation at x_g and the Fermi ones at x_l and x_r, of
+    ``x`` = (x_g, x_l, x_r), at their real parts and their own shapes."""
+    return [f(np.real(v)) for f, v in zip(_OCC, x)]
 
 
 def _steady_rows(params, x_g, x_l, x_r):
     """The kernel's (power, j, g, rho_e, rho0, u) at one point per ModelParams
     in ``params``, in one array call.  Degenerate levels (delta21 = 0) only."""
-    x_g, x_l, x_r = (np.array(v, dtype=float) for v in (x_g, x_l, x_r))
-    return _degenerate_steady(_row_constants(params), x_g, x_l, x_r, _bose_array(x_g),
-                              _fermi_array(x_l), _fermi_array(x_r))
+    x = [np.array(v, dtype=float) for v in (x_g, x_l, x_r)]
+    consts = np.array([_kernel_constants(p) for p in params]).T
+    return _degenerate_steady(consts, *x, *_occupations(x))
 
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
@@ -270,25 +275,26 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
         raise DomainError("x_g, x_l and x_r must be finite everywhere on the grid")
     if np.any(x_g <= 0.0):
         raise DomainError("x_g must be positive everywhere on the grid")
-    power, j, _, _, _, u = _degenerate_steady(
-        consts, x_g, x_l, x_r, _bose_array(x_g), _fermi_array(x_l), _fermi_array(x_r))
+    x = x_g, x_l, x_r
+    power, j, _, _, _, u = _degenerate_steady(consts, *x, *_occupations(x))
     return {"power": power, "j": j, "rho12_re": u}
 
 
-def _power_gradient(consts: tuple, points, refuse: bool = True):
+def _power_gradient(consts, points, occ, refuse: bool = True):
     """Derivatives of the power by complex step through :func:`_degenerate_steady`.
 
-    ``points`` is a (3, ...) complex array of (x_g, x_l, x_r): real part a
-    point, imaginary part ``_CS_STEP`` times the tangent of one search
-    direction there.  The occupations are continued to first order,
-    n' = -n (1 + n) and f' = -f (1 - f), and Im(power) / ``_CS_STEP`` is the
-    directional derivative, exact to rounding since no difference is taken
-    (Squire & Trapp, SIAM Rev. 40, 110-112, 1998).  Refuses where the real
-    points refuse, or with ``refuse`` false reads NaN there.
+    ``points`` holds (x_g, x_l, x_r) and ``occ`` their occupations
+    (:func:`_occupations`), each at its own shape.  A complex coordinate is
+    a point in its real part and ``_CS_STEP`` times the tangent of one
+    search direction in its imaginary part, and its occupation is continued
+    to first order, n' = -n (1 + n) and f' = -f (1 - f); a real one is fixed
+    along every direction.  Im(power) / ``_CS_STEP`` is the directional
+    derivative, exact to rounding since no difference is taken (Squire &
+    Trapp, SIAM Rev. 40, 110-112, 1998).  Refuses where the real points
+    refuse, or with ``refuse`` false reads NaN there.
     """
-    sign = _OCC_SIGN.reshape((3,) + (1,) * (points.ndim - 1))
-    occ = np.concatenate([_bose_array(points[0].real)[None], _fermi_array(points[1:].real)])
-    occ = occ - 1j * (occ * (1.0 + sign * occ)) * points.imag
+    occ = [o - 1j * (o * (1.0 + s * o)) * x.imag if np.iscomplexobj(x) else o
+           for x, o, s in zip(points, occ, _OCC_SIGN)]
     return _degenerate_steady(consts, *points, *occ, refuse)[0].imag / _CS_STEP
 
 
@@ -370,17 +376,17 @@ def _ranked_seeds(t_grid, p_grid, top):
     """Rows of ``t_grid`` to refine: the ``top`` best by power ``p_grid``
     (best first, ties broken lexicographically on the coordinates), less
     those without positive power.  ``p_grid`` holds one power per row of
-    ``t_grid``, or a (rows, n) stack of such that one sort cuts at each
-    row's ``top``-th largest power, and then gives one list per row.  Only
-    the entries at or above the cut are lexsorted."""
+    ``t_grid``, or a (rows, n) stack of such, and then gives one list per
+    row.  One sort finds each row's ``top``-th largest power; the entries at
+    or above it, of every row, go to one lexsort keyed on row, power and
+    coordinates, and each row is cut at ``top``."""
     p_rows = np.atleast_2d(p_grid)
-    n = p_rows.shape[1]
-    cuts = np.sort(p_rows, axis=1)[:, n - top] if top < n else np.zeros(len(p_rows))
-    ranked = []
-    for p, cut in zip(p_rows, cuts.tolist()):
-        rows = np.flatnonzero((p >= cut) & (p > 0.0))
-        order = np.lexsort(tuple(t_grid[rows].T[::-1]) + (-p[rows],))
-        ranked.append(rows[order[:top]].tolist())
+    n_rows, n = p_rows.shape
+    cuts = np.sort(p_rows, axis=1)[:, n - top] if top < n else np.zeros(n_rows)
+    rows, at = np.nonzero((p_rows >= cuts[:, None]) & (p_rows > 0.0))  # rows ascending
+    order = np.lexsort(tuple(t_grid[at].T[::-1]) + (-p_rows[rows, at], rows))
+    first, at = np.searchsorted(rows, np.arange(n_rows + 1)).tolist(), at[order].tolist()
+    ranked = [at[a:min(a + top, b)] for a, b in zip(first, first[1:])]
     return ranked if np.ndim(p_grid) == 2 else ranked[0]
 
 
@@ -443,8 +449,9 @@ class _Starts:
 
 
 def _take(lanes, keep):
-    """The lanes (a dict of arrays, lane axis last) where ``keep`` holds."""
-    return {k: v[..., keep] for k, v in lanes.items()}
+    """The lanes (a dict of arrays, lane axis last) where ``keep`` holds,
+    ``lanes`` itself, not a copy, where it holds for every lane."""
+    return lanes if keep.all() else {k: v[..., keep] for k, v in lanes.items()}
 
 
 class _Batch:
@@ -454,12 +461,14 @@ class _Batch:
     Search coordinates t hold the free names in ``_FREE_ORDER`` order, in
     the box of those names; the others stay at each row's (x_g, x_l, x_r).
     Arrays of search vectors are (d, ..., m), one entry per coordinate and
-    the lane axis last, read with an array of the rows of the lanes.  Every
-    step is elementwise in the lanes, so a row's result does not depend on
-    the rows beside it.
+    the lane axis last, read with an array of the rows of the lanes.
+    ``consts``, the rows' :func:`_kernel_constants` as one (constant, row)
+    array, and the fixed coordinates' occupations are gathered for the
+    lanes of each kernel call.  Every step is elementwise in the lanes, so
+    a row's result does not depend on the rows beside it.
     """
 
-    def __init__(self, params, free, box, seeds_per_dim, refine_top, f_rel_tol,
+    def __init__(self, params, consts, free, box, seeds_per_dim, refine_top, f_rel_tol,
                  x_rel_tol, max_evals_per_seed):
         self.free, self.box, self.spd, self.top = free, box, seeds_per_dim, refine_top
         self.f_rel_tol, self.x_rel_tol, self.max_evals = f_rel_tol, x_rel_tol, max_evals_per_seed
@@ -468,8 +477,10 @@ class _Batch:
         lo, hi = zip(*[box[k] for k in free])
         self.lo, self.hi = np.array(lo)[:, None], np.array(hi)[:, None]
         self.span = self.hi - self.lo
-        self.consts = _row_constants(params)
+        self.steps = 1j * _CS_STEP * np.eye(len(free))[:, None, :, None]
+        self.consts = consts
         self.base = np.array([(p.x_g, p.x_l, p.x_r) for p in params]).T
+        self.occ = np.array(_occupations(self.base))
         self.eta_c = [1.0 - p.temp / p.temp_p for p in params]
         self.window = np.array([e / (1.0 - e) for e in self.eta_c])
         self.flagged = np.zeros(len(params), dtype=bool)
@@ -478,18 +489,24 @@ class _Batch:
         """(x_g, x_l, x_r) of search vectors of the rows ``rows``."""
         return tuple(self.base[k, rows] if s is None else t[s] for k, s in enumerate(self.slots))
 
-    def power(self, rows, xg, xl, xr):
-        """The kernel's power at points of the rows ``rows`` in one array
-        call; the rows of refused points are flagged."""
-        power = _degenerate_steady(tuple(c[rows] for c in self.consts), xg, xl, xr,
-                                   _bose_array(xg), _fermi_array(xl), _fermi_array(xr),
+    def occupations(self, rows, x):
+        """:func:`_occupations` at decoded points ``x`` of the rows ``rows``,
+        the fixed coordinates' read from their rows."""
+        return [self.occ[k, rows] if s is None else f(np.real(x[k]))
+                for k, (s, f) in enumerate(zip(self.slots, _OCC))]
+
+    def power(self, rows, *x):
+        """The kernel's power at decoded points ``x`` of the rows ``rows`` in
+        one array call; the rows of refused points are flagged."""
+        power = _degenerate_steady(self.consts[:, rows], *x, *self.occupations(rows, x),
                                    refuse=False)[0]
         self._flag(rows, power)
         return power
 
     def _flag(self, rows, values):
         bad = np.isnan(values)
-        self.flagged[np.broadcast_to(rows, bad.shape)[bad]] = True
+        if bad.any():
+            self.flagged[np.broadcast_to(rows, bad.shape)[bad]] = True
 
     def window_point(self, t, rows):
         """(x_g, x_l, x_r) of search vectors ``t`` of the rows ``rows`` whose
@@ -577,17 +594,19 @@ class _Batch:
         A round evaluates every lane's stencil in one gradient call: the
         points of t and of one point either side of it along each
         coordinate, each with one imaginary step per coordinate
-        (:func:`_power_gradient`).  On the coordinates not held at a bound
-        (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982) the step is
-        Newton's, or the gradient cut to _MAX_STEP where -H is not positive
-        definite; a backtracking line search, one kernel call per trial for
-        all lanes still searching, each trial clipped into the box, takes
-        it.  A coordinate steps in units of its range, the window coordinate
-        x_k in units of the window's width W along it, capped at its range,
-        measured across the window as the step of x_k alone that moves
-        q = (x_r - x_l) / x_g as far: near equilibrium the window is a strip
-        far thinner than any range.  The Hessian is central differences over
-        _HESS_STEP of each unit, and of W where that is less.
+        (:func:`_power_gradient`), not expanded: a free coordinate is
+        complex, (2 d + 1, d, m), its occupation taken at its (2 d + 1, 1, m)
+        real points, and a fixed one real, (m,).  On the coordinates not
+        held at a bound (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982)
+        the step is Newton's, or the gradient cut to _MAX_STEP where -H is
+        not positive definite; a backtracking line search, one kernel call
+        per trial for all lanes still searching, each trial clipped into the
+        box, takes it.  A coordinate steps in units of its range, the window
+        coordinate x_k in units of the window's width W along it, capped at
+        its range, measured across the window as the step of x_k alone that
+        moves q = (x_r - x_l) / x_g as far: near equilibrium the window is a
+        strip far thinner than any range.  The Hessian is central
+        differences over _HESS_STEP of each unit, and of W where that is less.
 
         A lane stops, converged, where H is negative definite on the free
         coordinates and the Newton step is within ``x_rel_tol`` of a unit,
@@ -603,7 +622,6 @@ class _Batch:
         the free coordinates in place of its largest eigenvalue.
         """
         dim = len(self.free)
-        steps = 1j * _CS_STEP * np.eye(dim)[:, None, :, None]
         rows, t = lanes["row"], lanes["t"]
         unit = self.span.repeat(len(rows), axis=1)
         xg, xl, xr = self.decode(t, rows)
@@ -615,14 +633,16 @@ class _Batch:
         cross = unit[-1] * slope
         reach = _HESS_STEP * np.minimum(self.span, unit[-1])
         up, down = np.minimum(t + reach, self.hi), np.maximum(t - reach, self.lo)
-        stencil, j = np.repeat(t[:, None], 2 * dim + 1, axis=1), np.arange(dim)
-        stencil[j, 1 + 2 * j], stencil[j, 2 + 2 * j] = up, down
-        points = np.array(np.broadcast_arrays(*self.decode(stencil[:, :, None] + steps, rows)))
-        grad = _power_gradient(tuple(c[rows] for c in self.consts), points, refuse=False)
+        stencil, j = np.repeat(t[:, None, None], 2 * dim + 1, axis=1), np.arange(dim)
+        stencil[j, 1 + 2 * j, 0], stencil[j, 2 + 2 * j, 0] = up, down
+        occ = self.occupations(rows, self.decode(stencil, rows))
+        grad = _power_gradient(self.consts[:, rows], self.decode(stencil + self.steps, rows),
+                               occ, refuse=False)
         self._flag(rows, grad)
-        keep = ~self.flagged[rows]
-        lanes, grad, unit = _take(lanes, keep), grad[..., keep], unit[:, keep]
-        width, cross = (up - down)[:, keep], cross[keep]
+        width, keep = up - down, ~self.flagged[rows]
+        if not keep.all():
+            lanes, grad, unit = _take(lanes, keep), grad[..., keep], unit[:, keep]
+            width, cross = width[:, keep], cross[keep]
         rows, t, p = lanes["row"], lanes["t"], lanes["p"]
         lanes["evals"] = lanes["evals"] + (2 * dim + 1) * dim
         # slope[j, i]: the central difference of dP/dt_i along t_j
@@ -755,10 +775,10 @@ def _maximize_rows(params, free=("x_l", "x_r"), bounds=None, **options):
     args.apply_defaults()
     options = {k: v for k, v in args.arguments.items() if k not in ("params", "free", "bounds")}
     free, box = _validated_options(free, bounds, **options)
-    out, live = [None] * len(params), []
+    out, live, consts = [None] * len(params), [], []
     for k, p in enumerate(params):
         try:
-            _kernel_constants(p)
+            c = _kernel_constants(p)
         except DomainError as exc:
             out[k] = exc
             continue
@@ -769,8 +789,9 @@ def _maximize_rows(params, free=("x_l", "x_r"), bounds=None, **options):
                                converged=False, degenerate=True)
         else:
             live.append(k)
+            consts.append(c)
     if live:
-        batch = _Batch([params[k] for k in live], free, box, **options)
+        batch = _Batch([params[k] for k in live], np.array(consts).T, free, box, **options)
         for k, res in zip(live, batch.run()):
             out[k] = res
     return out

@@ -264,6 +264,9 @@ class TestDispatch:
         code = main(["maximize", "--r-p", "0.9", "--r-l", "0.0"])
         out = capsys.readouterr().out
         assert code == 0
+        # the default x_l = 0 echoes mu_l as 0.0, not -0.0
+        echo = out.splitlines()[0]
+        assert '"mu_l": 0.0,' in echo and "-0.0" not in echo
         assert "p_max" in out and "eta_at_pmax" in out
         assert re.search(r"evals = \d+   starts = [1-8]   converged", out)
         certificate = re.search(r"certificate: grad_rel = (\S+)   newton_step = (\S+)   "

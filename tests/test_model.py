@@ -105,6 +105,12 @@ class TestScaledEnergies:
         assert p.eps_g == 2.0 * 5780.0
         assert p.x_g == 2.0
 
+    def test_zero_x_l_gives_positive_zero_mu_l(self):
+        # -x_l * temp would be -0.0 at x_l = 0, and print so in the config echo
+        for x_l in (0.0, -0.0):
+            assert math.copysign(1.0, params_from_scaled(2.0, x_l, 0.0).mu_l) == 1.0
+        assert params_from_scaled(2.0, 1.5, 0.0).mu_l == -1.5 * 295.0
+
     def test_round_trip_at_nominal_scale(self, rng):
         for _ in range(100):
             x_l = rng.uniform(-5.0, 5.0)

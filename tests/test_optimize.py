@@ -29,6 +29,7 @@ from qdphotocell.optimize import (
     _CS_STEP,
     _degenerate_steady,
     _kernel_constants,
+    _occupations,
     _power_gradient,
     _ranked_seeds,
     _steady_at,
@@ -290,7 +291,8 @@ class TestBatchedEvaluatorConsistency:
                                      r_l=rng.uniform(0.0, 1.0), tau=rng.uniform(0.0, 10.0),
                                      temp=rng.uniform(300.0, 4000.0)) for _ in range(20)]
         free, box = optimize._validated_options(free, bounds)
-        new, ref = (optimize._Batch(params, free, box, 16, 8, 1e-9, 1e-8, 2000)
+        consts = np.array([_kernel_constants(p) for p in params]).T
+        new, ref = (optimize._Batch(params, consts, free, box, 16, 8, 1e-9, 1e-8, 2000)
                     for _ in range(2))
         flat, raw = {}, []
 
@@ -470,9 +472,32 @@ class TestKernelRefusal:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 scalar = [self._outcome(lambda x=x: _steady_at(p, *x)) for x in points]
-                gradient = [self._outcome(lambda x=x: _power_gradient(consts, x + steps))
-                            for x in np.array(points)[:, :, None]]
+                gradient = [self._outcome(lambda x=x: _power_gradient(consts, x, _occupations(x)))
+                            for x in np.array(points)[:, :, None] + steps]
             assert gradient == scalar == ["refused" if refused else "solved"] * 8
+
+    def test_refuse_false_marks_only_the_refused_points(self, rng):
+        # one batch of refused and solved points, a row of every case per
+        # point, on real and on complex-step inputs: with refuse false the
+        # power is NaN, in both parts where complex, at each point the float
+        # kernel refuses, and elsewhere reads what the solved points read alone
+        params = [draw_params(rng, **fixed) for _ in range(4) for fixed, _ in self.CASES]
+        consts = np.array([_kernel_constants(p) for p in params]).T
+        x = [rng.uniform(0.5, 10.0, len(params)), rng.uniform(-5.0, 5.0, len(params)),
+             rng.uniform(-5.0, 5.0, len(params))]
+        refused = np.array([self._outcome(lambda k=k: _steady_at(p, *(v[k] for v in x)))
+                            == "refused" for k, p in enumerate(params)])
+        assert refused.any() and not refused.all()
+        occ = _occupations(x)
+        for x_l in (x[1], x[1] + 1j * _CS_STEP):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                power = _degenerate_steady(consts, x[0], x_l, x[2], *occ, refuse=False)[0]
+                alone = _degenerate_steady(consts[:, ~refused], x[0][~refused], x_l[~refused],
+                                           x[2][~refused], *(o[~refused] for o in occ))[0]
+            parts = [power] if np.isrealobj(power) else [power.real, power.imag]
+            assert all(np.array_equal(np.isnan(part), refused) for part in parts)
+            assert np.array_equal(power[~refused], alone)
 
 
 def _search_gradient(params, eta_c, t):
@@ -480,7 +505,7 @@ def _search_gradient(params, eta_c, t):
     coordinates t = (x_g, x_l, nu) of a 3-D seed grid."""
     xg, xl, nu = (np.asarray(t, dtype=complex) + 1j * _CS_STEP * np.eye(3)).T
     xr = xl + xg * (1.0 + nu * eta_c / (1.0 - eta_c))
-    return _power_gradient(_kernel_constants(params), np.array([xg, xl, xr]))
+    return _power_gradient(_kernel_constants(params), (xg, xl, xr), _occupations((xg, xl, xr)))
 
 
 class TestPowerGradient:
@@ -518,9 +543,52 @@ class TestPowerGradient:
         p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
         res = maximize_power(p, free=("x_g", "x_l", "x_r"))
         x = np.array([res.x_opt[k] for k in ("x_g", "x_l", "x_r")])
-        grad = _power_gradient(_kernel_constants(p), x[:, None] + 1j * _CS_STEP * np.eye(3))
+        x = x[:, None] + 1j * _CS_STEP * np.eye(3)
+        grad = _power_gradient(_kernel_constants(p), x, _occupations(x))
         assert res.converged and not res.active_bounds
         assert np.abs(grad).max() / res.p_max == pytest.approx(res.grad_rel, rel=1e-3, abs=0.0)
+
+
+class TestGradientStencil:
+    """The engine passes its gradient stencil to the kernel unexpanded: a
+    fixed coordinate real, one value per lane, and the bits are those of
+    dense complex inputs."""
+
+    @pytest.fixture
+    def params(self):
+        return list(_x_r_fixed_draws(np.random.default_rng(5), 6))
+
+    def test_fixed_x_g_enters_real_per_lane(self, monkeypatch, params):
+        kernel, calls = optimize._degenerate_steady, []
+
+        def spy(consts, x_g, x_l, x_r, *rest, **kwargs):
+            calls.append((x_g, x_l, x_r))
+            return kernel(consts, x_g, x_l, x_r, *rest, **kwargs)
+
+        monkeypatch.setattr(optimize, "_degenerate_steady", spy)
+        optimize._maximize_rows(params, ("x_l", "x_r"))
+        gradient = [c for c in calls if np.iscomplexobj(c[1])]
+        assert gradient
+        for x_g, x_l, x_r in gradient:
+            assert x_g.dtype == np.float64 and x_g.shape == (x_l.shape[-1],)
+            assert x_l.shape == x_r.shape == (5, 2) + x_g.shape
+
+    @pytest.mark.parametrize("free", [("x_g",), ("x_l",), ("x_g", "x_r"), ("x_l", "x_r"),
+                                      ("x_g", "x_l", "x_r")])
+    def test_gives_the_bits_of_dense_inputs(self, monkeypatch, params, free):
+        gradient, calls = optimize._power_gradient, []
+
+        def spy(consts, points, occ, refuse=True):
+            calls.append((consts, points, gradient(consts, points, occ, refuse)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(optimize, "_power_gradient", spy)
+        optimize._maximize_rows(params, free)
+        assert calls
+        for consts, points, got in calls:
+            dense = np.array(np.broadcast_arrays(*points), dtype=complex)
+            want = gradient(consts, dense, _occupations(dense), refuse=False)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMaximizePower:
@@ -619,6 +687,27 @@ class TestRankedSeeds:
                 want = self._full_lexsort(t_grid, p_grid, top)
                 assert _ranked_seeds(t_grid, p_grid, top) == want
                 assert len(want) == min(top, int(np.count_nonzero(p_grid)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stack_ranks_each_row_as_alone(self, rng, dim):
+        # a (rows, n) stack gives, row by row, the 1-D call's seeds: rows of
+        # few levels, so equal positive powers straddle a row's cut, all-zero
+        # rows, top >= n, and rows with fewer positive points than top
+        for _ in range(60):
+            side = int(rng.integers(2, 7))
+            axes = [np.sort(rng.uniform(-1.0, 1.0, side)) for _ in range(dim)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
+            t_grid = t_grid[rng.permutation(len(t_grid))]
+            n, n_rows = len(t_grid), int(rng.integers(1, 10))
+            levels = rng.uniform(0.1, 1.0, int(rng.integers(1, 4)))
+            p_rows = rng.choice(levels, (n_rows, n))
+            zeros = rng.choice([0.0, 0.5, 0.9, 1.0], (n_rows, 1))
+            p_rows[rng.random((n_rows, n)) < zeros] = 0.0
+            for top in {1, 2, 8, n - 1, n, n + 3, int(rng.integers(1, n + 1))}:
+                want = [_ranked_seeds(t_grid, p, top) for p in p_rows]
+                assert _ranked_seeds(t_grid, p_rows, top) == want
+                assert want == [self._full_lexsort(t_grid, p, top) for p in p_rows]
 
     def test_fewer_positive_points_than_refine_top(self):
         t_grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0),
@@ -795,8 +884,8 @@ def test_x_r_face_still_binds():
             faces += 1
             x = {"x_g": p.x_g, "x_l": p.x_l, **res.x_opt}
             lo, hi = {**DEFAULT_BOUNDS, **(bounds or {})}["x_r"]
-            slope = _power_gradient(_kernel_constants(p), np.array(
-                [[x["x_g"]], [x["x_l"]], [x["x_r"] + 1j * _CS_STEP]]))[0]
+            point = np.array([[x["x_g"]], [x["x_l"]], [x["x_r"] + 1j * _CS_STEP]])
+            slope = _power_gradient(_kernel_constants(p), point, _occupations(point))[0]
             outward = 1.0 if abs(x["x_r"] - hi) < abs(x["x_r"] - lo) else -1.0
             assert outward * slope > 0.0
     assert faces >= 1
