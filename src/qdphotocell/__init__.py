@@ -38,9 +38,7 @@ from .dynamics import (
     steady_state,
 )
 from .thermo import (
-    CoherenceStructure,
     ThermoReport,
-    analytic_coherence_structure,
     currents,
     reference_efficiencies,
     thermo_report,

@@ -17,7 +17,6 @@ runtime failure, 4 output path exists without --force, 5 selftest failures.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import numbers
 import os
@@ -43,7 +42,7 @@ from .experiments import (
 )
 from .model import (_ENERGY_FIELDS, _NON_ENERGY_FIELDS, INFINITE, ModelParams,
                     build_rates, params_from_scaled)
-from .optimize import _FREE_ORDER, _validated_options, maximize_power
+from .optimize import _FREE_ORDER, _MAXIMIZE, _validated_options, maximize_power
 from .selftest import run_selftest
 from .thermo import thermo_report
 
@@ -61,7 +60,7 @@ _BLOCK_KEYS = {
     "scaled": set(_DEFAULTS["scaled"]),
     "physical": set(_DEFAULTS["physical"]),
     "model": {*_DEFAULTS["model"], "gamma"},
-    "optimizer": set(inspect.signature(maximize_power).parameters) - {"params"},
+    "optimizer": set(_MAXIMIZE.parameters) - {"params"},
     "sweep": set(SWEEP_DEFAULTS),
     "output": {"path", "format", "force", "workers"},
 }
@@ -109,7 +108,7 @@ class RunConfig:
     """Fully resolved run configuration."""
 
     params: ModelParams
-    free: tuple = inspect.signature(maximize_power).parameters["free"].default
+    free: tuple = _MAXIMIZE.parameters["free"].default
     bounds: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=SWEEP_DEFAULTS.copy)  # keyed as SWEEP_DEFAULTS

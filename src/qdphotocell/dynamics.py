@@ -108,8 +108,9 @@ class Generator:
     """Linear evolution generator acting on the reduced state vector.
 
     ``matrix`` reproduces the population/coherence equations of motion built
-    from ``rates``; ``tau`` is the decoherence rate (``INFINITE`` pins the
-    coherence to zero exactly instead of damping it).  When the cross
+    from a :class:`RateSet` by :func:`build_generator`; ``delta21`` is the
+    ground-level splitting and ``tau`` the decoherence rate (``INFINITE``
+    pins the coherence to zero exactly instead of damping it).  When the cross
     couplings are maximal on every ground-coupling channel and tau = 0 with
     degenerate levels, the antisymmetric ground combination decouples from
     all baths ("dark state") and the kernel is two-dimensional;
@@ -118,7 +119,6 @@ class Generator:
     """
 
     matrix: np.ndarray
-    rates: RateSet
     delta21: float
     tau: float
     dark_state_degenerate: bool
@@ -132,17 +132,13 @@ class Generator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def tau_mode(self) -> str:
-        return "infinite" if self.tau == INFINITE else "finite"
-
     def left_null_residual(self) -> float:
         """Max |(1,1,1,1,0,0) . A| over columns; zero when trace is conserved."""
         return float(np.abs(_TRACE_ROW @ self.matrix).max())
 
 
 def _is_dark_state_degenerate(bp, bm, flp, flm, delta21: float, tau: float) -> bool:
-    """Dark-state test on the photon and left-lead coefficients as nested lists."""
+    """Dark-state test on nested lists of the photon and left-lead coefficients or weights."""
     if delta21 != 0.0 or tau != 0.0:
         return False
     photon_dead = bm[0][0] == 0.0 and bp[0][0] == 0.0
@@ -204,7 +200,7 @@ def build_generator(rates: RateSet, delta21: float = 0.0, tau: float = 0.0) -> G
                   bm[1][0] + bm[0][1], flp[1][0] + flp[0][1], -decay, -delta21])
         A.append([0.0, 0.0, 0.0, 0.0, delta21, -decay])
 
-    return Generator(matrix=A, rates=rates, delta21=delta21, tau=tau,
+    return Generator(matrix=A, delta21=delta21, tau=tau,
                      dark_state_degenerate=_is_dark_state_degenerate(
                          bp, bm, flp, flm, delta21, tau))
 

@@ -293,8 +293,9 @@ def _run_curves(sweep, label, unit, values, eta_c_grid, params, workers,
     values = [float(v) for v in values]
     _resolve_workers(workers)
     points = [(v, float(e)) for v in values for e in eta_c_grid]
-    at = [_curve_params(params_from_scaled(*scaled_energies(ModelParams()), **params,
-                                           **{label: v}), e) for v, e in points]
+    x = scaled_energies(ModelParams())
+    bases = [params_from_scaled(*x, **params, **{label: v}) for v in values]
+    at = [_curve_params(base, e) for base in bases for e in eta_c_grid]
     try:
         results = _maximize_rows(at, _FREE_ORDER, **opt_kwargs)
     except DomainError as exc:

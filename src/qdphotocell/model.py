@@ -281,14 +281,6 @@ class RateSet:
         if min(entries) < 0.0:
             raise DomainError("RateSet entries must be non-negative")
 
-    def as_array(self) -> np.ndarray:
-        """All 18 coefficients as a flat array."""
-        return np.concatenate([
-            self.b_plus.ravel(), self.b_minus.ravel(),
-            self.f_l_plus.ravel(), self.f_l_minus.ravel(),
-            [self.f_r_plus, self.f_r_minus],
-        ])
-
 
 def _lead_rates(params: ModelParams) -> tuple[list, list, float, float]:
     """The lead coefficients of :func:`build_rates`, their single source:

@@ -43,15 +43,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _is_dark_state_degenerate
 from .errors import DomainError, NoUniqueSteadyStateError
 from .model import (
+    _NON_ENERGY_FIELDS,
     INFINITE,
     ModelParams,
     _bose_array,
     _fermi_array,
     _require_real,
-    bose_occupation,
-    fermi_occupation,
+    params_from_scaled,
     scaled_energies,
 )
 from .thermo import lead_current
@@ -140,8 +141,10 @@ def _kernel_constants(params: ModelParams) -> tuple:
         raise DomainError("the closed-form kernel supports the degenerate "
                           "configuration only (delta21 = 0)")
     gp, gl, rp, rl, tau = params.gamma_p, params.gamma_l, params.r_p, params.r_l, params.tau
-    dark = (tau == 0.0 and (gp == 0.0 or rp == 1.0) and (gl == 0.0 or rl == 1.0)
-            and not (gp == 0.0 and gl == 0.0))
+    # every rate entry is one of its channel's (gamma, r * gamma) weights times
+    # one occupation, so the weights decide the corner as build_generator does
+    photon, left = [[gp, rp * gp]] * 2, [[gl, rl * gl]] * 2
+    dark = _is_dark_state_degenerate(photon, photon, left, left, 0.0, tau)
     coherence = (0.0, 0.0, -1.0) if tau == INFINITE or dark else (1.0 - rp, 1.0 - rl, 0.5 * tau)
     eta_c = 1.0 - params.temp / params.temp_p
     return (gp, gl, params.gamma_r, rp, rl, *coherence, 1.0 - eta_c, gp if gp > 0.0 else 1.0)
@@ -222,16 +225,6 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     if refused:  # NaN in both parts of a complex power
         power = power * np.where(singular, math.nan, 1.0)
     return power, j, g, e, z, u
-
-
-def _steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
-    """The kernel's (power, j, g, rho_e, rho0, u) at one point on Python floats.
-
-    Degenerate levels (delta21 = 0) only.
-    """
-    return _degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
-                              bose_occupation(x_g), fermi_occupation(x_l),
-                              fermi_occupation(x_r))
 
 
 def _occupations(x):
@@ -852,7 +845,9 @@ def _curve_params(base: ModelParams, eta_c) -> ModelParams:
     eta_c = float(eta_c)
     if not 0.0 < eta_c < 1.0:
         raise DomainError(f"eta_c values must lie in (0, 1), got {eta_c}")
-    return base.replace(temp=(1.0 - eta_c) * base.temp_p).with_scaled(*scaled_energies(base))
+    kept = {name: getattr(base, name) for name in _NON_ENERGY_FIELDS}
+    return params_from_scaled(*scaled_energies(base),
+                              **{**kept, "temp": (1.0 - eta_c) * base.temp_p})
 
 
 def _curve_point(eta_c: float, res) -> CurvePoint:

@@ -427,6 +427,78 @@ def reference_currents(state: DensityState, params: ModelParams) -> tuple[float,
     return j_l, j_r
 
 
+# ---- closed-form coherence and kernel points ---------------------------------
+
+@dataclass(frozen=True)
+class CoherenceStructure:
+    """Structural evaluation of the closed-form steady-coherence numerator.
+
+    ``numerator`` is the occupation-factor form
+    2 * gamma_p * (r_p - r_l) * {n(x_g) f(x_l) - [1 + n(x_g) - f(x_l)] f(x_r)}
+    and ``product_form`` the equivalent csch/sech/sinh product; the two are
+    algebraically identical and ``rel_discrepancy`` reports their floating-
+    point disagreement.  ``steady_sign`` is the sign the numerically solved
+    steady-state Re rho12 takes: the *negative* of the numerator's sign
+    (equivalently sign[(r_p - r_l) * sinh((x_g + x_l - x_r)/2)]), a
+    convention pinned against the linear solve across the operating plane.
+    """
+
+    numerator: float
+    product_form: float
+    rel_discrepancy: float
+    zero_when_r_equal: bool
+    zero_when_resonant: bool
+    steady_sign: int
+
+
+def analytic_coherence_structure(params: ModelParams) -> CoherenceStructure:
+    """Evaluate the closed-form coherence numerator and its zero loci.
+
+    Only valid in the degenerate symmetric configuration (delta21 = 0).
+    The numerator vanishes on two loci: equal cross couplings r_p = r_l,
+    and the resonance x_g + x_l - x_r = 0 where the transition network
+    satisfies detailed balance.  A test-side oracle against the solve.
+    """
+    if params.delta21 != 0.0:
+        raise DomainError("analytic coherence structure requires degenerate "
+                          f"ground levels (delta21 = 0), got {params.delta21}")
+    x_g, x_l, x_r = params.x_g, params.x_l, params.x_r
+    if x_g <= 0.0:
+        raise DomainError(f"x_g must be positive, got {x_g}")
+    n = bose_occupation(x_g)
+    f_l = fermi_occupation(x_l)
+    f_r = fermi_occupation(x_r)
+    numerator = 2.0 * params.gamma_p * (params.r_p - params.r_l) * (
+        n * f_l - (1.0 + n - f_l) * f_r)
+    product_form = (0.5 * params.gamma_p * (params.r_l - params.r_p)
+                    / math.sinh(0.5 * x_g)
+                    / math.cosh(0.5 * x_l)
+                    / math.cosh(0.5 * x_r)
+                    * math.sinh(0.5 * (x_g + x_l - x_r)))
+    scale = max(abs(numerator), abs(product_form))
+    rel = abs(numerator - product_form) / scale if scale > 0.0 else 0.0
+    resonant = x_g + x_l - x_r == 0.0
+    sign = 0 if numerator == 0.0 else (-1 if numerator > 0.0 else 1)
+    return CoherenceStructure(
+        numerator=numerator,
+        product_form=product_form,
+        rel_discrepancy=rel,
+        zero_when_r_equal=params.r_p == params.r_l,
+        zero_when_resonant=resonant,
+        steady_sign=sign,
+    )
+
+
+def steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
+    """The kernel's (power, j, g, rho_e, rho0, u) at one point on Python floats.
+
+    Degenerate levels (delta21 = 0) only.
+    """
+    return _degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
+                              bose_occupation(x_g), fermi_occupation(x_l),
+                              fermi_occupation(x_r))
+
+
 # ---- general-path oracle ----------------------------------------------------
 
 # build_rates, build_generator, steady_state and DensityState.from_vector
@@ -559,7 +631,7 @@ def reference_build_generator(rates: RateSet, delta21: float = 0.0, tau: float =
         A[5, 4] = delta21
         A[5, 5] = -decay
 
-    return Generator(matrix=A, rates=rates, delta21=delta21, tau=tau,
+    return Generator(matrix=A, delta21=delta21, tau=tau,
                      dark_state_degenerate=_reference_is_dark_state_degenerate(rates, delta21, tau))
 
 

@@ -118,9 +118,7 @@ class TestGeneratorStructure:
 
     @staticmethod
     def _generator(matrix):
-        rates = build_rates(params_from_scaled(2.0, 0.0, 0.0))
-        return Generator(matrix=matrix, rates=rates, delta21=0.0, tau=0.0,
-                         dark_state_degenerate=False)
+        return Generator(matrix=matrix, delta21=0.0, tau=0.0, dark_state_degenerate=False)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrix_refused(self, bad):
@@ -323,8 +321,8 @@ class TestInfiniteDecoherence:
 
     def test_mode_flag(self):
         p = params_from_scaled(2.0, 0.0, 0.0, tau=INFINITE)
-        assert make_gen(p).tau_mode == "infinite"
-        assert make_gen(p.replace(tau=3.0)).tau_mode == "finite"
+        assert make_gen(p).tau == INFINITE
+        assert make_gen(p.replace(tau=3.0)).tau == 3.0
 
 
 class TestEvolve:

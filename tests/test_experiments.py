@@ -9,6 +9,7 @@ import pytest
 
 from qdphotocell import (
     INFINITE,
+    ModelParams,
     maximize_power,
     params_from_scaled,
     run_fig2,
@@ -164,6 +165,13 @@ class TestFig3:
         assert set(by_tau) == {0.0, "inf"}
         assert by_tau[0.0] >= by_tau["inf"] - 1e-7
 
+    def test_one_params_per_row(self, monkeypatch):
+        # each row's params, each curve value's base and the default ModelParams()
+        built, post_init = [], ModelParams.__post_init__
+        monkeypatch.setattr(ModelParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        run_fig3a([0.0, 0.3], [0.3, 0.6, 0.9])
+        assert len(built) <= 2 * 3 + 2 + 1
 
     @pytest.mark.parametrize("run, labels", [(run_fig3a, (0.0, 0.9)),
                                              (run_fig3b, (0.0, INFINITE))])

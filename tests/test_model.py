@@ -19,6 +19,12 @@ from qdphotocell import (
 from conftest import draw_params
 
 
+def _rate_entries(r: RateSet) -> np.ndarray:
+    """All 18 coefficients of ``r`` as a flat array."""
+    return np.concatenate([r.b_plus.ravel(), r.b_minus.ravel(), r.f_l_plus.ravel(),
+                           r.f_l_minus.ravel(), [r.f_r_plus, r.f_r_minus]])
+
+
 class TestBoseOccupation:
     def test_ln2_gives_one(self):
         assert bose_occupation(math.log(2.0)) == pytest.approx(1.0, abs=1e-15)
@@ -235,7 +241,7 @@ class TestRateSetChecks:
         assert r.b_plus.dtype == np.float64 and r.b_plus[0, 0] == 1.0
         for name in ("b_plus", "b_minus", "f_l_plus", "f_l_minus"):
             assert not getattr(r, name).flags.writeable
-        assert r.f_r_plus == 0.5 and r.as_array().shape == (18,)
+        assert r.f_r_plus == 0.5 and _rate_entries(r).shape == (18,)
         # signed zeros are non-negative
         RateSet(**self._entries(f_l_minus=[[-0.0, 0.0], [0.0, -0.0]], f_r_plus=-0.0))
 
@@ -273,7 +279,7 @@ class TestBuildRates:
 
     def test_all_entries_nonnegative(self, rng):
         for _ in range(1000):
-            assert np.all(build_rates(draw_params(rng)).as_array() >= 0.0)
+            assert np.all(_rate_entries(build_rates(draw_params(rng))) >= 0.0)
 
     def test_detailed_balance_ratios(self, rng):
         for _ in range(300):

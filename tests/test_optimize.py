@@ -1,5 +1,6 @@
 """Optimizer correctness: oracle agreement, determinism, orderings."""
 
+import itertools
 import math
 import re
 import warnings
@@ -32,7 +33,6 @@ from qdphotocell.optimize import (
     _occupations,
     _power_gradient,
     _ranked_seeds,
-    _steady_at,
 )
 from conftest import (
     _power_gradient_hessian,
@@ -41,6 +41,7 @@ from conftest import (
     nelder_mead,
     reference_maximize_power,
     reference_nelder_mead,
+    steady_at,
 )
 
 
@@ -208,7 +209,7 @@ class TestBatchedEvaluatorConsistency:
             obs = steady_observables_grid(p, p.x_g, p.x_l, p.x_r)
             sol = steady_state(build_generator(build_rates(p), p.delta21, p.tau))
             assert float(obs["rho12_re"]) == 0.0
-            _, _, g, rho_e, rho0, _ = _steady_at(p, p.x_g, p.x_l, p.x_r)
+            _, _, g, rho_e, rho0, _ = steady_at(p, p.x_g, p.x_l, p.x_r)
             assert np.allclose([g, g, rho_e, rho0],
                                sol.state.as_vector()[:4], atol=1e-12)
 
@@ -224,7 +225,7 @@ class TestBatchedEvaluatorConsistency:
                 want_p, want_j, want_u, largest = general_path_observables(at)
                 tol = 1e-9 * largest
                 ptol = abs(xg[k] - (1.0 - eta_c) * (xr[k] - xl[k])) * tol
-                scalar = _steady_at(p, float(xg[k]), float(xl[k]), float(xr[k]))[0]
+                scalar = steady_at(p, float(xg[k]), float(xl[k]), float(xr[k]))[0]
                 assert abs(scalar - want_p) <= ptol
                 assert abs(obs["power"][k] - want_p) <= ptol
                 assert abs(obs["j"][k] - want_j) <= tol
@@ -334,7 +335,18 @@ class TestBatchedEvaluatorConsistency:
         with pytest.raises(DomainError):
             steady_observables_grid(p, 2.0, 0.0, 3.0)
         with pytest.raises(DomainError):
-            _steady_at(p, 2.0, 0.0, 3.0)
+            steady_at(p, 2.0, 0.0, 3.0)
+
+
+# (gamma_p, gamma_l, r_p, r_l, tau) around the dark-state corner, and a
+# subnormal gamma_p whose r_p * gamma_p rounds to gamma_p
+DARK_CORNERS = (*itertools.product((0.0, 1.0), (0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.5, 1.0),
+                                   (0.0, 1.0, INFINITE)), (5e-324, 1.0, 0.9, 1.0, 0.0))
+
+
+def corner_params(gamma_p, gamma_l, r_p, r_l, tau):
+    return params_from_scaled(2.0, 0.0, 0.0, gamma_p=gamma_p, gamma_l=gamma_l,
+                              r_p=r_p, r_l=r_l, tau=tau)
 
 
 class TestKernelPinning:
@@ -342,6 +354,12 @@ class TestKernelPinning:
     its dark-state branch, also with one ground channel switched off."""
 
     XG, XL, XR = np.array([2.0, 5.0, 1.0]), np.array([-1.0, 0.5, -3.0]), np.array([3.0, 7.0, 1.5])
+
+    @pytest.mark.parametrize("corner", DARK_CORNERS)
+    def test_one_dark_state_decision(self, corner):
+        p = corner_params(*corner)
+        dark = build_generator(build_rates(p), 0.0, p.tau).dark_state_degenerate
+        assert (_kernel_constants(p)[5:8] == (0.0, 0.0, -1.0)) == (dark or p.tau == INFINITE)
 
     @pytest.mark.parametrize("fixed,dark", [
         ({"gamma_p": 0.0, "r_l": 1.0}, True),
@@ -359,7 +377,7 @@ class TestKernelPinning:
             assert gen.dark_state_degenerate == dark
             state = steady_state(gen).state
             j_l, _ = currents(state, at)
-            _, j, *_, u = _steady_at(p, *(float(v[k]) for v in (self.XG, self.XL, self.XR)))
+            _, j, *_, u = steady_at(p, *(float(v[k]) for v in (self.XG, self.XL, self.XR)))
             for got_j, got_u in ((obs["j"][k], obs["rho12_re"][k]), (j, u)):
                 assert abs(got_j - j_l) <= 1e-12
                 if dark:
@@ -387,7 +405,7 @@ class TestKernelLeadCurrent:
                                                   _bose_array(xg), fl, _fermi_array(xr))
             assert j.tobytes() == self._replaced_j(p, fl, g, z, u).tobytes()
             for a, b, c in zip(xg[:25].tolist(), xl[:25].tolist(), xr[:25].tolist()):
-                _, j, g, _, z, u = _steady_at(p, a, b, c)
+                _, j, g, _, z, u = steady_at(p, a, b, c)
                 assert j.hex() == self._replaced_j(p, fermi_occupation(b), g, z, u).hex()
 
 
@@ -406,7 +424,7 @@ class TestKernelPower:
             want = (xg - (1.0 - eta_c) * (xr - xl)) * j / p.gamma_p
             assert power.tobytes() == want.tobytes()
             for a, b, c in zip(xg[:25].tolist(), xl[:25].tolist(), xr[:25].tolist()):
-                power, j, *_ = _steady_at(p, a, b, c)
+                power, j, *_ = steady_at(p, a, b, c)
                 assert power.hex() == ((a - (1.0 - eta_c) * (c - b)) * j / p.gamma_p).hex()
 
 
@@ -452,7 +470,7 @@ class TestKernelRefusal:
                 warnings.simplefilter("error")
                 general = [self._outcome(lambda q=q: steady_state(build_generator(
                     build_rates(q), q.delta21, q.tau))) for q in points]
-                scalar = [self._outcome(lambda q=q: _steady_at(p, q.x_g, q.x_l, q.x_r))
+                scalar = [self._outcome(lambda q=q: steady_at(p, q.x_g, q.x_l, q.x_r))
                           for q in points]
                 batched = self._outcome(lambda: steady_observables_grid(p, xg, xl, xr))
             assert general == scalar == want
@@ -471,7 +489,7 @@ class TestKernelRefusal:
                               rng.uniform(-5.0, 5.0, 8).tolist()))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                scalar = [self._outcome(lambda x=x: _steady_at(p, *x)) for x in points]
+                scalar = [self._outcome(lambda x=x: steady_at(p, *x)) for x in points]
                 gradient = [self._outcome(lambda x=x: _power_gradient(consts, x, _occupations(x)))
                             for x in np.array(points)[:, :, None] + steps]
             assert gradient == scalar == ["refused" if refused else "solved"] * 8
@@ -485,7 +503,7 @@ class TestKernelRefusal:
         consts = np.array([_kernel_constants(p) for p in params]).T
         x = [rng.uniform(0.5, 10.0, len(params)), rng.uniform(-5.0, 5.0, len(params)),
              rng.uniform(-5.0, 5.0, len(params))]
-        refused = np.array([self._outcome(lambda k=k: _steady_at(p, *(v[k] for v in x)))
+        refused = np.array([self._outcome(lambda k=k: steady_at(p, *(v[k] for v in x)))
                             == "refused" for k, p in enumerate(params)])
         assert refused.any() and not refused.all()
         occ = _occupations(x)

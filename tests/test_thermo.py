@@ -11,7 +11,6 @@ from qdphotocell import (
     DomainError,
     RateSet,
     SecondLawViolationError,
-    analytic_coherence_structure,
     build_generator,
     build_rates,
     currents,
@@ -20,7 +19,7 @@ from qdphotocell import (
     steady_state,
     thermo_report,
 )
-from conftest import draw_params, reference_currents
+from conftest import analytic_coherence_structure, draw_params, reference_currents
 
 
 def solve(p):
