@@ -114,8 +114,10 @@ _ARMIJO = 1e-4
 _BOUND_FLAG_FRACTION = 1e-6
 
 # The closed-form steady state is refused when its trace falls below this
-# fraction of the product of the row norms it is built from.
+# fraction of the product of the row norms it is built from (or of
+# _row_bounds, raised by _ROW_SLACK, where that decides).
 _SINGULAR_REL = 1e-12
+_ROW_SLACK = 1.5
 
 # Seed grids are evaluated in kernel calls of about this many points, all
 # rows' grids in one pass: in-cache arrays keep the kernel near its best
@@ -150,6 +152,26 @@ def _kernel_constants(params: ModelParams) -> tuple:
     return (gp, gl, params.gamma_r, rp, rl, *coherence, 1.0 - eta_c, gp if gp > 0.0 else 1.0)
 
 
+def _row_bounds(gp, gl, gr, half_tau, n):
+    """Upper bounds on the computed 2-norms of :func:`_degenerate_steady`'s
+    ground, excited and coherence rows, at the shape of the constants and n.
+
+    Every row entry is a channel weight times an occupation, f+ + f- = gamma
+    on each lead, and r, 1 - r lie in [0, 1]; so the rows' 1-norms are at
+    most u_a = gamma_p (3 n + 1) + 2 gamma_l, u_b = gamma_p (6 n + 2) +
+    gamma_r and u_c = u_a + |tau / 2| (also for the pinned row u = 0), with
+    n = Re n > 0.  Raised by _ROW_SLACK, a bound's square covers a computed
+    sum of squares up to twice the exact one (squares rounding up in the
+    subnormal range) and the ulps of both; squared, it overflows wherever
+    its row's sum of squares does.
+    """
+    n = n.real
+    u_a = _ROW_SLACK * (gp * (3.0 * n + 1.0) + 2.0 * gl)
+    u_b = _ROW_SLACK * (gp * (6.0 * n + 2.0) + gr)
+    u_c = u_a + _ROW_SLACK * abs(half_tau)
+    return (u_a * u_a) ** 0.5, (u_b * u_b) ** 0.5, (u_c * u_c) ** 0.5
+
+
 def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     """Closed-form steady state of the degenerate dot, elementwise.
 
@@ -169,11 +191,14 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
 
     Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
     when the trace vanishes against the product of the three row norms.  The
-    gate reads real parts, so complex-step inputs (:func:`_power_gradient`)
-    are refused exactly where their real points are.  With ``refuse`` false
-    nothing is raised and the power of each refused point reads NaN, so a
-    batch of rows can flag its rows one by one.  ``consts`` may be a
-    (constant, ...) array, one entry per point (a batch of rows).
+    norms are computed only when some point's trace does not clear the same
+    fraction of :func:`_row_bounds`, which no computed norm exceeds; they
+    then decide every point.  The gate reads real parts, so complex-step
+    inputs (:func:`_power_gradient`) are refused exactly where their real
+    points are.  With ``refuse`` false nothing is raised and the power of
+    each refused point reads NaN, so a batch of rows can flag its rows one
+    by one.  ``consts`` may be a (constant, ...) array, one entry per point
+    (a batch of rows).
     """
     gp, gl, gr, rp, rl, kp, kl, half_tau, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
@@ -207,12 +232,16 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     z = a0 * m13 - a1 * m03 + a3 * m01
     u = -(a0 * m12 - a1 * m02 + a2 * m01)
     trace = 2.0 * g + e + z
-
-    scale = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5
-             * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
-             * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
-    singular = abs(trace.real) <= _SINGULAR_REL * scale.real
-    refused = singular if isinstance(singular, bool) else singular.any()
+    size = abs(trace.real)
+    cleared = size > _SINGULAR_REL * math.prod(_row_bounds(gp, gl, gr, half_tau, n))
+    if cleared if isinstance(cleared, bool) else cleared.all():
+        singular = refused = False
+    else:
+        scale = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5
+                 * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
+                 * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
+        singular = size <= _SINGULAR_REL * scale.real
+        refused = singular if isinstance(singular, bool) else singular.any()
     if refused and refuse:
         raise NoUniqueSteadyStateError(_SINGULAR_MESSAGE)
     if refused:

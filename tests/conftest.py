@@ -37,6 +37,7 @@ from qdphotocell.optimize import (
     _BOUND_FLAG_FRACTION,
     _FREE_ORDER,
     _SAME_BASIN_X_EXP,
+    _SINGULAR_REL,
     _degenerate_steady,
     _kernel_constants,
     _validated_options,
@@ -497,6 +498,31 @@ def steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
     return _degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
                               bose_occupation(x_g), fermi_occupation(x_l),
                               fermi_occupation(x_r))
+
+
+def reference_refusal_gate(consts, n, fl, fr):
+    """The kernel's refusal gate as it ran before its rate bound: the rows
+    and cofactor trace of :func:`_degenerate_steady`, then the real part of
+    the product of the three row 2-norms, computed at every point.
+
+    A test-side oracle: returns (singular, norms), singular where
+    |Re trace| <= _SINGULAR_REL * Re(product of the three ``norms``).
+    """
+    gp, gl, gr, rp, rl, kp, kl, half_tau = consts[:8]
+    bp, bm, flp, flm, frp, frm = (gp * n, gp * (1.0 + n), gl * fl, gl * (1.0 - fl),
+                                  gr * fr, gr * (1.0 - fr))
+    a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
+    b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
+    c0 = kp * bp + kl * flm
+    c1, c2, c3 = -kp * bm, -kl * flp, -(c0 + half_tau)
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    trace = (2.0 * (a1 * m23 - a2 * m13 + a3 * m12) + -(a0 * m23 - a2 * m03 + a3 * m02)
+             + (a0 * m13 - a1 * m03 + a3 * m01))
+    norms = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5,
+             (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5,
+             (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
+    return abs(trace.real) <= _SINGULAR_REL * (norms[0] * norms[1] * norms[2]).real, norms
 
 
 # ---- general-path oracle ----------------------------------------------------

@@ -2,8 +2,11 @@
 
 Run from the repository root on two checkouts and compare the printed lines:
 
-    PYTHONPATH=src python3 tests/same_bits.py
+    PYTHONPATH=src python3 tests/same_bits.py > before.txt    # on the parent
+    PYTHONPATH=src python3 tests/same_bits.py --against before.txt
 
+With ``--against FILE`` it also compares its digests with a saved listing
+and exits 1 naming every digest that moved or is missing from either side.
 It prints one sha256 digest per line:
 
 - the bytes of the default fig2, fig3a and fig3b CSV tables;
@@ -14,11 +17,16 @@ It prints one sha256 digest per line:
 - the reprs of ``efficiency_at_max_power_curve`` on the default base at
   r_p = 0.9, for tau 0 and inf and eta_c 0.1, 0.5 and 0.9;
 - the bytes of ``steady_observables_grid`` on an 8 x 8 (x_l, x_r) grid at
-  each ``DARK_CORNERS`` params set, a refused set recorded by its error's repr.
+  each ``DARK_CORNERS`` params set, a refused set recorded by its error's repr;
+- the power bytes of ``_degenerate_steady(..., refuse=False)``, NaN where a
+  point is refused, on a 40 x 41 x 41 scan of the search box for each of
+  the 18 ``REFUSAL_SCAN_SETS`` (one channel off), so a refusal that moves
+  at any one point moves the digest.
 
 The name has no ``test_`` prefix, so pytest does not collect it.
 """
 
+import argparse
 import hashlib
 import itertools
 import os
@@ -32,8 +40,16 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from qdphotocell import (INFINITE, ModelParams, NoUniqueSteadyStateError,
                          efficiency_at_max_power_curve, maximize_power, run_fig2, run_fig3a,
                          run_fig3b, steady_observables_grid)
-from qdphotocell.optimize import _FREE_ORDER, _maximize_rows
+from qdphotocell.optimize import (_FREE_ORDER, _degenerate_steady, _kernel_constants,
+                                  _maximize_rows, _occupations)
 from test_optimize import DARK_CORNERS, _bit_identity_draws, _x_r_fixed_draws, corner_params
+
+
+# each of gamma_p, gamma_l and gamma_r switched off, with tau in {0, 1.5, inf}
+# and r_p = r_l in {0, 0.9}
+REFUSAL_SCAN_SETS = tuple({name: 0.0, "tau": tau, "r_p": r, "r_l": r}
+                          for name in ("gamma_p", "gamma_l", "gamma_r")
+                          for tau in (0.0, 1.5, INFINITE) for r in (0.0, 0.9))
 
 
 def _digest(text: bytes) -> str:
@@ -65,23 +81,56 @@ def _grid_bytes(p) -> bytes:
     return b"".join(obs[k].tobytes() for k in ("power", "j", "rho12_re"))
 
 
-def main() -> None:
+def _scan_bytes(fixed) -> bytes:
+    x = (np.linspace(0.1, 30.0, 40)[:, None, None], np.linspace(-20.0, 20.0, 41)[:, None],
+         np.linspace(-20.0, 20.0, 41))
+    with np.errstate(all="ignore"):
+        power = _degenerate_steady(_kernel_constants(ModelParams(**fixed)), *x,
+                                   *_occupations(x), refuse=False)[0]
+    return power.tobytes()
+
+
+def digests():
+    """(name, digest) of every listing, in print order."""
     for name, run in (("fig2", run_fig2), ("fig3a", run_fig3a), ("fig3b", run_fig3b)):
-        print(f"{name}.csv {_digest(_csv_bytes(run(workers=1)))}")
+        yield f"{name}.csv", _digest(_csv_bytes(run(workers=1)))
     draws = [_outcome(*draw) for seed in range(1, 6)
              for draw in _bit_identity_draws(np.random.default_rng(seed), 120)]
-    print(f"bit_identity_draws[{len(draws)}] {_digest(chr(10).join(draws).encode())}")
+    yield f"bit_identity_draws[{len(draws)}]", _digest(chr(10).join(draws).encode())
     params = list(_x_r_fixed_draws(np.random.default_rng(7), 40))
     for n in (1, 2, 3):
         for free in itertools.combinations(_FREE_ORDER, n):
             results = "\n".join(map(repr, _maximize_rows(params, free)))
-            print(f"x_r_fixed_draws {'+'.join(free)} {_digest(results.encode())}")
+            yield f"x_r_fixed_draws {'+'.join(free)}", _digest(results.encode())
     curves = [repr(efficiency_at_max_power_curve(ModelParams(r_p=0.9, tau=tau), (0.1, 0.5, 0.9)))
               for tau in (0.0, INFINITE)]
-    print(f"curves {_digest(chr(10).join(curves).encode())}")
+    yield "curves", _digest(chr(10).join(curves).encode())
     grids = b"\n".join(_grid_bytes(corner_params(*c)) for c in DARK_CORNERS)
-    print(f"dark_corner_grids[{len(DARK_CORNERS)}] {_digest(grids)}")
+    yield f"dark_corner_grids[{len(DARK_CORNERS)}]", _digest(grids)
+    scans = b"".join(_scan_bytes(fixed) for fixed in REFUSAL_SCAN_SETS)
+    yield f"refusal_scans[{len(REFUSAL_SCAN_SETS)}]", _digest(scans)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", metavar="FILE",
+                    help="a saved listing of this script to compare the digests with")
+    args = ap.parse_args(argv)
+    ours = {}
+    for name, digest in digests():
+        print(f"{name} {digest}", flush=True)
+        ours[name] = digest
+    if args.against is None:
+        return 0
+    with open(args.against) as fh:
+        theirs = dict(line.rstrip("\n").rsplit(" ", 1) for line in fh if line.strip())
+    faults = [f"moved: {name}" for name in ours if name in theirs and ours[name] != theirs[name]]
+    faults += [f"missing from {args.against}: {name}" for name in ours if name not in theirs]
+    faults += [f"missing here: {name}" for name in theirs if name not in ours]
+    print("\n".join(faults) if faults else f"same bits: all {len(ours)} digests match "
+          f"{args.against}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

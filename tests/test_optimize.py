@@ -25,14 +25,17 @@ from qdphotocell import (
     steady_state,
 )
 from qdphotocell import optimize
-from qdphotocell.model import _bose_array, _fermi_array, fermi_occupation
+from qdphotocell.model import _bose_array, _fermi_array, bose_occupation, fermi_occupation
 from qdphotocell.optimize import (
     _CS_STEP,
+    _FREE_ORDER,
+    _OCC_SIGN,
     _degenerate_steady,
     _kernel_constants,
     _occupations,
     _power_gradient,
     _ranked_seeds,
+    _row_bounds,
 )
 from conftest import (
     _power_gradient_hessian,
@@ -41,6 +44,7 @@ from conftest import (
     nelder_mead,
     reference_maximize_power,
     reference_nelder_mead,
+    reference_refusal_gate,
     steady_at,
 )
 
@@ -516,6 +520,83 @@ class TestKernelRefusal:
             parts = [power] if np.isrealobj(power) else [power.real, power.imag]
             assert all(np.array_equal(np.isnan(part), refused) for part in parts)
             assert np.array_equal(power[~refused], alone)
+
+
+class TestRefusalBound:
+    """The rate bound of the kernel's refusal gate only ever clears a point:
+    on float, array and complex-step inputs the kernel refuses exactly where
+    the three-norm gate (``reference_refusal_gate``) does, and the bound is
+    at least the computed norm product wherever both are finite.
+
+    Drawn over the channel-off cases, the dark-state corners and one
+    subnormal, tiny or huge coupling each, alone or beside a channel off,
+    at tau 0, 1.5, 1e300 and INFINITE, on points in the search box and out
+    to |x| = 700.
+    """
+
+    # 1.6e-162 squares to 2.6e-324, which rounds up to 4.9e-324: a row of
+    # that one entry has a computed norm 1.39 times its exact one
+    COUPLINGS = (5e-324, 1e-320, 1.6e-162, 1e300)
+    TAUS = (0.0, 1.5, 1e300, INFINITE)
+    PER_SET = 8
+
+    @classmethod
+    def _draws(cls, rng):
+        fixed = [f for f, _ in TestKernelRefusal.CASES]
+        gammas = ("gamma_p", "gamma_l", "gamma_r")
+        fixed += [{name: g, **{off: 0.0 for off in offs}} for name in gammas
+                  for g in cls.COUPLINGS for offs in [(), *((o,) for o in gammas if o != name)]]
+        params = [draw_params(rng, **{**f, "tau": tau}) for f in fixed for tau in cls.TAUS]
+        params += [corner_params(*c[:4], tau) for c in DARK_CORNERS for tau in (c[4], *cls.TAUS)]
+        consts = np.repeat(np.array([_kernel_constants(p) for p in params]).T, cls.PER_SET, axis=1)
+        m = consts.shape[1]
+        # x_g log-uniform, so that small x_g, where n is large, is drawn often
+        box = [np.exp(rng.uniform(*np.log(DEFAULT_BOUNDS["x_g"]), m)),
+               *(rng.uniform(*DEFAULT_BOUNDS[k], m) for k in _FREE_ORDER[1:])]
+        far = [np.exp(rng.uniform(np.log(0.1), np.log(700.0), m)),
+               rng.uniform(-700.0, 700.0, m), rng.uniform(-700.0, 700.0, m)]
+        near = rng.random(m) < 0.5
+        return consts, [np.where(near, b, f) for b, f in zip(box, far)]
+
+    @staticmethod
+    def _check(consts, x, occ):
+        power, j, *_ = _degenerate_steady(consts, *x, *occ, refuse=False)
+        singular, norms = reference_refusal_gate(consts, *occ)
+        # the kernel's own power with the three-norm gate's NaNs
+        want = (x[0] - consts[8] * (x[2] - x[1])) * j / consts[9]
+        if singular.any():
+            want = want * np.where(singular, math.nan, 1.0)
+        assert np.array_equal(np.isnan(power), np.isnan(want))
+        bounds = _row_bounds(*consts[:3], consts[7], occ[0])
+        pairs = [*zip(bounds, np.real(norms)),
+                 (bounds[0] * bounds[1] * bounds[2], (norms[0] * norms[1] * norms[2]).real)]
+        for bound, norm in pairs:
+            finite = np.isfinite(bound) & np.isfinite(norm)
+            assert np.all(bound[finite] >= norm[finite])
+        return singular
+
+    def test_bound_only_clears(self, rng):
+        consts, x = self._draws(rng)
+        occ = _occupations(x)
+        steps = 1j * _CS_STEP * rng.standard_normal((3, len(x[0])))
+        x_cs = [v + s for v, s in zip(x, steps)]
+        occ_cs = [o - 1j * (o * (1.0 + s * o)) * v.imag for v, o, s in zip(x_cs, occ, _OCC_SIGN)]
+        with np.errstate(all="ignore"):
+            singular = self._check(consts, x, occ)
+            self._check(consts, x_cs, occ_cs)
+            assert 0 < singular.sum() < len(singular)
+            for k in range(0, len(singular), self.PER_SET):  # one float point per set
+                c, point = tuple(consts[:, k].tolist()), [float(v[k]) for v in x]
+                occ_k = [f(v) for f, v in zip((bose_occupation, fermi_occupation,
+                                               fermi_occupation), point)]
+                refused = False
+                try:
+                    _degenerate_steady(c, *point, *occ_k)
+                except NoUniqueSteadyStateError:
+                    refused = True
+                except ZeroDivisionError:  # a zero trace the gate let through
+                    pass
+                assert refused == reference_refusal_gate(c, *occ_k)[0]
 
 
 def _search_gradient(params, eta_c, t):
