@@ -23,9 +23,10 @@ one per line-search trial for every lane still searching.  A kernel call
 gathers its lanes' constants and fixed coordinates' occupations, each
 computed once per row, and computes the free ones' at their own shapes.
 Every step is elementwise in the lanes, so a row's result is the same
-alone or inside any batch; a refused point flags only its own row.  Every
-optimum carries its certificate: the relative gradient, the Newton step
-left and the largest curvature there.
+alone or inside any batch.  A refused point reads NaN, the kernel's one
+refusal signal: it flags only its own row.  Every optimum carries its
+certificate: the relative gradient, the Newton step left and the largest
+curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
 the seed grid, and the ascent never leaves positive power, so the maximizer
@@ -113,11 +114,12 @@ _ARMIJO = 1e-4
 # reported as active bounds.
 _BOUND_FLAG_FRACTION = 1e-6
 
-# The closed-form steady state is refused when its trace falls below this
+# The closed-form steady state is refused unless its trace exceeds this
 # fraction of the product of the row norms it is built from (or of
 # _row_bounds, raised by _ROW_SLACK, where that decides).
 _SINGULAR_REL = 1e-12
 _ROW_SLACK = 1.5
+_NAN = (math.nan, complex(math.nan, math.nan))  # a refused point, real or complex
 
 # Seed grids are evaluated in kernel calls of about this many points, all
 # rows' grids in one pass: in-cache arrays keep the kernel near its best
@@ -172,7 +174,7 @@ def _row_bounds(gp, gl, gr, half_tau, n):
     return (u_a * u_a) ** 0.5, (u_b * u_b) ** 0.5, (u_c * u_c) ** 0.5
 
 
-def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
+def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr):
     """Closed-form steady state of the degenerate dot, elementwise.
 
     Works alike on Python floats and on broadcast numpy arrays; ``consts`` holds
@@ -189,16 +191,16 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     which selects the decoherence-continuity branch of its two-dimensional
     kernel; floats, arrays, stacked rows and complex steps share this path.
 
-    Returns (power, j, g, rho_e, rho0, u); raises NoUniqueSteadyStateError
-    when the trace vanishes against the product of the three row norms.  The
-    norms are computed only when some point's trace does not clear the same
-    fraction of :func:`_row_bounds`, which no computed norm exceeds; they
-    then decide every point.  The gate reads real parts, so complex-step
-    inputs (:func:`_power_gradient`) are refused exactly where their real
-    points are.  With ``refuse`` false nothing is raised and the power of
-    each refused point reads NaN, so a batch of rows can flag its rows one
-    by one.  ``consts`` may be a (constant, ...) array, one entry per point
-    (a batch of rows).
+    Returns (power, j, g, rho_e, rho0, u) and never raises.  A point is
+    refused unless |Re trace| exceeds _SINGULAR_REL times the product of
+    the 2-norms of its three rows' real parts, so also where that is NaN,
+    and then reads NaN in all six outputs, both parts where complex; every
+    other point keeps the bits it has alone.  A complex step
+    (:func:`_power_gradient`) is thus refused where its real point is.  The
+    norms are computed only when some trace does not clear the same
+    fraction of :func:`_row_bounds`, which no computed norm exceeds.
+    ``consts`` may be a (constant, ...) array, one entry per point (a batch
+    of rows).
     """
     gp, gl, gr, rp, rl, kp, kl, half_tau, one_minus_eta_c, gamma_ref = consts
     bp = gp * n
@@ -234,26 +236,27 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr, refuse: bool = True):
     trace = 2.0 * g + e + z
     size = abs(trace.real)
     cleared = size > _SINGULAR_REL * math.prod(_row_bounds(gp, gl, gr, half_tau, n))
-    if cleared if isinstance(cleared, bool) else cleared.all():
-        singular = refused = False
-    else:
-        scale = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5
-                 * (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5
-                 * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
-        singular = size <= _SINGULAR_REL * scale.real
-        refused = singular if isinstance(singular, bool) else singular.any()
-    if refused and refuse:
-        raise NoUniqueSteadyStateError(_SINGULAR_MESSAGE)
-    if refused:
-        trace = np.where(singular, 1.0, trace)
+    refused = None
+    if not (cleared if isinstance(cleared, bool) else cleared.all()):
+        scale = math.prod(sum(v.real * v.real for v in row) ** 0.5
+                          for row in ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)))
+        refused = np.logical_not(size > _SINGULAR_REL * scale)
+        trace = np.where(refused, 1.0, trace) if refused.any() else trace
     g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
     # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
     j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
     power = (x_g - one_minus_eta_c * (x_r - x_l)) * j / gamma_ref
-    if refused:  # NaN in both parts of a complex power
-        power = power * np.where(singular, math.nan, 1.0)
-    return power, j, g, e, z, u
+    if refused is None or not refused.any():
+        return power, j, g, e, z, u
+    return tuple(np.where(refused, _NAN[np.iscomplexobj(v)], v) for v in (power, j, g, e, z, u))
+
+
+def _solved(out):
+    """The kernel's outputs ``out`` if no point is refused (reads NaN)."""
+    if np.isnan(out[0]).any():
+        raise NoUniqueSteadyStateError(_SINGULAR_MESSAGE)
+    return out
 
 
 def _occupations(x):
@@ -267,7 +270,7 @@ def _steady_rows(params, x_g, x_l, x_r):
     in ``params``, in one array call.  Degenerate levels (delta21 = 0) only."""
     x = [np.array(v, dtype=float) for v in (x_g, x_l, x_r)]
     consts = np.array([_kernel_constants(p) for p in params]).T
-    return _degenerate_steady(consts, *x, *_occupations(x))
+    return _solved(_degenerate_steady(consts, *x, *_occupations(x)))
 
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
@@ -283,8 +286,8 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     (delta21 = 0), where the steady state has a closed form; tests pin it to
     :func:`qdphotocell.dynamics.steady_state` over the whole search box.
     Raises DomainError for inputs that do not broadcast together, are not
-    finite, or have x_g <= 0, and :class:`NoUniqueSteadyStateError` if any
-    grid point has no unique steady state.
+    finite, or have x_g <= 0, and :class:`NoUniqueSteadyStateError` if the
+    kernel refuses any grid point (:func:`_solved`).
     """
     consts = _kernel_constants(params)
     x_g, x_l, x_r = (np.asarray(v, dtype=float) for v in (x_g, x_l, x_r))
@@ -298,11 +301,11 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     if np.any(x_g <= 0.0):
         raise DomainError("x_g must be positive everywhere on the grid")
     x = x_g, x_l, x_r
-    power, j, _, _, _, u = _degenerate_steady(consts, *x, *_occupations(x))
+    power, j, _, _, _, u = _solved(_degenerate_steady(consts, *x, *_occupations(x)))
     return {"power": power, "j": j, "rho12_re": u}
 
 
-def _power_gradient(consts, points, occ, refuse: bool = True):
+def _power_gradient(consts, points, occ):
     """Derivatives of the power by complex step through :func:`_degenerate_steady`.
 
     ``points`` holds (x_g, x_l, x_r) and ``occ`` their occupations
@@ -312,12 +315,11 @@ def _power_gradient(consts, points, occ, refuse: bool = True):
     to first order, n' = -n (1 + n) and f' = -f (1 - f); a real one is fixed
     along every direction.  Im(power) / ``_CS_STEP`` is the directional
     derivative, exact to rounding since no difference is taken (Squire &
-    Trapp, SIAM Rev. 40, 110-112, 1998).  Refuses where the real points
-    refuse, or with ``refuse`` false reads NaN there.
+    Trapp, SIAM Rev. 40, 110-112, 1998); NaN where the real point is refused.
     """
     occ = [o - 1j * (o * (1.0 + s * o)) * x.imag if np.iscomplexobj(x) else o
            for x, o, s in zip(points, occ, _OCC_SIGN)]
-    return _degenerate_steady(consts, *points, *occ, refuse)[0].imag / _CS_STEP
+    return _degenerate_steady(consts, *points, *occ)[0].imag / _CS_STEP
 
 
 @dataclass(frozen=True)
@@ -395,21 +397,18 @@ def _validated_options(free, bounds, **options):
 
 
 def _ranked_seeds(t_grid, p_grid, top):
-    """Rows of ``t_grid`` to refine: the ``top`` best by power ``p_grid``
-    (best first, ties broken lexicographically on the coordinates), less
-    those without positive power.  ``p_grid`` holds one power per row of
-    ``t_grid``, or a (rows, n) stack of such, and then gives one list per
-    row.  One sort finds each row's ``top``-th largest power; the entries at
-    or above it, of every row, go to one lexsort keyed on row, power and
-    coordinates, and each row is cut at ``top``."""
-    p_rows = np.atleast_2d(p_grid)
-    n_rows, n = p_rows.shape
-    cuts = np.sort(p_rows, axis=1)[:, n - top] if top < n else np.zeros(n_rows)
-    rows, at = np.nonzero((p_rows >= cuts[:, None]) & (p_rows > 0.0))  # rows ascending
-    order = np.lexsort(tuple(t_grid[at].T[::-1]) + (-p_rows[rows, at], rows))
+    """Per row of ``p_grid``, a (rows, n) stack of powers at the n points
+    of ``t_grid``, the points to refine: the ``top`` best by power (best
+    first, ties broken lexicographically on the coordinates), less those
+    without positive power.  One sort finds each row's ``top``-th largest
+    power; the entries at or above it, of every row, go to one lexsort keyed
+    on row, power and coordinates, and each row is cut at ``top``."""
+    n_rows, n = p_grid.shape
+    cuts = np.sort(p_grid, axis=1)[:, n - top] if top < n else np.zeros(n_rows)
+    rows, at = np.nonzero((p_grid >= cuts[:, None]) & (p_grid > 0.0))  # rows ascending
+    order = np.lexsort(tuple(t_grid[at].T[::-1]) + (-p_grid[rows, at], rows))
     first, at = np.searchsorted(rows, np.arange(n_rows + 1)).tolist(), at[order].tolist()
-    ranked = [at[a:min(a + top, b)] for a, b in zip(first, first[1:])]
-    return ranked if np.ndim(p_grid) == 2 else ranked[0]
+    return [at[a:min(a + top, b)] for a, b in zip(first, first[1:])]
 
 
 def _cholesky_solve(a, b):
@@ -520,8 +519,7 @@ class _Batch:
     def power(self, rows, *x):
         """The kernel's power at decoded points ``x`` of the rows ``rows`` in
         one array call; the rows of refused points are flagged."""
-        power = _degenerate_steady(self.consts[:, rows], *x, *self.occupations(rows, x),
-                                   refuse=False)[0]
+        power = _degenerate_steady(self.consts[:, rows], *x, *self.occupations(rows, x))[0]
         self._flag(rows, power)
         return power
 
@@ -658,8 +656,7 @@ class _Batch:
         stencil, j = np.repeat(t[:, None, None], 2 * dim + 1, axis=1), np.arange(dim)
         stencil[j, 1 + 2 * j, 0], stencil[j, 2 + 2 * j, 0] = up, down
         occ = self.occupations(rows, self.decode(stencil, rows))
-        grad = _power_gradient(self.consts[:, rows], self.decode(stencil + self.steps, rows),
-                               occ, refuse=False)
+        grad = _power_gradient(self.consts[:, rows], self.decode(stencil + self.steps, rows), occ)
         self._flag(rows, grad)
         width, keep = up - down, ~self.flagged[rows]
         if not keep.all():

@@ -40,6 +40,7 @@ from qdphotocell.optimize import (
     _SINGULAR_REL,
     _degenerate_steady,
     _kernel_constants,
+    _solved,
     _validated_options,
 )
 from qdphotocell.selftest import draw_params
@@ -493,20 +494,22 @@ def analytic_coherence_structure(params: ModelParams) -> CoherenceStructure:
 def steady_at(params: ModelParams, x_g: float, x_l: float, x_r: float):
     """The kernel's (power, j, g, rho_e, rho0, u) at one point on Python floats.
 
-    Degenerate levels (delta21 = 0) only.
+    Degenerate levels (delta21 = 0) only.  Raises NoUniqueSteadyStateError
+    where the kernel refuses the point (reads NaN).
     """
-    return _degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
-                              bose_occupation(x_g), fermi_occupation(x_l),
-                              fermi_occupation(x_r))
+    return _solved(_degenerate_steady(_kernel_constants(params), x_g, x_l, x_r,
+                                      bose_occupation(x_g), fermi_occupation(x_l),
+                                      fermi_occupation(x_r)))
 
 
 def reference_refusal_gate(consts, n, fl, fr):
-    """The kernel's refusal gate as it ran before its rate bound: the rows
-    and cofactor trace of :func:`_degenerate_steady`, then the real part of
-    the product of the three row 2-norms, computed at every point.
+    """The kernel's refusal gate without its rate bound: the rows and
+    cofactor trace of :func:`_degenerate_steady`, then the 2-norms of the
+    three rows' real parts, computed at every point.
 
-    A test-side oracle: returns (singular, norms), singular where
-    |Re trace| <= _SINGULAR_REL * Re(product of the three ``norms``).
+    A test-side oracle: returns (singular, norms), singular where not
+    |Re trace| > _SINGULAR_REL * (product of the three ``norms``), so also
+    where that product is NaN.
     """
     gp, gl, gr, rp, rl, kp, kl, half_tau = consts[:8]
     bp, bm, flp, flm, frp, frm = (gp * n, gp * (1.0 + n), gl * fl, gl * (1.0 - fl),
@@ -519,10 +522,9 @@ def reference_refusal_gate(consts, n, fl, fr):
     m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
     trace = (2.0 * (a1 * m23 - a2 * m13 + a3 * m12) + -(a0 * m23 - a2 * m03 + a3 * m02)
              + (a0 * m13 - a1 * m03 + a3 * m01))
-    norms = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) ** 0.5,
-             (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) ** 0.5,
-             (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3) ** 0.5)
-    return abs(trace.real) <= _SINGULAR_REL * (norms[0] * norms[1] * norms[2]).real, norms
+    norms = tuple(sum(v.real * v.real for v in row) ** 0.5
+                  for row in ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)))
+    return np.logical_not(abs(trace.real) > _SINGULAR_REL * (norms[0] * norms[1] * norms[2])), norms
 
 
 # ---- general-path oracle ----------------------------------------------------

@@ -2,8 +2,11 @@
 
 Run from the repository root on two checkouts and compare the printed lines:
 
-    PYTHONPATH=src python3 tests/same_bits.py > before.txt    # on the parent
-    PYTHONPATH=src python3 tests/same_bits.py --against before.txt
+    python3 tests/same_bits.py > before.txt    # on the parent
+    python3 tests/same_bits.py --against before.txt
+
+It imports qdphotocell from the ``src/`` of its own checkout and refuses to
+run on any other copy, so an installed package cannot stand in for it.
 
 With ``--against FILE`` it also compares its digests with a saved listing
 and exits 1 naming every digest that moved or is missing from either side.
@@ -18,8 +21,8 @@ It prints one sha256 digest per line:
   r_p = 0.9, for tau 0 and inf and eta_c 0.1, 0.5 and 0.9;
 - the bytes of ``steady_observables_grid`` on an 8 x 8 (x_l, x_r) grid at
   each ``DARK_CORNERS`` params set, a refused set recorded by its error's repr;
-- the power bytes of ``_degenerate_steady(..., refuse=False)``, NaN where a
-  point is refused, on a 40 x 41 x 41 scan of the search box for each of
+- the power bytes of ``_degenerate_steady``, NaN where a point is refused,
+  on a 40 x 41 x 41 scan of the search box for each of
   the 18 ``REFUSAL_SCAN_SETS`` (one channel off), so a refusal that moves
   at any one point moves the digest.
 
@@ -32,10 +35,19 @@ import itertools
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+sys.path[:0] = [str(SRC), str(HERE)]
+
+import qdphotocell
+
+if Path(qdphotocell.__file__).resolve().parent != SRC / "qdphotocell":
+    raise SystemExit(f"same_bits: imported qdphotocell from {qdphotocell.__file__}, "
+                     f"not from {SRC}")
 
 from qdphotocell import (INFINITE, ModelParams, NoUniqueSteadyStateError,
                          efficiency_at_max_power_curve, maximize_power, run_fig2, run_fig3a,
@@ -86,7 +98,7 @@ def _scan_bytes(fixed) -> bytes:
          np.linspace(-20.0, 20.0, 41))
     with np.errstate(all="ignore"):
         power = _degenerate_steady(_kernel_constants(ModelParams(**fixed)), *x,
-                                   *_occupations(x), refuse=False)[0]
+                                   *_occupations(x))[0]
     return power.tobytes()
 
 

@@ -12,6 +12,7 @@ from qdphotocell import (
     DEFAULT_BOUNDS,
     INFINITE,
     DomainError,
+    ModelParams,
     NoUniqueSteadyStateError,
     build_generator,
     build_rates,
@@ -480,10 +481,16 @@ class TestKernelRefusal:
             assert general == scalar == want
             assert batched == want[0]
 
+    @staticmethod
+    def _read(values):
+        nan = np.isnan(values)
+        return "refused" if nan.all() else "solved" if not nan.any() else "partly refused"
+
     @pytest.mark.parametrize("fixed,refused", CASES)
     def test_gradient_refuses_where_the_float_kernel_does(self, rng, fixed, refused):
-        # the complex-step gradient gates on real parts, so it refuses exactly
-        # the points the float kernel refuses, warning about none
+        # the complex-step gradient gates on real parts, so it reads NaN in
+        # every direction exactly at the points the float kernel refuses,
+        # warning about none
         steps = 1j * _CS_STEP * np.eye(3)
         for tau in (0.0, 1.5, INFINITE):
             p = draw_params(rng, **{"tau": tau, **fixed})
@@ -494,15 +501,15 @@ class TestKernelRefusal:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 scalar = [self._outcome(lambda x=x: steady_at(p, *x)) for x in points]
-                gradient = [self._outcome(lambda x=x: _power_gradient(consts, x, _occupations(x)))
+                gradient = [self._read(_power_gradient(consts, x, _occupations(x)))
                             for x in np.array(points)[:, :, None] + steps]
             assert gradient == scalar == ["refused" if refused else "solved"] * 8
 
     def test_refuse_false_marks_only_the_refused_points(self, rng):
         # one batch of refused and solved points, a row of every case per
-        # point, on real and on complex-step inputs: with refuse false the
-        # power is NaN, in both parts where complex, at each point the float
-        # kernel refuses, and elsewhere reads what the solved points read alone
+        # point, on real and on complex-step inputs: all six outputs are NaN,
+        # in both parts where complex, at each point the float kernel
+        # refuses, and elsewhere read the bits the solved points read alone
         params = [draw_params(rng, **fixed) for _ in range(4) for fixed, _ in self.CASES]
         consts = np.array([_kernel_constants(p) for p in params]).T
         x = [rng.uniform(0.5, 10.0, len(params)), rng.uniform(-5.0, 5.0, len(params)),
@@ -514,12 +521,14 @@ class TestKernelRefusal:
         for x_l in (x[1], x[1] + 1j * _CS_STEP):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                power = _degenerate_steady(consts, x[0], x_l, x[2], *occ, refuse=False)[0]
+                batch = _degenerate_steady(consts, x[0], x_l, x[2], *occ)
                 alone = _degenerate_steady(consts[:, ~refused], x[0][~refused], x_l[~refused],
-                                           x[2][~refused], *(o[~refused] for o in occ))[0]
-            parts = [power] if np.isrealobj(power) else [power.real, power.imag]
-            assert all(np.array_equal(np.isnan(part), refused) for part in parts)
-            assert np.array_equal(power[~refused], alone)
+                                           x[2][~refused], *(o[~refused] for o in occ))
+            assert np.iscomplexobj(batch[0]) == np.iscomplexobj(x_l)
+            for out, want in zip(batch, alone):
+                parts = [out] if np.isrealobj(out) else [out.real, out.imag]
+                assert all(np.array_equal(np.isnan(part), refused) for part in parts)
+                assert out[~refused].tobytes() == want.tobytes()
 
 
 class TestRefusalBound:
@@ -560,27 +569,32 @@ class TestRefusalBound:
 
     @staticmethod
     def _check(consts, x, occ):
-        power, j, *_ = _degenerate_steady(consts, *x, *occ, refuse=False)
+        power, j, *_ = _degenerate_steady(consts, *x, *occ)
         singular, norms = reference_refusal_gate(consts, *occ)
         # the kernel's own power with the three-norm gate's NaNs
-        want = (x[0] - consts[8] * (x[2] - x[1])) * j / consts[9]
-        if singular.any():
-            want = want * np.where(singular, math.nan, 1.0)
+        want = np.where(singular, math.nan, (x[0] - consts[8] * (x[2] - x[1])) * j / consts[9])
         assert np.array_equal(np.isnan(power), np.isnan(want))
         bounds = _row_bounds(*consts[:3], consts[7], occ[0])
-        pairs = [*zip(bounds, np.real(norms)),
-                 (bounds[0] * bounds[1] * bounds[2], (norms[0] * norms[1] * norms[2]).real)]
+        pairs = [*zip(bounds, norms), (bounds[0] * bounds[1] * bounds[2],
+                                       norms[0] * norms[1] * norms[2])]
         for bound, norm in pairs:
             finite = np.isfinite(bound) & np.isfinite(norm)
             assert np.all(bound[finite] >= norm[finite])
         return singular
 
-    def test_bound_only_clears(self, rng):
-        consts, x = self._draws(rng)
+    @classmethod
+    def _draws_and_steps(cls, rng):
+        """The constants, then (x, occupations) of the draws on floats and
+        with a random complex step each."""
+        consts, x = cls._draws(rng)
         occ = _occupations(x)
         steps = 1j * _CS_STEP * rng.standard_normal((3, len(x[0])))
         x_cs = [v + s for v, s in zip(x, steps)]
         occ_cs = [o - 1j * (o * (1.0 + s * o)) * v.imag for v, o, s in zip(x_cs, occ, _OCC_SIGN)]
+        return consts, (x, occ), (x_cs, occ_cs)
+
+    def test_bound_only_clears(self, rng):
+        consts, (x, occ), (x_cs, occ_cs) = self._draws_and_steps(rng)
         with np.errstate(all="ignore"):
             singular = self._check(consts, x, occ)
             self._check(consts, x_cs, occ_cs)
@@ -589,14 +603,64 @@ class TestRefusalBound:
                 c, point = tuple(consts[:, k].tolist()), [float(v[k]) for v in x]
                 occ_k = [f(v) for f, v in zip((bose_occupation, fermi_occupation,
                                                fermi_occupation), point)]
-                refused = False
-                try:
-                    _degenerate_steady(c, *point, *occ_k)
-                except NoUniqueSteadyStateError:
-                    refused = True
-                except ZeroDivisionError:  # a zero trace the gate let through
-                    pass
+                refused = np.isnan(_degenerate_steady(c, *point, *occ_k)[0])
                 assert refused == reference_refusal_gate(c, *occ_k)[0]
+
+
+class TestRefusalIsNaN:
+    """NaN is the kernel's one refusal signal, the same on floats, arrays and
+    complex steps and the same for a point alone or inside any batch;
+    ``steady_observables_grid`` raises through it.  The draws and steps are
+    ``TestRefusalBound``'s."""
+
+    @staticmethod
+    def _all_nan(values):
+        values = np.asarray(values)
+        parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+        return all(np.isnan(part).all() for part in parts)
+
+    def test_disconnected_dot_with_an_overflowing_row_refuses(self):
+        # photon field and left lead off: the norm product is 0 times the
+        # coherence row's overflowing squares, NaN, and that refuses
+        p = ModelParams(gamma_p=0.0, gamma_l=0.0, tau=1e300)
+        consts = _kernel_constants(p)
+        x = (np.array([2.0, 2.0]), np.array([-1.0, 0.5]), np.array([3.0, 1.0]))
+        step = 1j * _CS_STEP * np.array([[1.0], [-2.0], [0.5]])
+        x_cs = [v + s for v, s in zip(x, step)]
+        occ_cs = [o - 1j * (o * (1.0 + s * o)) * v.imag
+                  for v, o, s in zip(x_cs, _occupations(x), _OCC_SIGN)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoUniqueSteadyStateError):
+                steady_observables_grid(p, *x)
+            for point in zip(*(v.tolist() for v in x)):  # Python floats
+                occ = [f(v) for f, v in zip((bose_occupation, fermi_occupation,
+                                             fermi_occupation), point)]
+                assert all(map(self._all_nan, _degenerate_steady(consts, *point, *occ)))
+            assert all(map(self._all_nan, _degenerate_steady(consts, *x, *_occupations(x))))
+            complex_step = _degenerate_steady(consts, *x_cs, *occ_cs)
+            assert np.iscomplexobj(complex_step[0]) and all(map(self._all_nan, complex_step))
+
+    def test_complex_step_refuses_where_its_real_point_does(self, rng):
+        consts, (x, occ), (x_cs, occ_cs) = TestRefusalBound._draws_and_steps(rng)
+        with np.errstate(all="ignore"):
+            real = np.isnan(_degenerate_steady(consts, *x, *occ)[0])
+            power = _degenerate_steady(consts, *x_cs, *occ_cs)[0]
+        assert 0 < real.sum() < len(real)
+        assert self._all_nan(power[real])
+
+    def test_a_point_reads_alone_what_it_reads_in_the_batch(self, rng):
+        consts, _, (x_cs, occ_cs) = TestRefusalBound._draws_and_steps(rng)
+        with np.errstate(all="ignore"):
+            batch = _degenerate_steady(consts, *x_cs, *occ_cs)
+            refused = np.isnan(batch[0].real)
+            assert refused.any() and not refused.all()
+            for k in range(consts.shape[1]):
+                at = slice(k, k + 1)
+                alone = _degenerate_steady(consts[:, at], *(v[at] for v in x_cs),
+                                           *(o[at] for o in occ_cs))
+                for a, b in zip(alone, batch):
+                    assert np.array_equal(a.real, b.real[at], equal_nan=True)
+                    assert np.array_equal(a.imag, b.imag[at], equal_nan=True)
 
 
 def _search_gradient(params, eta_c, t):
@@ -660,9 +724,9 @@ class TestGradientStencil:
     def test_fixed_x_g_enters_real_per_lane(self, monkeypatch, params):
         kernel, calls = optimize._degenerate_steady, []
 
-        def spy(consts, x_g, x_l, x_r, *rest, **kwargs):
+        def spy(consts, x_g, x_l, x_r, *rest):
             calls.append((x_g, x_l, x_r))
-            return kernel(consts, x_g, x_l, x_r, *rest, **kwargs)
+            return kernel(consts, x_g, x_l, x_r, *rest)
 
         monkeypatch.setattr(optimize, "_degenerate_steady", spy)
         optimize._maximize_rows(params, ("x_l", "x_r"))
@@ -677,8 +741,8 @@ class TestGradientStencil:
     def test_gives_the_bits_of_dense_inputs(self, monkeypatch, params, free):
         gradient, calls = optimize._power_gradient, []
 
-        def spy(consts, points, occ, refuse=True):
-            calls.append((consts, points, gradient(consts, points, occ, refuse)))
+        def spy(consts, points, occ):
+            calls.append((consts, points, gradient(consts, points, occ)))
             return calls[-1][-1]
 
         monkeypatch.setattr(optimize, "_power_gradient", spy)
@@ -686,7 +750,7 @@ class TestGradientStencil:
         assert calls
         for consts, points, got in calls:
             dense = np.array(np.broadcast_arrays(*points), dtype=complex)
-            want = gradient(consts, dense, _occupations(dense), refuse=False)
+            want = gradient(consts, dense, _occupations(dense))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -784,12 +848,12 @@ class TestRankedSeeds:
             p_grid[rng.random(n) < rng.choice([0.0, 0.5, 0.9, 0.99, 1.0])] = 0.0
             for top in {1, 2, 8, n - 1, n, n + 3, int(rng.integers(1, n + 1))}:
                 want = self._full_lexsort(t_grid, p_grid, top)
-                assert _ranked_seeds(t_grid, p_grid, top) == want
+                assert _ranked_seeds(t_grid, p_grid[None], top)[0] == want
                 assert len(want) == min(top, int(np.count_nonzero(p_grid)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stack_ranks_each_row_as_alone(self, rng, dim):
-        # a (rows, n) stack gives, row by row, the 1-D call's seeds: rows of
+        # a (rows, n) stack gives, row by row, the one-row stack's seeds: rows of
         # few levels, so equal positive powers straddle a row's cut, all-zero
         # rows, top >= n, and rows with fewer positive points than top
         for _ in range(60):
@@ -804,7 +868,7 @@ class TestRankedSeeds:
             zeros = rng.choice([0.0, 0.5, 0.9, 1.0], (n_rows, 1))
             p_rows[rng.random((n_rows, n)) < zeros] = 0.0
             for top in {1, 2, 8, n - 1, n, n + 3, int(rng.integers(1, n + 1))}:
-                want = [_ranked_seeds(t_grid, p, top) for p in p_rows]
+                want = [_ranked_seeds(t_grid, p[None], top)[0] for p in p_rows]
                 assert _ranked_seeds(t_grid, p_rows, top) == want
                 assert want == [self._full_lexsort(t_grid, p, top) for p in p_rows]
 
@@ -813,9 +877,9 @@ class TestRankedSeeds:
                                       indexing="ij"), axis=-1).reshape(-1, 2)
         p_grid = np.zeros(16)
         p_grid[[9, 3, 12]] = (0.5, 0.5, 0.7)
-        assert _ranked_seeds(t_grid, p_grid, 8) == [12, 3, 9]
-        assert _ranked_seeds(t_grid, p_grid, 2) == [12, 3]
-        assert _ranked_seeds(t_grid, np.zeros(16), 8) == []
+        assert _ranked_seeds(t_grid, p_grid[None], 8) == [[12, 3, 9]]
+        assert _ranked_seeds(t_grid, p_grid[None], 2) == [[12, 3]]
+        assert _ranked_seeds(t_grid, np.zeros((1, 16)), 8) == [[]]
 
 
 class TestCountValidation:
