@@ -20,13 +20,13 @@ box and options) at once (:class:`_Batch`): all rows' seed grids in chunked
 array calls, ranked in one sort, then their starts in waves of lanes run in
 lockstep, each round one kernel call for every lane's Newton stencil and
 one per line-search trial for every lane still searching.  A kernel call
-gathers its lanes' constants and fixed coordinates' occupations, each
-computed once per row, and computes the free ones' at their own shapes.
-Every step is elementwise in the lanes, so a row's result is the same
-alone or inside any batch.  A refused point reads NaN, the kernel's one
-refusal signal: it flags only its own row.  Every optimum carries its
-certificate: the relative gradient, the Newton step left and the largest
-curvature there.
+gathers its lanes' constants and takes every occupation through
+:func:`_occupations`, at its coordinate's own shape, as every other caller
+of the kernel does.  Every step is elementwise in the lanes, so a row's
+result is the same alone or inside any batch.  A refused point reads NaN,
+the kernel's one refusal signal: it flags only its own row.  Every optimum
+carries its certificate: the relative gradient, the Newton step left and
+the largest curvature there.
 
 Points with non-positive power (or current flowing backwards) score zero in
 the seed grid, and the ascent never leaves positive power, so the maximizer
@@ -234,14 +234,15 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr):
     z = a0 * m13 - a1 * m03 + a3 * m01
     u = -(a0 * m12 - a1 * m02 + a2 * m01)
     trace = 2.0 * g + e + z
-    size = abs(trace.real)
-    cleared = size > _SINGULAR_REL * math.prod(_row_bounds(gp, gl, gr, half_tau, n))
-    refused = None
-    if not (cleared if isinstance(cleared, bool) else cleared.all()):
-        scale = math.prod(sum(v.real * v.real for v in row) ** 0.5
-                          for row in ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)))
-        refused = np.logical_not(size > _SINGULAR_REL * scale)
-        trace = np.where(refused, 1.0, trace) if refused.any() else trace
+    size, refused = abs(trace.real), None
+    # a row whose squares overflow reads an inf or NaN bound and norm and refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        cleared = size > _SINGULAR_REL * math.prod(_row_bounds(gp, gl, gr, half_tau, n))
+        if not (cleared if isinstance(cleared, bool) else cleared.all()):
+            scale = math.prod(sum(v.real * v.real for v in row) ** 0.5
+                              for row in ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)))
+            refused = np.logical_not(size > _SINGULAR_REL * scale)
+            trace = np.where(refused, 1.0, trace) if refused.any() else trace
     g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
     # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
@@ -267,10 +268,12 @@ def _occupations(x):
 
 def _steady_rows(params, x_g, x_l, x_r):
     """The kernel's (power, j, g, rho_e, rho0, u) at one point per ModelParams
-    in ``params``, in one array call.  Degenerate levels (delta21 = 0) only."""
+    in ``params``, in one array call, j per gamma_ref like the power.
+    Degenerate levels (delta21 = 0) only."""
     x = [np.array(v, dtype=float) for v in (x_g, x_l, x_r)]
     consts = np.array([_kernel_constants(p) for p in params]).T
-    return _solved(_degenerate_steady(consts, *x, *_occupations(x)))
+    power, j, *rest = _solved(_degenerate_steady(consts, *x, *_occupations(x)))
+    return power, j / consts[9], *rest
 
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
@@ -305,20 +308,20 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     return {"power": power, "j": j, "rho12_re": u}
 
 
-def _power_gradient(consts, points, occ):
+def _power_gradient(consts, points):
     """Derivatives of the power by complex step through :func:`_degenerate_steady`.
 
-    ``points`` holds (x_g, x_l, x_r) and ``occ`` their occupations
-    (:func:`_occupations`), each at its own shape.  A complex coordinate is
-    a point in its real part and ``_CS_STEP`` times the tangent of one
-    search direction in its imaginary part, and its occupation is continued
-    to first order, n' = -n (1 + n) and f' = -f (1 - f); a real one is fixed
+    ``points`` holds (x_g, x_l, x_r), each at its own shape, and their
+    occupations are :func:`_occupations`'.  A complex coordinate is a point
+    in its real part and ``_CS_STEP`` times the tangent of one search
+    direction in its imaginary part, and its occupation is continued to
+    first order, n' = -n (1 + n) and f' = -f (1 - f); a real one is fixed
     along every direction.  Im(power) / ``_CS_STEP`` is the directional
     derivative, exact to rounding since no difference is taken (Squire &
     Trapp, SIAM Rev. 40, 110-112, 1998); NaN where the real point is refused.
     """
     occ = [o - 1j * (o * (1.0 + s * o)) * x.imag if np.iscomplexobj(x) else o
-           for x, o, s in zip(points, occ, _OCC_SIGN)]
+           for x, o, s in zip(points, _occupations(points), _OCC_SIGN)]
     return _degenerate_steady(consts, *points, *occ)[0].imag / _CS_STEP
 
 
@@ -484,9 +487,10 @@ class _Batch:
     Arrays of search vectors are (d, ..., m), one entry per coordinate and
     the lane axis last, read with an array of the rows of the lanes.
     ``consts``, the rows' :func:`_kernel_constants` as one (constant, row)
-    array, and the fixed coordinates' occupations are gathered for the
-    lanes of each kernel call.  Every step is elementwise in the lanes, so
-    a row's result does not depend on the rows beside it.
+    array, is gathered for the lanes of each kernel call, which reads its
+    points' occupations through :func:`_occupations`.  Every step is
+    elementwise in the lanes, so a row's result does not depend on the rows
+    beside it.
     """
 
     def __init__(self, params, consts, free, box, seeds_per_dim, refine_top, f_rel_tol,
@@ -501,7 +505,6 @@ class _Batch:
         self.steps = 1j * _CS_STEP * np.eye(len(free))[:, None, :, None]
         self.consts = consts
         self.base = np.array([(p.x_g, p.x_l, p.x_r) for p in params]).T
-        self.occ = np.array(_occupations(self.base))
         self.eta_c = [1.0 - p.temp / p.temp_p for p in params]
         self.window = np.array([e / (1.0 - e) for e in self.eta_c])
         self.flagged = np.zeros(len(params), dtype=bool)
@@ -510,16 +513,10 @@ class _Batch:
         """(x_g, x_l, x_r) of search vectors of the rows ``rows``."""
         return tuple(self.base[k, rows] if s is None else t[s] for k, s in enumerate(self.slots))
 
-    def occupations(self, rows, x):
-        """:func:`_occupations` at decoded points ``x`` of the rows ``rows``,
-        the fixed coordinates' read from their rows."""
-        return [self.occ[k, rows] if s is None else f(np.real(x[k]))
-                for k, (s, f) in enumerate(zip(self.slots, _OCC))]
-
     def power(self, rows, *x):
         """The kernel's power at decoded points ``x`` of the rows ``rows`` in
         one array call; the rows of refused points are flagged."""
-        power = _degenerate_steady(self.consts[:, rows], *x, *self.occupations(rows, x))[0]
+        power = _degenerate_steady(self.consts[:, rows], *x, *_occupations(x))[0]
         self._flag(rows, power)
         return power
 
@@ -615,13 +612,12 @@ class _Batch:
         points of t and of one point either side of it along each
         coordinate, each with one imaginary step per coordinate
         (:func:`_power_gradient`), not expanded: a free coordinate is
-        complex, (2 d + 1, d, m), its occupation taken at its (2 d + 1, 1, m)
-        real points, and a fixed one real, (m,).  On the coordinates not
-        held at a bound (Bertsekas, SIAM J. Control Optim. 20, 221-246, 1982)
-        the step is Newton's, or the gradient cut to _MAX_STEP where -H is
-        not positive definite; a backtracking line search, one kernel call
-        per trial for all lanes still searching, each trial clipped into the
-        box, takes it.  A coordinate steps in units of its range, the window
+        complex, (2 d + 1, d, m), and a fixed one real, (m,).  On the
+        coordinates not held at a bound (Bertsekas, SIAM J. Control Optim.
+        20, 221-246, 1982) the step is Newton's, or the gradient cut to
+        _MAX_STEP where -H is not positive definite; a backtracking line
+        search, one kernel call per trial for all lanes still searching, each
+        trial clipped into the box, takes it.  A coordinate steps in units of its range, the window
         coordinate x_k in units of the window's width W along it, capped at
         its range, measured across the window as the step of x_k alone that
         moves q = (x_r - x_l) / x_g as far: near equilibrium the window is a
@@ -655,8 +651,7 @@ class _Batch:
         up, down = np.minimum(t + reach, self.hi), np.maximum(t - reach, self.lo)
         stencil, j = np.repeat(t[:, None, None], 2 * dim + 1, axis=1), np.arange(dim)
         stencil[j, 1 + 2 * j, 0], stencil[j, 2 + 2 * j, 0] = up, down
-        occ = self.occupations(rows, self.decode(stencil, rows))
-        grad = _power_gradient(self.consts[:, rows], self.decode(stencil + self.steps, rows), occ)
+        grad = _power_gradient(self.consts[:, rows], self.decode(stencil + self.steps, rows))
         self._flag(rows, grad)
         width, keep = up - down, ~self.flagged[rows]
         if not keep.all():

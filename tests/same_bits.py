@@ -8,9 +8,19 @@ Run from the repository root on two checkouts and compare the printed lines:
 It imports qdphotocell from the ``src/`` of its own checkout and refuses to
 run on any other copy, so an installed package cannot stand in for it.
 
+The bits hold for one numpy build and one SIMD dispatch: numpy's SIMD code
+paths can round differently, and on an AVX-512 host, disabling its AVX-512
+targets with ``NPY_DISABLE_CPU_FEATURES`` moves 13 of the 14 digests.  So
+the first line (``# numpy ...``) records numpy's version, its baseline SIMD
+extensions and the dispatch targets in use (``numpy._core._multiarray_umath``'s
+``__cpu_baseline__``, ``__cpu_dispatch__`` and ``__cpu_features__``).
+
 With ``--against FILE`` it also compares its digests with a saved listing
-and exits 1 naming every digest that moved or is missing from either side.
-It prints one sha256 digest per line:
+and exits 1 naming every digest that moved or is missing from either side;
+a listing whose first line records another numpy build or dispatch gets one
+line saying so ahead of that comparison, and a listing without that line is
+compared on its digests alone.  After the first line it prints one sha256
+digest per line:
 
 - the bytes of the default fig2, fig3a and fig3b CSV tables;
 - the reprs of ``maximize_power`` on the 600 ``_bit_identity_draws`` of
@@ -102,6 +112,17 @@ def _scan_bytes(fixed) -> bytes:
     return power.tobytes()
 
 
+def build_line() -> str:
+    """numpy's version and the SIMD extensions its loops run on here: the
+    baseline, and the dispatch targets the CPU has and the environment
+    leaves on."""
+    from numpy._core import _multiarray_umath as umath
+
+    used = [k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k)]
+    return (f"# numpy {np.__version__} baseline {' '.join(umath.__cpu_baseline__)} "
+            f"dispatch {' '.join(used) or 'none'}")
+
+
 def digests():
     """(name, digest) of every listing, in print order."""
     for name, run in (("fig2", run_fig2), ("fig3a", run_fig3a), ("fig3b", run_fig3b)):
@@ -128,6 +149,8 @@ def main(argv=None) -> int:
     ap.add_argument("--against", metavar="FILE",
                     help="a saved listing of this script to compare the digests with")
     args = ap.parse_args(argv)
+    build = build_line()
+    print(build, flush=True)
     ours = {}
     for name, digest in digests():
         print(f"{name} {digest}", flush=True)
@@ -135,7 +158,13 @@ def main(argv=None) -> int:
     if args.against is None:
         return 0
     with open(args.against) as fh:
-        theirs = dict(line.rstrip("\n").rsplit(" ", 1) for line in fh if line.strip())
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if lines and lines[0].startswith("#"):
+        if lines[0] != build:
+            print(f"numpy build or dispatch differs: {args.against} has "
+                  f"'{lines[0][2:]}', here '{build[2:]}'", file=sys.stderr)
+        lines = lines[1:]
+    theirs = dict(line.rsplit(" ", 1) for line in lines)
     faults = [f"moved: {name}" for name in ours if name in theirs and ours[name] != theirs[name]]
     faults += [f"missing from {args.against}: {name}" for name in ours if name not in theirs]
     faults += [f"missing here: {name}" for name in theirs if name not in ours]

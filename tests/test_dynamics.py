@@ -394,3 +394,12 @@ class TestEvolve:
 def test_spectral_gap_positive_for_connected_network():
     p = params_from_scaled(2.0, -1.0, 3.0, r_p=0.5, r_l=0.5)
     assert spectral_gap(make_gen(p)) > 0.1
+
+
+def test_spectral_gap_is_zero_when_nothing_relaxes():
+    # every channel off with tau = 0: the generator is zero, all its
+    # eigenvalues are in the stationary kernel and no transient decays
+    p = params_from_scaled(2.0, -1.0, 3.0, gamma_p=0.0, gamma_l=0.0, gamma_r=0.0)
+    gen = make_gen(p)
+    assert not gen.matrix.any()
+    assert spectral_gap(gen) == 0.0

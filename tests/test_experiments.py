@@ -101,6 +101,14 @@ class TestFig2:
             checked += 1
         assert checked >= 8
 
+    def test_j_is_per_gamma_p(self):
+        # at tau = 0 doubling every coupling leaves the steady state as it is,
+        # and p_max and j are both recorded per gamma_p, so the row at
+        # gamma = 2 reads the bits of the row at gamma = 1 in every column
+        one, two = (run_fig2([0.5], tau=0.0, gamma=g, workers=1).rows for g in (1.0, 2.0))
+        assert one[0]["j"] is not None
+        assert repr(one) == repr(two)
+
     def test_determinism(self, small_fig2):
         again = run_fig2([0.0, 0.5, 1.0], workers=1, **FAST_OPT)
         assert again.rows == small_fig2.rows

@@ -501,7 +501,7 @@ class TestKernelRefusal:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 scalar = [self._outcome(lambda x=x: steady_at(p, *x)) for x in points]
-                gradient = [self._read(_power_gradient(consts, x, _occupations(x)))
+                gradient = [self._read(_power_gradient(consts, x))
                             for x in np.array(points)[:, :, None] + steps]
             assert gradient == scalar == ["refused" if refused else "solved"] * 8
 
@@ -640,6 +640,15 @@ class TestRefusalIsNaN:
             complex_step = _degenerate_steady(consts, *x_cs, *occ_cs)
             assert np.iscomplexobj(complex_step[0]) and all(map(self._all_nan, complex_step))
 
+    def test_overflowing_row_refuses_without_warnings(self):
+        # the gate's bounds and norms overflow to inf or NaN by design there;
+        # the call raises and warns nothing, with no errstate around it
+        p = ModelParams(gamma_p=0.0, gamma_l=0.0, tau=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoUniqueSteadyStateError):
+                steady_observables_grid(p, 2.0, [-1.0, 0.5], [3.0, 1.0])
+
     def test_complex_step_refuses_where_its_real_point_does(self, rng):
         consts, (x, occ), (x_cs, occ_cs) = TestRefusalBound._draws_and_steps(rng)
         with np.errstate(all="ignore"):
@@ -668,7 +677,7 @@ def _search_gradient(params, eta_c, t):
     coordinates t = (x_g, x_l, nu) of a 3-D seed grid."""
     xg, xl, nu = (np.asarray(t, dtype=complex) + 1j * _CS_STEP * np.eye(3)).T
     xr = xl + xg * (1.0 + nu * eta_c / (1.0 - eta_c))
-    return _power_gradient(_kernel_constants(params), (xg, xl, xr), _occupations((xg, xl, xr)))
+    return _power_gradient(_kernel_constants(params), (xg, xl, xr))
 
 
 class TestPowerGradient:
@@ -707,7 +716,7 @@ class TestPowerGradient:
         res = maximize_power(p, free=("x_g", "x_l", "x_r"))
         x = np.array([res.x_opt[k] for k in ("x_g", "x_l", "x_r")])
         x = x[:, None] + 1j * _CS_STEP * np.eye(3)
-        grad = _power_gradient(_kernel_constants(p), x, _occupations(x))
+        grad = _power_gradient(_kernel_constants(p), x)
         assert res.converged and not res.active_bounds
         assert np.abs(grad).max() / res.p_max == pytest.approx(res.grad_rel, rel=1e-3, abs=0.0)
 
@@ -741,8 +750,8 @@ class TestGradientStencil:
     def test_gives_the_bits_of_dense_inputs(self, monkeypatch, params, free):
         gradient, calls = optimize._power_gradient, []
 
-        def spy(consts, points, occ):
-            calls.append((consts, points, gradient(consts, points, occ)))
+        def spy(consts, points):
+            calls.append((consts, points, gradient(consts, points)))
             return calls[-1][-1]
 
         monkeypatch.setattr(optimize, "_power_gradient", spy)
@@ -750,8 +759,72 @@ class TestGradientStencil:
         assert calls
         for consts, points, got in calls:
             dense = np.array(np.broadcast_arrays(*points), dtype=complex)
-            want = gradient(consts, dense, _occupations(dense))
+            want = gradient(consts, dense)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestGradientRefusal:
+    """A lane whose Newton stencil reaches past a refusal boundary flags its
+    row in the stencil's own gradient call, before any line search, and
+    leaves the round at once; the other lanes go on as if alone."""
+
+    @staticmethod
+    def _ascend_all(params, starts):
+        """Each row's OptResult, or its error, after projected Newton ascent
+        from one start per row, run as :meth:`_Batch.run` runs a wave."""
+        free, box = optimize._validated_options(("x_l", "x_r"), None)
+        consts = np.array([_kernel_constants(p) for p in params]).T
+        batch = optimize._Batch(params, consts, free, box, 16, 8, 1e-9, 1e-8, 2000)
+        m, t = len(params), np.array(starts).T
+        rows = np.arange(m)
+        lanes = {"row": rows, "rank": np.zeros(m, dtype=int), "t": t,
+                 "p": batch.power(rows, *batch.decode(t, rows)),
+                 "evals": np.ones(m, dtype=int), "polished": np.zeros(m, dtype=bool)}
+        assert not batch.flagged.any()
+        books = [optimize._Starts([0], batch.span[:, 0].tolist(), 1e-9) for _ in params]
+        while lanes["row"].size:
+            lanes, stopped = batch.ascend(lanes)
+            for row, _, *result in stopped:
+                books[row].add(*result)
+        return batch.results(books, 0)
+
+    def test_lane_straddling_a_refusal_leaves_at_its_stencil(self, monkeypatch):
+        # the scan of the search box at the left lead off, tau = 0 and
+        # r_p = r_l = 0.9 (one of REFUSAL_SCAN_SETS in tests/same_bits.py)
+        # refuses at (x_g, x_l, x_r) = (13.9, -20, 15) and solves at
+        # (13.9, -20, 14); a start on the solved side of the
+        # boundary between them, bisected to 1e-6, has the refused side
+        # inside its stencil's reach (_HESS_STEP of the 40-wide range)
+        edge = ModelParams(gamma_l=0.0, r_p=0.9, r_l=0.9).with_scaled(x_g=13.9, x_l=-20.0)
+        consts = _kernel_constants(edge)
+
+        def refused(x_r):
+            return bool(np.isnan(_degenerate_steady(consts, 13.9, -20.0, x_r, *(
+                f(v) for f, v in zip((bose_occupation, fermi_occupation, fermi_occupation),
+                                     (13.9, -20.0, x_r))))[0]))
+
+        solved, past = 14.0, 15.0
+        assert not refused(solved) and refused(past)
+        while past - solved > 1e-6:
+            mid = 0.5 * (solved + past)
+            solved, past = (solved, mid) if refused(mid) else (mid, past)
+        params = [edge, params_from_scaled(2.0, 0.0, 0.0, r_p=0.9),
+                  params_from_scaled(2.0, 0.0, 0.0, r_p=0.5, r_l=0.2)]
+        starts = [(-20.0, solved), (0.0, 3.0), (-1.0, 2.5)]
+
+        gradient, calls = optimize._power_gradient, []
+
+        def spy(consts, points):
+            calls.append(gradient(consts, points))
+            return calls[-1]
+
+        monkeypatch.setattr(optimize, "_power_gradient", spy)
+        out = self._ascend_all(params, starts)
+        # the first round's stencil refuses the first lane only
+        assert np.isnan(calls[0][..., 0]).any() and not np.isnan(calls[0][..., 1:]).any()
+        assert isinstance(out[0], NoUniqueSteadyStateError)
+        for k in (1, 2):
+            assert repr(out[k]) == repr(self._ascend_all([params[k]], [starts[k]])[0])
 
 
 class TestMaximizePower:
@@ -1048,7 +1121,7 @@ def test_x_r_face_still_binds():
             x = {"x_g": p.x_g, "x_l": p.x_l, **res.x_opt}
             lo, hi = {**DEFAULT_BOUNDS, **(bounds or {})}["x_r"]
             point = np.array([[x["x_g"]], [x["x_l"]], [x["x_r"] + 1j * _CS_STEP]])
-            slope = _power_gradient(_kernel_constants(p), point, _occupations(point))[0]
+            slope = _power_gradient(_kernel_constants(p), point)[0]
             outward = 1.0 if abs(x["x_r"] - hi) < abs(x["x_r"] - lo) else -1.0
             assert outward * slope > 0.0
     assert faces >= 1
