@@ -239,8 +239,11 @@ def parse_config(source: dict | None, overrides: dict | None = None) -> RunConfi
     fmt = set_flags.get("fmt") or output.get("format", FORMATS[0])
     _check_format(fmt)
 
+    # fig2's bandgap defaults to the operating point's: the scaled x_g as set,
+    # or eps_g / temp_p of a physical block
+    x_g = params.x_g if physical else scaled.get("x_g", _DEFAULTS["scaled"]["x_g"])
     sweep = {k: _SWEEP_VALUES.get(k, (_number, float))[0](v, f"sweep.{k}")
-             for k, v in {**SWEEP_DEFAULTS, **sweep}.items()}
+             for k, v in {**SWEEP_DEFAULTS, "x_g": x_g, **sweep}.items()}
     _sweep_grids(sweep)
 
     return RunConfig(
@@ -310,6 +313,11 @@ def _cmd_maximize(cfg: RunConfig) -> int:
 def _cmd_sweep(cmd: str, cfg: RunConfig) -> int:
     """Run one canned sweep and write its table."""
     p, sweep = cfg.params, cfg.sweep
+    # a sweep runs one coupling, gamma_p, on all three channels, at delta21 = 0
+    for key, want in (("gamma_l", p.gamma_p), ("gamma_r", p.gamma_p), ("delta21", 0.0)):
+        if getattr(p, key) != want:
+            raise ConfigError(f"model.{key} = {getattr(p, key)} is not supported by {cmd}, "
+                              "which runs gamma_l = gamma_r = gamma_p and delta21 = 0")
     r_grid, eta_grid = _sweep_grids(sweep)
     # the canonical curve families fix r_p unless it is set explicitly
     r_p = p.r_p if "r_p" in cfg.explicit_model_keys else FIG3_R_P

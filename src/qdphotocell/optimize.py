@@ -119,7 +119,6 @@ _BOUND_FLAG_FRACTION = 1e-6
 # _row_bounds, raised by _ROW_SLACK, where that decides).
 _SINGULAR_REL = 1e-12
 _ROW_SLACK = 1.5
-_NAN = (math.nan, complex(math.nan, math.nan))  # a refused point, real or complex
 
 # Seed grids are evaluated in kernel calls of about this many points, all
 # rows' grids in one pass: in-cache arrays keep the kernel near its best
@@ -134,10 +133,12 @@ def _kernel_constants(params: ModelParams) -> tuple:
     """The constants :func:`_degenerate_steady` reads, computed once per params.
 
     (gamma_p, gamma_l, gamma_r, r_p, r_l, 1 - r_p, 1 - r_l, tau / 2,
-    1 - eta_c, gamma_ref): where Re rho12 is pinned at zero (tau = INFINITE
-    or the dark-state corner) the three coherence constants read 0, 0, -1,
-    which reduces the kernel's coherence row to u = 0.  ``gamma_ref``, the
-    power unit, is gamma_p, or 1 when the photon field is off.  Raises
+    1 - eta_c, eta_c), the couplings and tau / 2 in units of gamma_ref
+    (gamma_p, or 1 with the photon field off), which leaves the steady state
+    as it is, puts power and j per gamma_ref, and makes a coupling that
+    overflows in them refuse.  Where Re rho12 is pinned at zero (tau =
+    INFINITE or the dark-state corner) the three coherence constants read
+    0, 0, -1, which reduces the kernel's coherence row to u = 0.  Raises
     DomainError for split levels (delta21 != 0), which the closed form does
     not cover.
     """
@@ -149,9 +150,10 @@ def _kernel_constants(params: ModelParams) -> tuple:
     # one occupation, so the weights decide the corner as build_generator does
     photon, left = [[gp, rp * gp]] * 2, [[gl, rl * gl]] * 2
     dark = _is_dark_state_degenerate(photon, photon, left, left, 0.0, tau)
-    coherence = (0.0, 0.0, -1.0) if tau == INFINITE or dark else (1.0 - rp, 1.0 - rl, 0.5 * tau)
+    ref = gp if gp > 0.0 else 1.0
+    coherence = (0.0, 0.0, -1.0) if tau == INFINITE or dark else (1 - rp, 1 - rl, 0.5 * tau / ref)
     eta_c = 1.0 - params.temp / params.temp_p
-    return (gp, gl, params.gamma_r, rp, rl, *coherence, 1.0 - eta_c, gp if gp > 0.0 else 1.0)
+    return (gp / ref, gl / ref, params.gamma_r / ref, rp, rl, *coherence, 1.0 - eta_c, eta_c)
 
 
 def _row_bounds(gp, gl, gr, half_tau, n):
@@ -193,64 +195,60 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr):
 
     Returns (power, j, g, rho_e, rho0, u) and never raises.  A point is
     refused unless |Re trace| exceeds _SINGULAR_REL times the product of
-    the 2-norms of its three rows' real parts, so also where that is NaN,
-    and then reads NaN in all six outputs, both parts where complex; every
-    other point keeps the bits it has alone.  A complex step
-    (:func:`_power_gradient`) is thus refused where its real point is.  The
-    norms are computed only when some trace does not clear the same
-    fraction of :func:`_row_bounds`, which no computed norm exceeds.
-    ``consts`` may be a (constant, ...) array, one entry per point (a batch
-    of rows).
+    the 2-norms of its three rows' real parts, so also where that is NaN;
+    its trace is then NaN, which the division carries into all six outputs,
+    both parts where complex, silently.  Every other point keeps the bits
+    it has alone.  A complex step (:func:`_power_gradient`) is thus refused
+    where its real point is.  The norms are computed only when some trace
+    does not clear the same fraction of :func:`_row_bounds`, which no
+    computed norm exceeds.  ``consts`` may be a (constant, ...) array, one
+    entry per point (a batch of rows).
     """
-    gp, gl, gr, rp, rl, kp, kl, half_tau, one_minus_eta_c, gamma_ref = consts
-    bp = gp * n
-    bm = gp * (1.0 + n)
-    flp = gl * fl
-    flm = gl * (1.0 - fl)
-    frp = gr * fr
-    frm = gr * (1.0 - fr)
-
-    # rows of build_generator with rho1 = rho2 = g substituted, columns
-    # (g, rho_e, rho0, u): half the ground row, half the excited row, and the
-    # coherence row minus the full ground row.  The last is the coherence
-    # row's departure from the dark-state corner, where it vanishes; written
-    # through 1 - r_p and 1 - r_l it keeps full relative precision near that
-    # corner, where the coherence row itself nearly repeats the ground row.
-    a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
-    b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
-    c0 = kp * bp + kl * flm
-    c1, c2, c3 = -kp * bm, -kl * flp, -(c0 + half_tau)
-
-    # 2x2 minors of the excited and coherence rows, then cofactor expansion
-    # along the ground row
-    m01 = b0 * c1 - b1 * c0
-    m02 = b0 * c2 - b2 * c0
-    m03 = b0 * c3 - b3 * c0
-    m12 = b1 * c2 - b2 * c1
-    m13 = b1 * c3 - b3 * c1
-    m23 = b2 * c3 - b3 * c2
-    g = a1 * m23 - a2 * m13 + a3 * m12
-    e = -(a0 * m23 - a2 * m03 + a3 * m02)
-    z = a0 * m13 - a1 * m03 + a3 * m01
-    u = -(a0 * m12 - a1 * m02 + a2 * m01)
-    trace = 2.0 * g + e + z
-    size, refused = abs(trace.real), None
-    # a row whose squares overflow reads an inf or NaN bound and norm and refuses
+    gp, gl, gr, rp, rl, kp, kl, half_tau, one_minus_eta_c, _ = consts
     with np.errstate(over="ignore", invalid="ignore"):
+        bp = gp * n
+        bm = gp * (1.0 + n)
+        flp = gl * fl
+        flm = gl * (1.0 - fl)
+        frp = gr * fr
+        frm = gr * (1.0 - fr)
+
+        # rows of build_generator with rho1 = rho2 = g substituted, columns
+        # (g, rho_e, rho0, u): half the ground row, half the excited row, and
+        # the coherence row minus the full ground row.  The last is the
+        # coherence row's departure from the dark-state corner, where it
+        # vanishes; written through 1 - r_p and 1 - r_l it keeps full
+        # precision there, where the coherence row nearly repeats the ground one.
+        a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
+        b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
+        c0 = kp * bp + kl * flm
+        c1, c2, c3 = -kp * bm, -kl * flp, -(c0 + half_tau)
+
+        # 2x2 minors of the excited and coherence rows, then cofactor
+        # expansion along the ground row
+        m01 = b0 * c1 - b1 * c0
+        m02 = b0 * c2 - b2 * c0
+        m03 = b0 * c3 - b3 * c0
+        m12 = b1 * c2 - b2 * c1
+        m13 = b1 * c3 - b3 * c1
+        m23 = b2 * c3 - b3 * c2
+        g = a1 * m23 - a2 * m13 + a3 * m12
+        e = -(a0 * m23 - a2 * m03 + a3 * m02)
+        z = a0 * m13 - a1 * m03 + a3 * m01
+        u = -(a0 * m12 - a1 * m02 + a2 * m01)
+        trace = 2.0 * g + e + z
+        size = abs(trace.real)
+        # a row whose squares overflow reads an inf or NaN bound and norm and refuses
         cleared = size > _SINGULAR_REL * math.prod(_row_bounds(gp, gl, gr, half_tau, n))
         if not (cleared if isinstance(cleared, bool) else cleared.all()):
             scale = math.prod(sum(v.real * v.real for v in row) ** 0.5
                               for row in ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)))
-            refused = np.logical_not(size > _SINGULAR_REL * scale)
-            trace = np.where(refused, 1.0, trace) if refused.any() else trace
-    g, e, z, u = g / trace, e / trace, z / trace, u / trace
+            trace = np.where(size > _SINGULAR_REL * scale, trace, math.nan)
+        g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
-    # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
-    j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
-    power = (x_g - one_minus_eta_c * (x_r - x_l)) * j / gamma_ref
-    if refused is None or not refused.any():
-        return power, j, g, e, z, u
-    return tuple(np.where(refused, _NAN[np.iscomplexobj(v)], v) for v in (power, j, g, e, z, u))
+        # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
+        j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
+    return (x_g - one_minus_eta_c * (x_r - x_l)) * j, j, g, e, z, u
 
 
 def _solved(out):
@@ -272,15 +270,15 @@ def _steady_rows(params, x_g, x_l, x_r):
     Degenerate levels (delta21 = 0) only."""
     x = [np.array(v, dtype=float) for v in (x_g, x_l, x_r)]
     consts = np.array([_kernel_constants(p) for p in params]).T
-    power, j, *rest = _solved(_degenerate_steady(consts, *x, *_occupations(x)))
-    return power, j / consts[9], *rest
+    return _solved(_degenerate_steady(consts, *x, *_occupations(x)))
 
 
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     """Vectorized steady-state observables over broadcastable scaled energies.
 
-    Returns a dict with arrays ``power`` (units k_B * temp_p * gamma_p),
-    ``j`` (converter current) and ``rho12_re``; Im rho12 vanishes for
+    Returns a dict with arrays ``power`` (units k_B * temp_p * gamma_ref),
+    ``j`` (converter current per gamma_ref; gamma_ref is gamma_p, or 1 with
+    the photon field off) and ``rho12_re``; Im rho12 vanishes for
     degenerate levels.  The inputs are not expanded: each occupation and
     each term of the kernel is computed at the shape of the inputs it reads
     (a scalar x_g once, open-mesh axes once per axis value), and numpy
@@ -488,7 +486,8 @@ class _Batch:
     the lane axis last, read with an array of the rows of the lanes.
     ``consts``, the rows' :func:`_kernel_constants` as one (constant, row)
     array, is gathered for the lanes of each kernel call, which reads its
-    points' occupations through :func:`_occupations`.  Every step is
+    points' occupations through :func:`_occupations`; its eta_c and
+    1 - eta_c give each row's window and eta at the optimum.  Every step is
     elementwise in the lanes, so a row's result does not depend on the rows
     beside it.
     """
@@ -505,8 +504,7 @@ class _Batch:
         self.steps = 1j * _CS_STEP * np.eye(len(free))[:, None, :, None]
         self.consts = consts
         self.base = np.array([(p.x_g, p.x_l, p.x_r) for p in params]).T
-        self.eta_c = [1.0 - p.temp / p.temp_p for p in params]
-        self.window = np.array([e / (1.0 - e) for e in self.eta_c])
+        self.window = consts[9] / consts[8]  # eta_c / (1 - eta_c) of each row
         self.flagged = np.zeros(len(params), dtype=bool)
 
     def decode(self, t, rows):
@@ -768,7 +766,7 @@ class _Batch:
             active = tuple(k for k in self.free
                            if min(abs(x_opt[k] - box[k][0]), abs(x_opt[k] - box[k][1]))
                            <= _BOUND_FLAG_FRACTION * (box[k][1] - box[k][0]))
-            eta = 1.0 - (1.0 - self.eta_c[row]) * (xr - xl) / xg if p > 0.0 else None
+            eta = 1.0 - float(self.consts[8, row]) * (xr - xl) / xg if p > 0.0 else None
             out.append(OptResult(
                 x_opt=x_opt, p_max=p, eta_at_pmax=eta, evals=size + book.evals,
                 converged=conv, degenerate=False, active_bounds=active,
@@ -796,7 +794,7 @@ def _maximize_rows(params, free=("x_l", "x_r"), bounds=None, **options):
         except DomainError as exc:
             out[k] = exc
             continue
-        if 1.0 - p.temp / p.temp_p <= 0.0:
+        if c[9] <= 0.0:
             # no free-energy source (eta_c <= 0): power <= 0 everywhere
             out[k] = OptResult(x_opt={name: getattr(p, name) for name in free},
                                p_max=0.0, eta_at_pmax=None, evals=0,

@@ -60,6 +60,14 @@ class TestParseConfig:
         assert cfg.params.r_p == 0.7
         assert cfg.params.tau == INFINITE
 
+    def test_sweep_x_g_defaults_to_the_operating_point(self):
+        # fig2's bandgap is the scaled x_g as set, or eps_g / temp_p of a
+        # physical block; an x_g in the sweep block wins over both
+        assert parse_config({"scaled": {"x_g": 1.5}}, {"x_g": "3"}).sweep["x_g"] == 3.0
+        cfg = parse_config({"physical": {"eps_g": 1000.0}, "model": {"temp_p": 400.0}})
+        assert cfg.sweep["x_g"] == cfg.params.x_g == 2.5
+        assert parse_config({"sweep": {"x_g": 4.0}}, {"x_g": 3.0}).sweep["x_g"] == 4.0
+
     def test_tau_strings(self):
         for token in ("inf", "INFINITE", "Infinity"):
             cfg = parse_config({"model": {"tau": token}})
@@ -414,6 +422,36 @@ class TestDispatch:
         assert len(doc["rows"]) == 4
         for row in doc["rows"]:
             assert not row["error"] and -1.0 <= row["x_l"] <= -0.5
+
+    def test_fig2_honours_the_x_g_flag(self, capsys, tmp_path):
+        out_file = tmp_path / "map.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "sweep": {"r_step": 1.0},
+            "optimizer": {"seeds_per_dim": 8, "refine_top": 4},
+        }))
+        assert main(["fig2", "--x-g", "3", "--config", str(config), "--out", str(out_file),
+                     "--format", "json", "--workers", "1"]) == 0
+        echo = json.loads(capsys.readouterr().out.split("resolved-config: ", 1)[1].split("\n")[0])
+        assert echo["sweep"]["x_g"] == 3.0
+        rows = json.loads(out_file.read_text())["rows"]
+        assert len(rows) == 4 and all(row["x_g"] == 3.0 for row in rows)
+
+    @pytest.mark.parametrize("model,key", [({"gamma_l": 0.1}, "gamma_l"),
+                                           ({"gamma_r": 2.0}, "gamma_r"),
+                                           ({"delta21": 100.0}, "delta21")])
+    def test_sweeps_refuse_the_model_values_they_drop(self, capsys, tmp_path, model, key):
+        # a sweep runs gamma_l = gamma_r = gamma_p and delta21 = 0: any other
+        # value is refused by name, and no table is written
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": model}))
+        for cmd in ("fig2", "fig3a", "fig3b"):
+            out_file = tmp_path / f"{cmd}.csv"
+            assert main([cmd, "--config", str(config), "--out", str(out_file)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "ConfigError"
+            assert record["message"].startswith(f"model.{key} = {model[key]} ")
+            assert not out_file.exists()
 
     def test_selftest_clean_build_exits_zero(self, capsys):
         assert main(["selftest"]) == 0

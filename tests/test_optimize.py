@@ -393,11 +393,13 @@ class TestKernelPinning:
 
 class TestKernelLeadCurrent:
     """The kernel's j is thermo.lead_current with every factor of 2 exact, so
-    it keeps the bits of the expression it replaced."""
+    it keeps the bits of the expression it replaced, on the rates in units
+    of gamma_ref = gamma_p."""
 
     @staticmethod
     def _replaced_j(p, fl, g, z, u):
-        flp, flm = p.gamma_l * fl, p.gamma_l * (1.0 - fl)
+        gl = p.gamma_l / p.gamma_p  # as _kernel_constants scales it
+        flp, flm = gl * fl, gl * (1.0 - fl)
         return 4.0 * flp * z - 4.0 * flm * g - 4.0 * p.r_l * flm * u
 
     @pytest.mark.parametrize("corner", [False, True])
@@ -416,7 +418,8 @@ class TestKernelLeadCurrent:
 
 class TestKernelPower:
     """The kernel's power is the bias x_g - (1 - eta_c)(x_r - x_l), with
-    eta_c = 1 - temp/temp_p, times j over gamma_p, bit for bit."""
+    eta_c = 1 - temp/temp_p, times its j, which is per gamma_ref = gamma_p,
+    bit for bit."""
 
     def test_bits_on_arrays_and_floats(self, rng):
         for p, xg, xl, xr in _box_draws(rng, 30, 100, False):
@@ -426,11 +429,65 @@ class TestKernelPower:
             power, j, *_ = _degenerate_steady(_kernel_constants(p), xg, xl, xr,
                                               _bose_array(xg), _fermi_array(xl),
                                               _fermi_array(xr))
-            want = (xg - (1.0 - eta_c) * (xr - xl)) * j / p.gamma_p
+            want = (xg - (1.0 - eta_c) * (xr - xl)) * j
             assert power.tobytes() == want.tobytes()
             for a, b, c in zip(xg[:25].tolist(), xl[:25].tolist(), xr[:25].tolist()):
                 power, j, *_ = steady_at(p, a, b, c)
-                assert power.hex() == ((a - (1.0 - eta_c) * (c - b)) * j / p.gamma_p).hex()
+                assert power.hex() == ((a - (1.0 - eta_c) * (c - b)) * j).hex()
+
+
+class TestKernelUnit:
+    """The kernel solves on the rates in units of gamma_ref (gamma_p, or 1
+    with the photon field off): its outputs do not move when every coupling
+    and tau scale together, and a coupling that overflows in those units
+    refuses its point, silently, instead of overflowing the power."""
+
+    def test_scaling_every_rate_keeps_the_bits(self, rng):
+        xg, xl, xr = (rng.uniform(0.5, 10.0, 50), rng.uniform(-5.0, 5.0, 50),
+                      rng.uniform(-5.0, 5.0, 50))
+        obs = [steady_observables_grid(params_from_scaled(2.0, 0.0, 0.0, r_p=0.9, r_l=0.3,
+                                                          gamma_p=g, gamma_l=g, gamma_r=g,
+                                                          tau=g), xg, xl, xr)
+               for g in (1.0, 2.0)]
+        for k in ("power", "j", "rho12_re"):
+            assert obs[0][k].tobytes() == obs[1][k].tobytes()
+
+    @pytest.mark.parametrize("gamma_p", [1e-320, 5e-324])
+    @pytest.mark.parametrize("r_l", [0.0, 1.0])
+    def test_subnormal_photon_coupling_refuses_silently(self, gamma_p, r_l):
+        # gamma_l / gamma_p overflows, and so do the rows it enters
+        p = params_from_scaled(2.0, -1.0, 3.0, gamma_p=gamma_p, r_p=0.9, r_l=r_l, tau=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoUniqueSteadyStateError):
+                steady_observables_grid(p, [2.0, 5.0], [-1.0, 0.5], [3.0, 7.0])
+
+    def test_draw_whose_rates_overflow_refuses_on_every_path(self, rng, monkeypatch):
+        # draw 455 of TestRefusalBound: gamma_p = 1.6e-162 with the left lead
+        # off, far out (x_l = 648, x_r = -559); gamma_r / gamma_p squares past
+        # the largest float, and the general path refuses the point too
+        params = []
+        monkeypatch.setattr(f"{__name__}._kernel_constants",
+                            lambda p: params.append(p) or optimize._kernel_constants(p))
+        consts, (x, _), (x_cs, occ_cs) = TestRefusalBound._draws_and_steps(rng)
+        k = 455
+        p = params[k // TestRefusalBound.PER_SET]
+        assert (p.gamma_p, p.gamma_l, p.tau) == (1.6e-162, 0.0, 0.0)
+        point = [float(v[k]) for v in x]
+        power = _degenerate_steady(tuple(consts[:, k].tolist()), *point, bose_occupation(
+            point[0]), fermi_occupation(point[1]), fermi_occupation(point[2]))[0]
+        step = _degenerate_steady(consts[:, k:k + 1], *(v[k:k + 1] for v in x_cs),
+                                  *(o[k:k + 1] for o in occ_cs))[0]
+        assert math.isnan(power) and np.isnan(step.real).all() and np.isnan(step.imag).all()
+        at = p.with_scaled(x_g=point[0], x_l=point[1], x_r=point[2])
+        with pytest.raises(NoUniqueSteadyStateError):
+            steady_state(build_generator(build_rates(at), at.delta21, at.tau))
+
+    def test_every_solved_draw_reads_a_finite_power(self, rng):
+        consts, (x, occ), _ = TestRefusalBound._draws_and_steps(rng)
+        power = _degenerate_steady(consts, *x, *occ)[0]
+        solved = ~np.isnan(power)
+        assert 0 < solved.sum() < len(power) and np.isfinite(power[solved]).all()
 
 
 class TestKernelRefusal:
