@@ -5,8 +5,9 @@ efficiency map over the two cross-coupling strengths at fixed bandgap, and
 efficiency-at-maximum-power curves against Carnot efficiency for several
 lead cross couplings and decoherence rates.  Tables carry their full input
 echo per row so any row can be regenerated in isolation, plus a provenance
-block (resolved configuration, package version, timestamp).  Reruns with
-identical configuration are byte-identical except for the timestamp.
+block (resolved configuration, package version, numpy build and SIMD
+dispatch, timestamp).  Reruns with identical configuration are
+byte-identical except for the timestamp.
 
 All rows of a sweep are maximized together in one batched search, in a
 single process; a row's result does not depend on the rows beside it, so a
@@ -25,6 +26,13 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 from . import __version__
 from .errors import ConfigError, DomainError, OutputExistsError
@@ -167,10 +175,20 @@ def _refuse_overwrite(path, force: bool) -> None:
                                 "(pass force=True / --force)")
 
 
+def _numpy_build() -> dict:
+    """numpy's version and the SIMD extensions its loops run on here: the
+    baseline, and the dispatch targets the CPU has and the environment
+    leaves on.  The table bits hold for one such build, since numpy's SIMD
+    code paths can round differently."""
+    return {"version": np.__version__, "baseline": list(_umath.__cpu_baseline__),
+            "dispatch": [k for k in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(k)]}
+
+
 def _provenance(config: dict) -> dict:
     return {
         "package": "qdphotocell",
         "version": __version__,
+        "numpy": _numpy_build(),
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "config": config,
     }

@@ -87,7 +87,8 @@ def _fermi_array(x):
     """Vectorized fermi_occupation without domain checks (same logistic form)."""
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x))
-    return np.where(x < 0.0, 1.0, z) / (1.0 + z)
+    # numerator 1 for x < 0, else z; z <= 1, and NaN stays NaN
+    return np.maximum(z, x < 0.0) / (1.0 + z)
 
 
 def _require_real(name: str, value) -> float:

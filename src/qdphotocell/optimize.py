@@ -219,34 +219,42 @@ def _degenerate_steady(consts, x_g, x_l, x_r, n, fl, fr):
         # coherence row's departure from the dark-state corner, where it
         # vanishes; written through 1 - r_p and 1 - r_l it keeps full
         # precision there, where the coherence row nearly repeats the ground one.
-        a0, a1, a2, a3 = -(bp + flm), bm, flp, -(rp * bp + rl * flm)
-        b0, b1, b2, b3 = 2.0 * bp, -(2.0 * bm + frm), frp, 2.0 * rp * bp
+        # a0, a3, b1 and c3 are negative and held by their magnitudes na0 =
+        # -a0, na3, nb1 and nc3, and m03, m12 and m23 by n03 = -m03, n12 and
+        # n23, so no pass only negates.  Rounding to nearest is symmetric
+        # under negation, so each minor and cofactor keeps its bits but for
+        # the sign of an exact zero (x - x is +0 either way) or of a NaN: g,
+        # e or z can read 0 of the other sign where a level is unreachable.
+        # u keeps its outer negation, so a pinned Re rho12 keeps its signed zero.
+        na0, a1, a2, na3 = bp + flm, bm, flp, rp * bp + rl * flm
+        b0, nb1, b2, b3 = 2.0 * bp, 2.0 * bm + frm, frp, 2.0 * rp * bp
         c0 = kp * bp + kl * flm
-        c1, c2, c3 = -kp * bm, -kl * flp, -(c0 + half_tau)
+        c1, c2, nc3 = -kp * bm, -kl * flp, c0 + half_tau
 
         # 2x2 minors of the excited and coherence rows, then cofactor
         # expansion along the ground row
-        m01 = b0 * c1 - b1 * c0
+        m01 = b0 * c1 + nb1 * c0
         m02 = b0 * c2 - b2 * c0
-        m03 = b0 * c3 - b3 * c0
-        m12 = b1 * c2 - b2 * c1
-        m13 = b1 * c3 - b3 * c1
-        m23 = b2 * c3 - b3 * c2
-        g = a1 * m23 - a2 * m13 + a3 * m12
-        e = -(a0 * m23 - a2 * m03 + a3 * m02)
-        z = a0 * m13 - a1 * m03 + a3 * m01
-        u = -(a0 * m12 - a1 * m02 + a2 * m01)
+        n03 = b0 * nc3 + b3 * c0
+        n12 = nb1 * c2 + b2 * c1
+        m13 = nb1 * nc3 - b3 * c1
+        n23 = b2 * nc3 + b3 * c2
+        g = na3 * n12 - (a1 * n23 + a2 * m13)
+        e = na3 * m02 - (na0 * n23 + a2 * n03)
+        z = a1 * n03 - na0 * m13 - na3 * m01
+        u = -(na0 * n12 - a1 * m02 + a2 * m01)
         trace = 2.0 * g + e + z
         size = abs(trace.real)
         # a row whose squares overflow reads an inf or NaN bound and norm and refuses
         cleared = size > _SINGULAR_REL * math.prod(_row_bounds(gp, gl, gr, half_tau, n))
         if not (cleared if isinstance(cleared, bool) else cleared.all()):
             scale = math.prod(sum(v.real * v.real for v in row) ** 0.5
-                              for row in ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)))
+                              for row in ((na0, a1, a2, na3), (b0, nb1, b2, b3), (c0, c1, c2, nc3)))
             trace = np.where(size > _SINGULAR_REL * scale, trace, math.nan)
         g, e, z, u = g / trace, e / trace, z / trace, u / trace
 
-        # the factors of 2 are exact: the bits of 4 flp z - 4 flm g - 4 rl flm u
+        # the factors of 2 are exact where no product is subnormal: the bits
+        # of 4 flp z - 4 flm g - 4 rl flm u
         j = lead_current(2.0 * flp, flm, flm, 2.0 * rl * flm, z, g, g, u)
     return (x_g - one_minus_eta_c * (x_r - x_l)) * j, j, g, e, z, u
 
@@ -260,8 +268,10 @@ def _solved(out):
 
 def _occupations(x):
     """The Bose occupation at x_g and the Fermi ones at x_l and x_r, of
-    ``x`` = (x_g, x_l, x_r), at their real parts and their own shapes."""
-    return [f(np.real(v)) for f, v in zip(_OCC, x)]
+    ``x`` = (x_g, x_l, x_r), at their real parts and their own shapes; a
+    0-d occupation as a Python float, whose arithmetic costs no array call."""
+    occ = [f(np.real(v)) for f, v in zip(_OCC, x)]
+    return [o if o.ndim else float(o) for o in occ]
 
 
 def _steady_rows(params, x_g, x_l, x_r):
@@ -291,19 +301,22 @@ def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     kernel refuses any grid point (:func:`_solved`).
     """
     consts = _kernel_constants(params)
-    x_g, x_l, x_r = (np.asarray(v, dtype=float) for v in (x_g, x_l, x_r))
+    x_g, x_l, x_r = x = [np.asarray(v, dtype=float) for v in (x_g, x_l, x_r)]
     try:
         np.broadcast_shapes(x_g.shape, x_l.shape, x_r.shape)
     except ValueError:
         raise DomainError(f"x_g, x_l and x_r must broadcast together, got shapes "
                           f"{x_g.shape}, {x_l.shape} and {x_r.shape}") from None
-    if not all(np.isfinite(v).all() for v in (x_g, x_l, x_r)):
+    # a NaN reads NaN in both reductions; initial lets an empty grid pass
+    if not all(math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))
+               for v in x):
         raise DomainError("x_g, x_l and x_r must be finite everywhere on the grid")
-    if np.any(x_g <= 0.0):
+    if (x_g <= 0.0).any():
         raise DomainError("x_g must be positive everywhere on the grid")
-    x = x_g, x_l, x_r
+    # a 0-d coordinate goes in as a float, so its terms cost no array call
+    x = [v if v.ndim else float(v) for v in x]
     power, j, _, _, _, u = _solved(_degenerate_steady(consts, *x, *_occupations(x)))
-    return {"power": power, "j": j, "rho12_re": u}
+    return {"power": np.asarray(power), "j": np.asarray(j), "rho12_re": np.asarray(u)}
 
 
 def _power_gradient(consts, points):

@@ -40,8 +40,15 @@ def lead_current(f_in, f_out1, f_out2, f_cross, rho0, rho1, rho2, u):
     """Left-lead electron current into the dot, on floats or arrays alike:
     ``f_in`` is the summed injection coefficient of both ground levels,
     ``f_out1``/``f_out2`` their extraction coefficients, ``f_cross`` the
-    summed cross extraction coefficient, and ``u`` = Re rho12."""
-    return 2.0 * f_in * rho0 - (2.0 * f_out1 * rho1 + 2.0 * f_out2 * rho2) - 2.0 * f_cross * u
+    summed cross extraction coefficient, and ``u`` = Re rho12.
+
+    Each term carries a factor of 2, taken once outside the sum.  Scaling by
+    2 is exact in binary floating point, so this keeps the bits of the sum
+    of the doubled terms, except where a product of a coefficient and a
+    state component is subnormal (the subnormal rounding step is absolute,
+    so it does not double with the product) or where a doubled term
+    overflows and the sum does not."""
+    return 2.0 * (f_in * rho0 - (f_out1 * rho1 + f_out2 * rho2) - f_cross * u)
 
 
 def _lead_current_args(state: DensityState, f_l_plus: list, f_l_minus: list) -> tuple:

@@ -10,10 +10,12 @@ run on any other copy, so an installed package cannot stand in for it.
 
 The bits hold for one numpy build and one SIMD dispatch: numpy's SIMD code
 paths can round differently, and on an AVX-512 host, disabling its AVX-512
-targets with ``NPY_DISABLE_CPU_FEATURES`` moves 13 of the 14 digests.  So
-the first line (``# numpy ...``) records numpy's version, its baseline SIMD
-extensions and the dispatch targets in use (``numpy._core._multiarray_umath``'s
-``__cpu_baseline__``, ``__cpu_dispatch__`` and ``__cpu_features__``).
+targets with ``NPY_DISABLE_CPU_FEATURES`` moves every digest but
+``dark_corner_grids[109]``.  So the first line (``# numpy ...``) records
+numpy's version, its baseline SIMD extensions and the dispatch targets in
+use, as the sweep provenance records them (``experiments._numpy_build``,
+from ``numpy._core._multiarray_umath``'s ``__cpu_baseline__``,
+``__cpu_dispatch__`` and ``__cpu_features__``).
 
 With ``--against FILE`` it also compares its digests with a saved listing
 and exits 1 naming every digest that moved or is missing from either side;
@@ -34,7 +36,12 @@ digest per line:
 - the power bytes of ``_degenerate_steady``, NaN where a point is refused,
   on a 40 x 41 x 41 scan of the search box for each of
   the 18 ``REFUSAL_SCAN_SETS`` (one channel off), so a refusal that moves
-  at any one point moves the digest.
+  at any one point moves the digest;
+- the power, j and rho12_re bytes of ``steady_observables_grid`` on eight
+  seeded 64 x 64 meshgrid (x_l, x_r) landscapes at a scalar x_g
+  (``_landscapes``), two each at tau 0, a finite tau, tau = inf and the
+  dark-state corner, with +0.0, -0.0 and +-745 on both axes, a refused
+  landscape recorded by its error's repr.
 
 The name has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -42,6 +49,7 @@ The name has no ``test_`` prefix, so pytest does not collect it.
 import argparse
 import hashlib
 import itertools
+import math
 import os
 import sys
 import tempfile
@@ -60,8 +68,9 @@ if Path(qdphotocell.__file__).resolve().parent != SRC / "qdphotocell":
                      f"not from {SRC}")
 
 from qdphotocell import (INFINITE, ModelParams, NoUniqueSteadyStateError,
-                         efficiency_at_max_power_curve, maximize_power, run_fig2, run_fig3a,
-                         run_fig3b, steady_observables_grid)
+                         efficiency_at_max_power_curve, maximize_power, params_from_scaled,
+                         run_fig2, run_fig3a, run_fig3b, steady_observables_grid)
+from qdphotocell.experiments import _numpy_build
 from qdphotocell.optimize import (_FREE_ORDER, _degenerate_steady, _kernel_constants,
                                   _maximize_rows, _occupations)
 from test_optimize import DARK_CORNERS, _bit_identity_draws, _x_r_fixed_draws, corner_params
@@ -93,14 +102,41 @@ def _outcome(p, free, bounds) -> str:
         return repr(exc)
 
 
-def _grid_bytes(p) -> bytes:
-    x = np.linspace(-4.0, 4.0, 8)
+def _grid_bytes(p, x_g, x_l, x_r) -> bytes:
     try:
         with np.errstate(all="ignore"):
-            obs = steady_observables_grid(p, 2.0, x[:, None], x[None, :])
+            obs = steady_observables_grid(p, x_g, x_l, x_r)
     except NoUniqueSteadyStateError as exc:
         return repr(exc).encode()
     return b"".join(obs[k].tobytes() for k in ("power", "j", "rho12_re"))
+
+
+def _dark_corner_bytes(p) -> bytes:
+    x = np.linspace(-4.0, 4.0, 8)
+    return _grid_bytes(p, 2.0, x[:, None], x[None, :])
+
+
+def _landscape_axis(rng) -> np.ndarray:
+    """64 values: +0.0, -0.0 and +-745 (exp(-745) is the least subnormal,
+    so the occupations there are 5e-324 and 1), then 60 draws of both signs
+    with magnitudes log-uniform from 1e-3 to 745."""
+    magnitude = 10.0 ** rng.uniform(-3.0, math.log10(745.0), 60)
+    return np.concatenate([(0.0, -0.0, 745.0, -745.0), magnitude * rng.choice((-1.0, 1.0), 60)])
+
+
+def _landscapes():
+    """The (params, x_g, x_l, x_r) of the seeded landscapes: two each at
+    tau 0, a finite tau, tau = inf and the dark-state corner, every one a
+    64 x 64 meshgrid of (x_l, x_r) at a scalar x_g, as power-map draws them."""
+    rng = np.random.default_rng(28)
+    for kind in ("tau 0", "finite tau", "tau inf", "dark corner") * 2:
+        r_p, r_l = rng.uniform(0.0, 1.0, 2)
+        tau = {"finite tau": float(rng.uniform(0.1, 10.0)), "tau inf": INFINITE}.get(kind, 0.0)
+        if kind == "dark corner":
+            r_p = r_l = 1.0
+        x_g = float(rng.uniform(0.5, 5.0))
+        x_l, x_r = np.meshgrid(_landscape_axis(rng), _landscape_axis(rng), indexing="ij")
+        yield params_from_scaled(x_g, 0.0, 0.0, r_p=r_p, r_l=r_l, tau=tau), x_g, x_l, x_r
 
 
 def _scan_bytes(fixed) -> bytes:
@@ -113,14 +149,11 @@ def _scan_bytes(fixed) -> bytes:
 
 
 def build_line() -> str:
-    """numpy's version and the SIMD extensions its loops run on here: the
-    baseline, and the dispatch targets the CPU has and the environment
-    leaves on."""
-    from numpy._core import _multiarray_umath as umath
-
-    used = [k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k)]
-    return (f"# numpy {np.__version__} baseline {' '.join(umath.__cpu_baseline__)} "
-            f"dispatch {' '.join(used) or 'none'}")
+    """numpy's version and the SIMD extensions its loops run on here, as the
+    sweep provenance records them (``experiments._numpy_build``)."""
+    build = _numpy_build()
+    return (f"# numpy {build['version']} baseline {' '.join(build['baseline'])} "
+            f"dispatch {' '.join(build['dispatch']) or 'none'}")
 
 
 def digests():
@@ -138,10 +171,12 @@ def digests():
     curves = [repr(efficiency_at_max_power_curve(ModelParams(r_p=0.9, tau=tau), (0.1, 0.5, 0.9)))
               for tau in (0.0, INFINITE)]
     yield "curves", _digest(chr(10).join(curves).encode())
-    grids = b"\n".join(_grid_bytes(corner_params(*c)) for c in DARK_CORNERS)
+    grids = b"\n".join(_dark_corner_bytes(corner_params(*c)) for c in DARK_CORNERS)
     yield f"dark_corner_grids[{len(DARK_CORNERS)}]", _digest(grids)
     scans = b"".join(_scan_bytes(fixed) for fixed in REFUSAL_SCAN_SETS)
     yield f"refusal_scans[{len(REFUSAL_SCAN_SETS)}]", _digest(scans)
+    landscapes = [_grid_bytes(*landscape) for landscape in _landscapes()]
+    yield f"landscapes[{len(landscapes)}]", _digest(b"\n".join(landscapes))
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qdphotocell import (
@@ -224,6 +225,19 @@ class TestSerialization:
         assert prov["package"] == "qdphotocell"
         assert prov["config"]["sweep"] == "fig2"
         assert "created_utc" in prov
+
+    def test_provenance_records_the_numpy_build(self, small_fig2, tmp_path):
+        # the bits of a table hold for one numpy build and SIMD dispatch
+        from numpy._core import _multiarray_umath as umath
+
+        path = tmp_path / "fig2.json"
+        small_fig2.to_json(path)
+        build = json.loads(path.read_text())["provenance"]["numpy"]
+        assert build == {
+            "version": np.__version__,
+            "baseline": list(umath.__cpu_baseline__),
+            "dispatch": [k for k in umath.__cpu_dispatch__ if umath.__cpu_features__[k]],
+        }
 
     def test_infinite_tau_serializes(self, tmp_path):
         table = run_fig3b(tau_values=(INFINITE,), eta_c_grid=(0.5,),

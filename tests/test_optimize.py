@@ -263,6 +263,7 @@ class TestBatchedEvaluatorConsistency:
             for k in ("power", "j", "rho12_re"):
                 assert np.shape(got[k]) == shape
                 assert np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes()
+                assert isinstance(got[k], np.ndarray) and got[k].ndim == len(shape)
 
     def test_non_positive_bandgap_rejected(self):
         p = params_from_scaled(2.0, 0.0, 0.0)
