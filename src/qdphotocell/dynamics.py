@@ -332,26 +332,17 @@ def evolve(gen: Generator, initial: DensityState, duration: float, dt: float) ->
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
     h = duration / n_steps
     block = 1024
-    M_block = None
-    remaining = n_steps
     # overflow during divergence is the detection signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rk4_step_matrix(gen.matrix, h)
         if not np.all(np.isfinite(M)):
             raise StepInstabilityError("step matrix is not finite; reduce dt")
-        while remaining > 0:
-            take = min(block, remaining)
-            if take == block:
-                if M_block is None:
-                    M_block = np.linalg.matrix_power(M, block)
-                P = M_block
-            else:
-                P = np.linalg.matrix_power(M, take)
+        for first in range(0, n_steps, block):
+            P = np.linalg.matrix_power(M, min(block, n_steps - first))
             if not np.all(np.isfinite(P)):
                 raise StepInstabilityError(
                     f"integration diverged with dt = {h:.3e}; reduce the step size")
             v = P @ v
-            remaining -= take
             drift = abs(v[:4].sum() - 1.0)
             if not np.all(np.isfinite(v)) or drift > _TRACE_DRIFT_TOL:
                 raise StepInstabilityError(

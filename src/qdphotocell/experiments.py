@@ -9,11 +9,12 @@ block (resolved configuration, package version, numpy build and SIMD
 dispatch, timestamp).  Reruns with identical configuration are
 byte-identical except for the timestamp.
 
-All rows of a sweep are maximized together in one batched search, in a
-single process; a row's result does not depend on the rows beside it, so a
-row computed alone equals the same row inside the sweep, bit for bit.  The
-``workers`` argument is accepted and validated for compatibility but has no
-effect.
+Every sweep builds its table through one driver, :func:`_sweep`: all rows
+are maximized together in one batched search, in a single process, and a
+row that holds no optimum reads alike in every table.  A row's result does
+not depend on the rows beside it, so a row computed alone equals the same
+row inside the sweep, bit for bit.  The ``workers`` argument is accepted
+and validated for compatibility but has no effect.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ except ImportError:  # numpy < 2
 from . import __version__
 from .errors import ConfigError, DomainError, OutputExistsError
 from .model import INFINITE, ModelParams, params_from_scaled, scaled_energies
-from .optimize import (_FREE_ORDER, _curve_params, _curve_point, _maximize_rows,
-                       _steady_rows)
+from .optimize import _FREE_ORDER, _curve_params, _eta_ca, _maximize_rows, _steady_rows
 
 __all__ = [
     "SWEEP_DEFAULTS",
@@ -74,13 +74,6 @@ MAX_GRID_POINTS = 10_001
 
 #: Output formats of :meth:`SweepTable.write`, the first the default.
 FORMATS = ("csv", "json")
-
-# the error of a row whose operating region is empty: no seed had positive power
-_DEGENERATE = "degenerate-operating-region"
-
-# fig2 maximizes at its fixed bandgap; the fig3 curves free all of _FREE_ORDER,
-# efficiency_at_max_power_curve's default
-_FIG2_FREE = ("x_l", "x_r")
 
 
 def default_r_grid(step: float = SWEEP_DEFAULTS["r_step"]) -> list[float]:
@@ -216,45 +209,49 @@ def _resolve_workers(workers) -> int | None:
     return int(count)
 
 
-# ---- coherence/efficiency map over (r_p, r_l) ------------------------------
+# ---- the one sweep driver ---------------------------------------------------
 
-def _fig2_rows(pairs, base_kwargs, opt_kwargs) -> list[dict]:
-    """The fig2 rows of (r_p, r_l) pairs, maximized in one batched search.
+def _sweep(sweep, columns, inputs, params, free, workers, opt_kwargs, config) -> SweepTable:
+    """The table of one sweep: each ModelParams of ``params`` maximized over
+    ``free`` in one batched search, each row written in ``columns`` from its
+    ``inputs`` and its outcome.
 
-    A malformed optimizer option flags every row with its DomainError, as a
-    refused steady state flags its own row.
+    One rule for every table: a flagged row (a refused steady state, or a
+    malformed option, which flags every row) holds its reason in ``error``,
+    a degenerate row ``p_max`` 0 and ``error`` degenerate-operating-region,
+    and either leaves every other outcome column empty, ``converged`` false.
+    A won row holds its optimum (x_g, x_l, x_r), its power and efficiency,
+    and the kernel's j and |Re rho12| there; Im rho12 = 0 at degenerate levels.
     """
-    params = [params_from_scaled(r_p=r_p, r_l=r_l, **base_kwargs) for r_p, r_l in pairs]
+    _resolve_workers(workers)
     try:
-        results = _maximize_rows(params, _FIG2_FREE, **opt_kwargs)
+        results = _maximize_rows(params, free, **opt_kwargs)
     except DomainError as exc:
         results = [exc] * len(params)
-    # the kernel's j and Re rho12 at every optimum in one call; Im rho12 = 0
-    # for degenerate levels
-    won = [k for k, res in enumerate(results)
-           if not isinstance(res, Exception) and not res.degenerate]
-    observed = {}
+    degenerate = {"p_max": 0.0, "error": "degenerate-operating-region"}
+    outcomes = [{"error": str(res)} if isinstance(res, Exception)
+                else degenerate if res.degenerate else None for res in results]
+    won = [k for k, out in enumerate(outcomes) if out is None]
     if won:
-        _, j, _, _, _, u = _steady_rows([params[k] for k in won], [params[k].x_g for k in won],
-                                        *([results[k].x_opt[name] for k in won]
-                                          for name in _FIG2_FREE))
-        observed = dict(zip(won, zip(j.tolist(), map(abs, u.tolist()))))
+        at = [{**dict(zip(_FREE_ORDER, scaled_energies(params[k]))), **results[k].x_opt}
+              for k in won]
+        _, j, _, _, _, u = _steady_rows([params[k] for k in won],
+                                        *([x[name] for x in at] for name in _FREE_ORDER))
+        for k, x, jk, uk in zip(won, at, j.tolist(), u.tolist()):
+            res = results[k]
+            outcomes[k] = {**x, "p_max": res.p_max, "eta": res.eta_at_pmax,
+                           "eta_at_pmax": res.eta_at_pmax, "abs_rho12": abs(uk),
+                           "j": jk, "converged": res.converged}
     rows = []
-    for k, ((r_p, r_l), res) in enumerate(zip(pairs, results)):
-        row = {"r_p": r_p, "r_l": r_l, "x_g": base_kwargs["x_g"],
-               "x_l": None, "x_r": None, "p_max": None, "eta": None,
-               "abs_rho12": None, "j": None, "converged": False, "error": None}
-        if isinstance(res, Exception):
-            row["error"] = str(res)
-        elif res.degenerate:
-            row.update(p_max=0.0, error=_DEGENERATE)
-        else:
-            row.update(x_l=res.x_opt["x_l"], x_r=res.x_opt["x_r"], p_max=res.p_max,
-                       eta=res.eta_at_pmax, j=observed[k][0], abs_rho12=observed[k][1],
-                       converged=res.converged)
-        rows.append(row)
-    return rows
+    for given, out in zip(inputs, outcomes):
+        row = {"converged": False, **out, **given}
+        rows.append({name: row.get(name) for name, _unit in columns})
+    return SweepTable(columns=columns, rows=tuple(rows),
+                      provenance=_provenance({"sweep": sweep, **config, "free": list(free),
+                                              "optimizer": dict(opt_kwargs)}))
 
+
+# ---- coherence/efficiency map over (r_p, r_l) ------------------------------
 
 def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
              temp_p: float = ModelParams.temp_p, x_g: float = SWEEP_DEFAULTS["x_g"],
@@ -270,20 +267,17 @@ def run_fig2(r_grid=None, *, temp: float = ModelParams.temp,
     for r in grid:
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"r grid values must lie in [0, 1], got {r}")
-    _resolve_workers(workers)
-    base_kwargs = {"x_g": x_g, "x_l": 0.0, "x_r": 0.0, "temp": temp,
-                   "temp_p": temp_p, "gamma": gamma, "tau": tau}
-    rows = _fig2_rows([(r_p, r_l) for r_p in grid for r_l in grid], base_kwargs, opt_kwargs)
+    inputs = [{"r_p": r_p, "r_l": r_l, "x_g": x_g} for r_p in grid for r_l in grid]
+    params = [params_from_scaled(x_g, 0.0, 0.0, temp=temp, temp_p=temp_p, gamma=gamma,
+                                 tau=tau, r_p=row["r_p"], r_l=row["r_l"]) for row in inputs]
     columns = (
         ("r_p", "1"), ("r_l", "1"), ("x_g", "1"), ("x_l", "1"), ("x_r", "1"),
         ("p_max", _POWER_UNIT), ("eta", "1"), ("abs_rho12", "1"),
         ("j", "gamma_p"), ("converged", "bool"), ("error", "str"),
     )
-    config = {"sweep": "fig2", "r_grid": grid, "x_g": x_g, "tau": _jsonable(tau),
-              "temp": temp, "temp_p": temp_p, "gamma": gamma,
-              "free": list(_FIG2_FREE), "optimizer": dict(opt_kwargs)}
-    return SweepTable(columns=columns, rows=tuple(rows),
-                      provenance=_provenance(config))
+    config = {"r_grid": grid, "x_g": x_g, "tau": _jsonable(tau),
+              "temp": temp, "temp_p": temp_p, "gamma": gamma}
+    return _sweep("fig2", columns, inputs, params, ("x_l", "x_r"), workers, opt_kwargs, config)
 
 
 # ---- efficiency-at-max-power curves ----------------------------------------
@@ -304,37 +298,21 @@ def _run_curves(sweep, label, unit, values, eta_c_grid, params, workers,
 
     The base point of a curve is the default scaled operating point of
     :class:`ModelParams` at the default lead temperature of
-    :func:`params_from_scaled`.  A malformed optimizer option flags every
-    row with its DomainError.
+    :func:`params_from_scaled`.
     """
     eta_c_grid = list(eta_c_grid) if eta_c_grid is not None else default_eta_c_grid()
     values = [float(v) for v in values]
-    _resolve_workers(workers)
-    points = [(v, float(e)) for v in values for e in eta_c_grid]
     x = scaled_energies(ModelParams())
     bases = [params_from_scaled(*x, **params, **{label: v}) for v in values]
     at = [_curve_params(base, e) for base in bases for e in eta_c_grid]
-    try:
-        results = _maximize_rows(at, _FREE_ORDER, **opt_kwargs)
-    except DomainError as exc:
-        results = [exc] * len(at)
-    rows = []
-    for (v, eta_c), p, res in zip(points, at, results):
-        pt = _curve_point(eta_c, res)
-        rows.append({
-            label: _jsonable(v),
-            "eta_c": pt.eta_c, "temp": p.temp, "temp_p": p.temp_p,
-            "eta_at_pmax": pt.eta_at_pmax, "eta_ca": pt.eta_ca, "p_max": pt.p_max,
-            "x_g": pt.x_opt.get("x_g"), "x_l": pt.x_opt.get("x_l"),
-            "x_r": pt.x_opt.get("x_r"), "converged": pt.converged,
-            "error": _DEGENERATE if pt.degenerate else pt.error,
-        })
-    config = {"sweep": sweep, **{k: _jsonable(v) for k, v in params.items()},
+    inputs = [{label: _jsonable(v), "eta_c": float(e), "temp": p.temp, "temp_p": p.temp_p,
+               "eta_ca": _eta_ca(float(e))}
+              for (v, e), p in zip(itertools.product(values, eta_c_grid), at)]
+    config = {**{k: _jsonable(v) for k, v in params.items()},
               f"{label}_values": [_jsonable(v) for v in values],
-              "eta_c_grid": eta_c_grid, "free": list(_FREE_ORDER),
-              "optimizer": dict(opt_kwargs)}
-    return SweepTable(columns=((label, unit),) + _CURVE_COLUMNS_TAIL,
-                      rows=tuple(rows), provenance=_provenance(config))
+              "eta_c_grid": eta_c_grid}
+    return _sweep(sweep, ((label, unit),) + _CURVE_COLUMNS_TAIL, inputs, at, _FREE_ORDER,
+                  workers, opt_kwargs, config)
 
 
 def run_fig3a(r_l_values=SWEEP_DEFAULTS["r_l_values"], eta_c_grid=None, *,

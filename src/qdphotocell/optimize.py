@@ -882,9 +882,14 @@ def _curve_params(base: ModelParams, eta_c) -> ModelParams:
                               **{**kept, "temp": (1.0 - eta_c) * base.temp_p})
 
 
+def _eta_ca(eta_c: float) -> float:
+    """The Curzon-Ahlborn efficiency at Carnot efficiency eta_c."""
+    return 1.0 - math.sqrt(1.0 - eta_c)
+
+
 def _curve_point(eta_c: float, res) -> CurvePoint:
     """The curve point of one maximization result, an error flagged as a gap."""
-    eta_ca = 1.0 - math.sqrt(1.0 - eta_c)
+    eta_ca = _eta_ca(eta_c)
     if isinstance(res, Exception):
         return CurvePoint(eta_c=eta_c, eta_ca=eta_ca, eta_at_pmax=None,
                           p_max=math.nan, error=str(res))
@@ -902,7 +907,9 @@ def efficiency_at_max_power_curve(base: ModelParams, eta_c_grid,
     the photon temperature held at its base value, the scaled operating
     variables of ``base`` are carried over, and power is maximized over
     ``free``, every point in one batched search.  A refused point is
-    recorded as a flagged gap and the curve continues.
+    recorded as a gap and the curve continues: it has ``p_max`` NaN, an
+    empty ``x_opt`` and its reason in ``error``.  A degenerate point (no
+    positive power in the box) has ``p_max`` 0 and ``x_opt`` at its start.
     """
     grid = [float(e) for e in eta_c_grid]
     params = [_curve_params(base, e) for e in grid]

@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,9 @@ from qdphotocell import (
     run_fig3b,
 )
 from qdphotocell.errors import ConfigError, OutputExistsError
-from qdphotocell.experiments import (MAX_GRID_POINTS, SweepTable, default_eta_c_grid,
-                                     default_r_grid)
+from qdphotocell.experiments import (MAX_GRID_POINTS, SweepTable, _numpy_build,
+                                     default_eta_c_grid, default_r_grid)
+from qdphotocell.optimize import DEFAULT_BOUNDS
 from conftest import general_path_observables
 
 FAST_OPT = {"seeds_per_dim": 8, "refine_top": 4}
@@ -191,7 +196,7 @@ class TestFig3:
         for row in table.rows:
             assert row["error"] == ("bounds.x_l must be a pair of finite numbers "
                                     "with lo < hi, got 3")
-            assert row["eta_at_pmax"] is None and math.isnan(row["p_max"])
+            assert row["eta_at_pmax"] is None and row["p_max"] is None
 
     def test_degenerate_region_flagged(self):
         # a box with no positive power: the row says so, as a fig2 row does
@@ -200,6 +205,46 @@ class TestFig3:
         (row,) = table.rows
         assert row["p_max"] == 0.0 and row["eta_at_pmax"] is None
         assert row["error"] == "degenerate-operating-region"
+        assert row["x_g"] is None and row["x_l"] is None and row["x_r"] is None
+
+
+class TestSimdDispatch:
+    OPT = {"seeds_per_dim": 8, "refine_top": 4, "f_rel_tol": 1e-9, "x_rel_tol": 1e-8}
+    # the same small fig2 sweep in a child process whose numpy runs on its
+    # baseline SIMD code paths alone
+    CHILD = ("import json; from qdphotocell.experiments import _numpy_build, run_fig2; "
+             f"t = run_fig2([0.0, 0.9], **{OPT!r}); "
+             "print(json.dumps([_numpy_build()['dispatch'], t.rows]))")
+
+    def test_baseline_dispatch_rows_agree_to_the_optimizer_resolution(self):
+        # every dispatch target in use here, so no target the CPU lacks is
+        # named, after any this process's environment already turns off
+        off = [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *_numpy_build()["dispatch"]]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off).strip(),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", self.CHILD], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        child_dispatch, rows = json.loads(out)
+        assert child_dispatch == []
+        table = run_fig2([0.0, 0.9], **self.OPT)
+        # A start stops once its Newton step is under x_rel_tol of a unit, and
+        # a coordinate's unit is at most its range; two starts tie once their
+        # powers agree within f_rel_tol.  So the optimizer resolves no
+        # coordinate closer than x_rel_tol of its range, nor the power closer
+        # than f_rel_tol, and code paths that round differently may move its
+        # answer within those; eta = 1 - (temp / temp_p) (x_r - x_l) / x_g
+        # moves with the coordinates.
+        x_tol = {k: self.OPT["x_rel_tol"] * (hi - lo) for k, (lo, hi) in DEFAULT_BOUNDS.items()}
+        eta_tol = ModelParams.temp / ModelParams.temp_p * (x_tol["x_l"] + x_tol["x_r"])
+        assert len(rows) == len(table.rows) == 4
+        for got, want in zip(rows, table.rows):
+            same = ("r_p", "r_l", "x_g", "converged", "error")
+            assert [got[k] for k in same] == [want[k] for k in same]
+            assert abs(got["p_max"] - want["p_max"]) <= self.OPT["f_rel_tol"] * want["p_max"]
+            for k in ("x_l", "x_r"):
+                assert abs(got[k] - want[k]) <= x_tol[k]
+            assert abs(got["eta"] - want["eta"]) <= eta_tol / want["x_g"]
 
 
 class TestSerialization:
@@ -228,7 +273,10 @@ class TestSerialization:
 
     def test_provenance_records_the_numpy_build(self, small_fig2, tmp_path):
         # the bits of a table hold for one numpy build and SIMD dispatch
-        from numpy._core import _multiarray_umath as umath
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as umath
 
         path = tmp_path / "fig2.json"
         small_fig2.to_json(path)
@@ -263,6 +311,27 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["provenance"]["config"]["tau"] == "inf"
         assert len(doc["rows"]) == len(table.rows) == 1
+
+    @pytest.mark.parametrize("sweep, outcome", [
+        ("fig2", ("x_l", "x_r", "p_max", "eta", "abs_rho12", "j")),
+        ("fig3a", ("eta_at_pmax", "p_max", "x_g", "x_l", "x_r"))])
+    def test_refused_row_reads_empty_in_every_outcome_column(self, sweep, outcome,
+                                                             tmp_path):
+        # one row rule for every table: a flagged row holds its inputs, its
+        # reason and converged false, and nothing else
+        if sweep == "fig2":
+            table = run_fig2([0.5], workers=1, bounds={"x_l": 3.0})
+        else:
+            table = run_fig3a([0.0], [0.5], workers=1, bounds={"x_l": 3.0})
+        table.write(tmp_path / "t.csv", "csv")
+        table.write(tmp_path / "t.json", "json")
+        with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+            (cells,) = csv.DictReader(fh)
+        (doc_row,) = json.loads((tmp_path / "t.json").read_text())["rows"]
+        for name in outcome:
+            assert cells[name] == "" and doc_row[name] is None, name
+        assert cells["converged"] == "false" and doc_row["converged"] is False
+        assert doc_row["error"].startswith("bounds.x_l must be a pair")
 
     def test_non_finite_values_encoded_alike(self, tmp_path):
         # one encoder for CSV cells and JSON values
