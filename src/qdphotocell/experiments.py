@@ -38,7 +38,7 @@ except ImportError:  # numpy < 2
 from . import __version__
 from .errors import ConfigError, DomainError, OutputExistsError
 from .model import INFINITE, ModelParams, _require_real, params_from_scaled, scaled_energies
-from .optimize import _FREE_ORDER, _maximize_rows, _steady_rows
+from .optimize import _FREE_ORDER, _maximize_rows
 
 __all__ = [
     "SWEEP_DEFAULTS",
@@ -220,8 +220,9 @@ def _sweep(sweep, columns, inputs, params, free, workers, opt_kwargs, config) ->
     malformed option, which flags every row) holds its reason in ``error``,
     a degenerate row ``p_max`` 0 and ``error`` degenerate-operating-region,
     and either leaves every other outcome column empty, ``converged`` false.
-    A won row holds its optimum (x_g, x_l, x_r), its power and efficiency,
-    and the kernel's j and |Re rho12| there; Im rho12 = 0 at degenerate levels.
+    A won row holds its OptResult: the free coordinates of its optimum (a
+    fixed one is an input), its power and efficiency, and the kernel's j and
+    |Re rho12| there; Im rho12 = 0 at degenerate levels.
     """
     _resolve_workers(workers)
     try:
@@ -230,18 +231,10 @@ def _sweep(sweep, columns, inputs, params, free, workers, opt_kwargs, config) ->
         results = [exc] * len(params)
     degenerate = {"p_max": 0.0, "error": "degenerate-operating-region"}
     outcomes = [{"error": str(res)} if isinstance(res, Exception)
-                else degenerate if res.degenerate else None for res in results]
-    won = [k for k, out in enumerate(outcomes) if out is None]
-    if won:
-        at = [{**dict(zip(_FREE_ORDER, scaled_energies(params[k]))), **results[k].x_opt}
-              for k in won]
-        _, j, _, _, _, u = _steady_rows([params[k] for k in won],
-                                        *([x[name] for x in at] for name in _FREE_ORDER))
-        for k, x, jk, uk in zip(won, at, j.tolist(), u.tolist()):
-            res = results[k]
-            outcomes[k] = {**x, "p_max": res.p_max, "eta": res.eta_at_pmax,
-                           "eta_at_pmax": res.eta_at_pmax, "abs_rho12": abs(uk),
-                           "j": jk, "converged": res.converged}
+                else degenerate if res.degenerate
+                else {**res.x_opt, "p_max": res.p_max, "eta": res.eta_at_pmax,
+                      "eta_at_pmax": res.eta_at_pmax, "abs_rho12": abs(res.rho12_re),
+                      "j": res.j, "converged": res.converged} for res in results]
     rows = []
     for given, out in zip(inputs, outcomes):
         row = {"converged": False, **out, **given}

@@ -229,6 +229,7 @@ def params_from_scaled(x_g: float, x_l: float, x_r: float, *,
     x_g = _require_real("x_g", x_g)
     x_l = _require_real("x_l", x_l)
     x_r = _require_real("x_r", x_r)
+    temp, temp_p = _require_real("temp", temp), _require_real("temp_p", temp_p)
     eps_l = 0.0
     eps_g = x_g * temp_p
     mu_l = 0.0 - x_l * temp

@@ -269,15 +269,6 @@ def _occupations(x):
     return [o if o.ndim else float(o) for o in occ]
 
 
-def _steady_rows(params, x_g, x_l, x_r):
-    """The kernel's (power, j, g, rho_e, rho0, u) at one point per ModelParams
-    in ``params``, in one array call, j per gamma_ref like the power.
-    Degenerate levels (delta21 = 0) only."""
-    x = [np.array(v, dtype=float) for v in (x_g, x_l, x_r)]
-    consts = np.array([_kernel_constants(p) for p in params]).T
-    return _solved(_degenerate_steady(consts, *x, *_occupations(x)))
-
-
 def steady_observables_grid(params: ModelParams, x_g, x_l, x_r) -> dict:
     """Vectorized steady-state observables over broadcastable scaled energies.
 
@@ -335,10 +326,13 @@ def _power_gradient(consts, points):
 class OptResult:
     """Outcome of a power maximization.
 
-    ``p_max`` is in units of k_B * temp_p * gamma_p.  ``degenerate`` means no
-    seed had positive power; ``eta_at_pmax`` is then None.  ``active_bounds``
-    lists free variables whose optimum sits on the search box within 1e-6 of
-    the range.  ``starts`` counts the Newton starts run, 0 when degenerate.
+    ``p_max`` is in units of k_B * temp_p * gamma_p, and ``j`` (per gamma_ref,
+    as in :func:`steady_observables_grid`) and ``rho12_re`` are the kernel's
+    at the optimum, from the kernel call that gave ``p_max``.  ``degenerate``
+    means no seed had positive power; ``eta_at_pmax`` is then None and ``j``
+    and ``rho12_re`` NaN.  ``active_bounds`` lists free variables whose
+    optimum sits on the search box within 1e-6 of the range.  ``starts``
+    counts the Newton starts run, 0 when degenerate.
 
     The certificate is taken at the optimum, in the free variables among
     (x_g, x_l, x_r) that are not held at a bound: ``grad_rel`` is
@@ -361,6 +355,8 @@ class OptResult:
     newton_step: float = math.nan
     max_curvature: float = math.nan
     starts: int = 0
+    j: float = math.nan
+    rho12_re: float = math.nan
 
 
 def _validated_options(free, bounds, **options):
@@ -405,17 +401,19 @@ def _validated_options(free, bounds, **options):
     return tuple(k for k in _FREE_ORDER if k in names), box
 
 
-def _ranked_seeds(t_grid, p_grid, top):
-    """Per row of ``p_grid``, a (rows, n) stack of powers at the n points
-    of ``t_grid``, the points to refine: the ``top`` best by power (best
-    first, ties broken lexicographically on the coordinates), less those
-    without positive power.  One sort finds each row's ``top``-th largest
-    power; the entries at or above it, of every row, go to one lexsort keyed
-    on row, power and coordinates, and each row is cut at ``top``."""
+def _ranked_seeds(p_grid, top):
+    """Per row of ``p_grid``, a (rows, n) stack of powers at the n points of
+    a grid in C order on increasing axes, the points to refine: the ``top``
+    best by power (best first, ties broken lexicographically on the
+    coordinates, which is index order), less those without positive power.
+    One sort finds each row's ``top``-th largest power; the entries at or
+    above it, of every row, go to one stable lexsort keyed on row and power,
+    and each row is cut at ``top``."""
     n_rows, n = p_grid.shape
     cuts = np.sort(p_grid, axis=1)[:, n - top] if top < n else np.zeros(n_rows)
-    rows, at = np.nonzero((p_grid >= cuts[:, None]) & (p_grid > 0.0))  # rows ascending
-    order = np.lexsort(tuple(t_grid[at].T[::-1]) + (-p_grid[rows, at], rows))
+    # rows ascending, and each row's indices ascending
+    rows, at = np.nonzero((p_grid >= cuts[:, None]) & (p_grid > 0.0))
+    order = np.lexsort((-p_grid[rows, at], rows))
     first, at = np.searchsorted(rows, np.arange(n_rows + 1)).tolist(), at[order].tolist()
     return [at[a:min(a + top, b)] for a, b in zip(first, first[1:])]
 
@@ -464,17 +462,17 @@ class _Starts:
         self.x_tol = [f_rel_tol ** _SAME_BASIN_X_EXP * s for s in span]
         self.best, self.starts, self.evals = None, 0, 0
 
-    def add(self, t, p, evals, *certificate):
+    def add(self, t, p, evals, *found):
         """Take the next start's optimum: search vector ``t`` (a tuple of
-        floats), power ``p``, its evaluations and its (converged, grad_rel,
-        newton_step, hess); True once the row is done."""
+        floats), power ``p``, its evaluations and its (j, u, converged,
+        grad_rel, newton_step, hess); True once the row is done."""
         self.starts, self.evals = self.starts + 1, self.evals + evals
         best = self.best
         agrees = best is not None and (
             abs(p - best[0]) <= self.f_rel_tol * abs(best[0])
             and all(abs(a - b) <= tol for a, b, tol in zip(t, best[1], self.x_tol)))
         if best is None or p - best[0] > self.f_rel_tol * abs(best[0]):
-            self.best = (p, t, certificate)
+            self.best = (p, t, found)
         return agrees or self.starts == len(self.seeds)
 
 
@@ -520,11 +518,11 @@ class _Batch:
         return tuple(self.base[k, rows] if s is None else t[s] for k, s in enumerate(self.slots))
 
     def power(self, rows, *x):
-        """The kernel's power at decoded points ``x`` of the rows ``rows`` in
-        one array call; the rows of refused points are flagged."""
-        power = _degenerate_steady(self.consts[:, rows], *x, *_occupations(x))[0]
+        """The kernel's (power, j, u) at decoded points ``x`` of the rows
+        ``rows`` in one array call; the rows of refused points are flagged."""
+        power, j, _, _, _, u = _degenerate_steady(self.consts[:, rows], *x, *_occupations(x))
         self._flag(rows, power)
-        return power
+        return power, j, u
 
     def _flag(self, rows, values):
         bad = np.isnan(values)
@@ -562,7 +560,7 @@ class _Batch:
             rows = np.arange(first, min(first + per, n_rows)).reshape((-1,) + (1,) * len(axes))
             x = self.window_point(mesh, rows)
             decoded, x[k] = x[k], np.minimum(np.maximum(x[k], lo), hi)
-            power = self.power(rows, *x)
+            power = self.power(rows, *x)[0]
             p_grid[first:first + per] = np.where((x[k] == decoded) & (power > 0.0),
                                                  power, 0.0).reshape(len(rows), size)
         return p_grid
@@ -571,8 +569,8 @@ class _Batch:
         """The seed grid of every row and each row's ranked seeds.
 
         The window coordinate is gridded in nu (:meth:`window_point`), and
-        :meth:`grid_power` scores the grid; ``t_grid``, the flattened grid,
-        serves the ranking and the parabola moves.  Returns (points per
+        :meth:`grid_power` scores the grid in C order, whose flat indices
+        the ranking and the parabola moves read.  Returns (points per
         grid, seed indices per row, starts), starts (d, n) holding each ranked
         seed of every row, in row and rank order, moved along each grid axis
         by at most half a grid step to the vertex of the parabola through its
@@ -586,13 +584,13 @@ class _Batch:
         axes = [np.linspace(lo, hi, spd) for lo, hi in zip(self.lo[:, 0], self.hi[:, 0])]
         # strictly interior window points seed better than edge-touching ones
         axes[-1] = np.linspace(0.5 / spd, 1.0 - 0.5 / spd, spd)
-        t_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        size, p_grid = len(t_grid), self.grid_power(axes)
-        seeds = _ranked_seeds(t_grid, p_grid, self.top)
+        size, p_grid = spd ** len(axes), self.grid_power(axes)
+        seeds = _ranked_seeds(p_grid, self.top)
 
         rows = np.array([r for r, s in enumerate(seeds) for _ in s], dtype=int)
         at = np.array([i for s in seeds for i in s], dtype=int)
-        starts, index = t_grid[at].T.copy(), np.unravel_index(at, (spd,) * len(axes))
+        index = np.unravel_index(at, (spd,) * len(axes))
+        starts = np.array([axis[i] for axis, i in zip(axes, index)])
         for j, axis in enumerate(axes):
             if j == ig:
                 continue
@@ -609,11 +607,12 @@ class _Batch:
     def ascend(self, lanes):
         """One lockstep round of projected Newton ascent over ``lanes``.
 
-        ``lanes`` maps row, rank (of the lane's seed in its row), t, p (the
-        power at t), evals and polished (the last step a full Newton step
-        taken without the line search) to arrays over the m lanes.  Every
-        per-coordinate quantity is a (coordinate, lane) array: t, the
-        gradient, the free mask and the step (d, m), the Hessian (d, d, m).
+        ``lanes`` maps row, rank (of the lane's seed in its row), t, p, j
+        and u (the kernel's power, j and Re rho12 at t), evals and polished
+        (the last step a full Newton step taken without the line search) to
+        arrays over the m lanes.  Every per-coordinate quantity is a
+        (coordinate, lane) array: t, the gradient, the free mask and the step
+        (d, m), the Hessian (d, d, m).
         A round evaluates every lane's stencil in one gradient call: the
         points of t and of one point either side of it along each
         coordinate, each with one imaginary step per coordinate
@@ -628,7 +627,9 @@ class _Batch:
         its range, measured across the window as the step of x_k alone that
         moves q = (x_r - x_l) / x_g as far: near equilibrium the window is a
         strip far thinner than any range.  The Hessian is central
-        differences over _HESS_STEP of each unit, and of W where that is less.
+        differences over _HESS_STEP of each unit, and of W where that is less,
+        but at least an ulp of t, so that even a window or a box too thin to
+        resolve has a stencil of nonzero width.
 
         A lane stops, converged, where H is negative definite on the free
         coordinates and the Newton step is within ``x_rel_tol`` of a unit,
@@ -639,9 +640,9 @@ class _Batch:
         (stencil points and trials) reach ``max_evals_per_seed``.
 
         Returns the lanes left and, per stopped lane, (row, rank, t, p,
-        evals, converged, grad_rel, newton_step, hess): t a tuple of floats,
-        and the certificate at t as in :class:`OptResult`, the Hessian on
-        the free coordinates in place of its largest eigenvalue.
+        evals, j, u, converged, grad_rel, newton_step, hess): t a tuple of
+        floats, and the certificate at t as in :class:`OptResult`, the
+        Hessian on the free coordinates in place of its largest eigenvalue.
         """
         dim = len(self.free)
         rows, t = lanes["row"], lanes["t"]
@@ -653,7 +654,7 @@ class _Batch:
         slope = (xr - xl) / xg if self.k_win == 0 else 1.0
         unit[-1] = np.minimum(xg * self.window[rows] / slope, self.span[-1])
         cross = unit[-1] * slope
-        reach = _HESS_STEP * np.minimum(self.span, unit[-1])
+        reach = np.maximum(_HESS_STEP * np.minimum(self.span, unit[-1]), np.spacing(np.abs(t)))
         up, down = np.minimum(t + reach, self.hi), np.maximum(t - reach, self.lo)
         stencil, j = np.repeat(t[:, None, None], 2 * dim + 1, axis=1), np.arange(dim)
         stencil[j, 1 + 2 * j, 0], stencil[j, 2 + 2 * j, 0] = up, down
@@ -696,13 +697,14 @@ class _Batch:
             if not idx.size:
                 break
             trial = np.minimum(np.maximum(t[:, idx] + 0.5 ** k * move[:, idx], self.lo), self.hi)
-            p_trial = self.power(rows[idx], *self.decode(trial, rows[idx]))
+            p_trial, j_trial, u_trial = self.power(rows[idx], *self.decode(trial, rows[idx]))
             lanes["evals"][idx] += 1
             gain = sum(g[:, idx] * (trial - t[:, idx]))
             took = ~np.isnan(p_trial) & (newton[idx] | (p_trial > p[idx])
                                          & (p_trial - p[idx] >= _ARMIJO * gain))
             hit = idx[took]
             t[:, hit], p[hit], lanes["polished"][hit] = trial[:, took], p_trial[took], newton[hit]
+            lanes["j"][hit], lanes["u"][hit] = j_trial[took], u_trial[took]
             searching[idx[took | newton[idx] | np.isnan(p_trial)]] = False
         done = (stop | searching) & ~self.flagged[rows]
 
@@ -715,7 +717,8 @@ class _Batch:
                 kept = free[:, lane]
                 stopped.append((int(rows[lane]), int(lanes["rank"][lane]),
                                 tuple(t[:, lane].tolist()), float(p[lane]),
-                                int(lanes["evals"][lane]), bool(converged[lane]),
+                                int(lanes["evals"][lane]), float(lanes["j"][lane]),
+                                float(lanes["u"][lane]), bool(converged[lane]),
                                 float(grad_rel[k]), float(newton_step[k]),
                                 hess[kept][:, kept, lane].tolist()))
         return _take(lanes, ~done & ~self.flagged[rows]), stopped
@@ -726,9 +729,9 @@ class _Batch:
         The starts run in waves, every lane of a wave in lockstep: the
         first wave holds each row's two best seeds, and a row whose starts
         disagree so far (:class:`_Starts`) has its next seed in the next
-        wave.  A wave's starting powers take one kernel call.  Lanes are
-        independent, so a row's result does not depend on the wave its
-        starts run in.
+        wave.  A wave's starting powers, j and u take one kernel call.
+        Lanes are independent, so a row's result does not depend on the
+        wave its starts run in.
         """
         size, seeds, starts = self.seed()
         first = np.cumsum([0] + [len(s) for s in seeds]).tolist()
@@ -739,9 +742,9 @@ class _Batch:
         while wave:
             m, (rows, ranks) = len(wave), np.array(wave, dtype=int).T
             t = starts[:, [first[r] + k for r, k in wave]]
-            lanes = {"row": rows, "rank": ranks, "t": t,
-                     "p": self.power(rows, *self.decode(t, rows)), "evals": np.ones(m, dtype=int),
-                     "polished": np.zeros(m, dtype=bool)}
+            p, j, u = self.power(rows, *self.decode(t, rows))
+            lanes = {"row": rows, "rank": ranks, "t": t, "p": p, "j": j, "u": u,
+                     "evals": np.ones(m, dtype=int), "polished": np.zeros(m, dtype=bool)}
             finished = {}
             while lanes["row"].size:
                 lanes, stopped = self.ascend(lanes)
@@ -767,7 +770,7 @@ class _Batch:
                                      eta_at_pmax=None, evals=size, converged=False,
                                      degenerate=True))
                 continue
-            p, t, (conv, grad_rel, newton_step, hess) = book.best
+            p, t, (j, u, conv, grad_rel, newton_step, hess) = book.best
             x_opt = dict(zip(self.free, t))
             xg, xl, xr = {**base, **x_opt}.values()
             box = self.box
@@ -780,7 +783,7 @@ class _Batch:
                 converged=conv, degenerate=False, active_bounds=active,
                 grad_rel=grad_rel, newton_step=newton_step,
                 max_curvature=float(np.linalg.eigvalsh(hess)[-1]) if hess else math.nan,
-                starts=book.starts))
+                starts=book.starts, j=j, rho12_re=u))
         return out
 
 

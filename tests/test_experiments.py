@@ -21,7 +21,7 @@ from qdphotocell import (
     run_fig3a,
     run_fig3b,
 )
-from qdphotocell.errors import ConfigError, OutputExistsError
+from qdphotocell.errors import ConfigError, DomainError, OutputExistsError
 from qdphotocell.experiments import (MAX_GRID_POINTS, SweepTable, _numpy_build,
                                      default_eta_c_grid, default_r_grid)
 from qdphotocell.optimize import DEFAULT_BOUNDS
@@ -51,6 +51,8 @@ class TestGrids:
             default_r_grid(0.3)
         with pytest.raises(ConfigError):
             default_eta_c_grid(step=-0.1)
+        with pytest.raises(ConfigError):
+            default_eta_c_grid(step=0.0)
 
     def test_point_cap(self):
         # MAX_GRID_POINTS points are built; one more is refused from the count
@@ -133,6 +135,11 @@ class TestFig2:
     def test_bad_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_fig2([0.0, 1.5], workers=1)
+
+    @pytest.mark.parametrize("name", ["temp", "temp_p"])
+    def test_non_numeric_temperature_is_a_domain_error(self, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+            run_fig2([0.0], workers=1, **{name: "abc"})
 
     def test_malformed_bound_flags_the_rows(self):
         # the optimizer refuses it with a DomainError: rows flagged, sweep done

@@ -190,6 +190,10 @@ class TestModelParamsArgumentChecks:
             x[k] = bad
             with pytest.raises(DomainError):
                 params_from_scaled(*x)
+        # params_from_scaled multiplies both temperatures into the energies
+        for name in ("temp", "temp_p"):
+            with pytest.raises(DomainError):
+                params_from_scaled(2.0, 0.0, 0.0, **{name: bad})
 
     def test_other_reals_give_the_float_value(self):
         class Real(float):

@@ -310,7 +310,7 @@ class TestBatchedEvaluatorConsistency:
             rows = np.arange(len(params))[:, None]
             x = ref.window_point(t_grid.T, rows)
             decoded, x[k] = x[k], np.minimum(np.maximum(x[k], lo), hi)
-            flat["raw"] = power = ref.power(rows, *x)
+            flat["raw"] = power = ref.power(rows, *x)[0]
             flat["clipped"] = x[k] != decoded
             flat["p"] = np.where((x[k] == decoded) & (power > 0.0), power, 0.0)
             return flat["p"]
@@ -320,8 +320,9 @@ class TestBatchedEvaluatorConsistency:
             return flat["got"]
 
         def power(rows, *x):
-            raw.append(kernel(rows, *x))
-            return raw[-1]
+            out = kernel(rows, *x)
+            raw.append(out[0])
+            return out
 
         ref.grid_power = flat_grid_power
         grid, kernel = new.grid_power, new.power
@@ -836,8 +837,8 @@ class TestGradientRefusal:
         batch = optimize._Batch(params, consts, free, box, 16, 8, 1e-9, 1e-8, 2000)
         m, t = len(params), np.array(starts).T
         rows = np.arange(m)
-        lanes = {"row": rows, "rank": np.zeros(m, dtype=int), "t": t,
-                 "p": batch.power(rows, *batch.decode(t, rows)),
+        p, j, u = batch.power(rows, *batch.decode(t, rows))
+        lanes = {"row": rows, "rank": np.zeros(m, dtype=int), "t": t, "p": p, "j": j, "u": u,
                  "evals": np.ones(m, dtype=int), "polished": np.zeros(m, dtype=bool)}
         assert not batch.flagged.any()
         books = [optimize._Starts([0], batch.span[:, 0].tolist(), 1e-9) for _ in params]
@@ -957,7 +958,8 @@ class TestMaximizePower:
 
 class TestRankedSeeds:
     """Ranking only the seeds at or above the refine_top-th largest power
-    picks what a lexsort of the whole grid picks."""
+    picks what a lexsort of the whole grid on its coordinates picks, for
+    grids in C order on increasing axes, as the seed grid is."""
 
     @staticmethod
     def _full_lexsort(t_grid, p_grid, top):
@@ -971,7 +973,6 @@ class TestRankedSeeds:
             axes = [np.sort(rng.uniform(-1.0, 1.0, side)) for _ in range(dim)]
             mesh = np.meshgrid(*axes, indexing="ij")
             t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
-            t_grid = t_grid[rng.permutation(len(t_grid))]
             n = len(t_grid)
             # a few distinct levels, so equal positive powers straddle the
             # cut, and a share of +0.0 cells from none to nearly all
@@ -980,7 +981,7 @@ class TestRankedSeeds:
             p_grid[rng.random(n) < rng.choice([0.0, 0.5, 0.9, 0.99, 1.0])] = 0.0
             for top in {1, 2, 8, n - 1, n, n + 3, int(rng.integers(1, n + 1))}:
                 want = self._full_lexsort(t_grid, p_grid, top)
-                assert _ranked_seeds(t_grid, p_grid[None], top)[0] == want
+                assert _ranked_seeds(p_grid[None], top)[0] == want
                 assert len(want) == min(top, int(np.count_nonzero(p_grid)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -993,25 +994,22 @@ class TestRankedSeeds:
             axes = [np.sort(rng.uniform(-1.0, 1.0, side)) for _ in range(dim)]
             mesh = np.meshgrid(*axes, indexing="ij")
             t_grid = np.stack([m.ravel() for m in mesh], axis=-1)
-            t_grid = t_grid[rng.permutation(len(t_grid))]
             n, n_rows = len(t_grid), int(rng.integers(1, 10))
             levels = rng.uniform(0.1, 1.0, int(rng.integers(1, 4)))
             p_rows = rng.choice(levels, (n_rows, n))
             zeros = rng.choice([0.0, 0.5, 0.9, 1.0], (n_rows, 1))
             p_rows[rng.random((n_rows, n)) < zeros] = 0.0
             for top in {1, 2, 8, n - 1, n, n + 3, int(rng.integers(1, n + 1))}:
-                want = [_ranked_seeds(t_grid, p[None], top)[0] for p in p_rows]
-                assert _ranked_seeds(t_grid, p_rows, top) == want
+                want = [_ranked_seeds(p[None], top)[0] for p in p_rows]
+                assert _ranked_seeds(p_rows, top) == want
                 assert want == [self._full_lexsort(t_grid, p, top) for p in p_rows]
 
     def test_fewer_positive_points_than_refine_top(self):
-        t_grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0),
-                                      indexing="ij"), axis=-1).reshape(-1, 2)
         p_grid = np.zeros(16)
         p_grid[[9, 3, 12]] = (0.5, 0.5, 0.7)
-        assert _ranked_seeds(t_grid, p_grid[None], 8) == [[12, 3, 9]]
-        assert _ranked_seeds(t_grid, p_grid[None], 2) == [[12, 3]]
-        assert _ranked_seeds(t_grid, np.zeros((1, 16)), 8) == [[]]
+        assert _ranked_seeds(p_grid[None], 8) == [[12, 3, 9]]
+        assert _ranked_seeds(p_grid[None], 2) == [[12, 3]]
+        assert _ranked_seeds(np.zeros((1, 16)), 8) == [[]]
 
 
 class TestCountValidation:
@@ -1045,6 +1043,7 @@ class TestCountValidation:
         ({"bounds": {"x_l": 3.0}}, "bounds.x_l"),
         ({"bounds": {"x_l": (-3.0, 0.0, 3.0)}}, "bounds.x_l"),
         ({"bounds": {"x_l": (False, 3.0)}}, "bounds.x_l"),
+        ({"bounds": {"x_l": (-math.inf, 0.0)}}, "bounds.x_l"),
         ({"bounds": [(-3.0, 3.0)]}, "bounds"),
         ({"f_rel_tol": "1e-9"}, "f_rel_tol"),
         ({"x_rel_tol": True}, "x_rel_tol"),
@@ -1207,6 +1206,51 @@ def _assert_finds_the_grids_best(p, free, n_per_dim):
     if want > 0.0:
         assert not got.degenerate and got.converged
     return want
+
+
+class TestOptimumObservables:
+    """An OptResult's j and rho12_re are the kernel's at its optimum, from
+    the kernel call that gave its p_max: ``steady_observables_grid`` there
+    gives the same bits.  A result without an optimum reads NaN in both."""
+
+    @staticmethod
+    def _draws():
+        # 2-D and 3-D draws with drawn boxes, (x_g, x_r) and x_r alone,
+        # fig3-like rows at tau = 0, 1 and inf, and x_r-fixed free sets
+        yield from _bit_identity_draws(np.random.default_rng(3), 60)
+        for k, ec in enumerate((0.05, 0.3, 0.6, 0.95)):
+            yield (params_from_scaled(2.0, 0.0, 0.0, temp=(1.0 - ec) * 5780.0, temp_p=5780.0,
+                                      r_p=0.9, tau=(0.0, 1.0, INFINITE)[k % 3]),
+                   _FREE_ORDER, None)
+        frees = (("x_g",), ("x_l",), ("x_g", "x_l"))
+        for k, p in enumerate(_x_r_fixed_draws(np.random.default_rng(5), 6)):
+            yield p, frees[k % 3], None
+
+    def test_match_the_grid_at_the_optimum(self):
+        seen = set()
+        for p, free, bounds in self._draws():
+            try:
+                res = maximize_power(p, free=free, bounds=bounds)
+            except NoUniqueSteadyStateError:
+                continue
+            if res.degenerate:
+                continue
+            seen.add(len(free))
+            x = {"x_g": p.x_g, "x_l": p.x_l, "x_r": p.x_r, **res.x_opt}
+            obs = steady_observables_grid(p, x["x_g"], x["x_l"], x["x_r"])
+            want = np.array([obs[k] for k in ("power", "j", "rho12_re")])
+            assert np.array([res.p_max, res.j, res.rho12_re]).tobytes() == want.tobytes()
+        assert seen == {1, 2, 3}
+
+    @pytest.mark.parametrize("temp, bounds", [
+        (5780.0, None),  # eta_c = 0: no seed grid runs
+        (6000.0, None),  # eta_c < 0
+        (300.0, {"x_g": (0.1, 1.0), "x_l": (-20.0, -19.0), "x_r": (19.0, 20.0)}),
+    ])
+    def test_nan_without_an_optimum(self, temp, bounds):
+        p = params_from_scaled(2.0, 0.0, 0.0, temp=temp, r_p=0.9)
+        res = maximize_power(p, free=_FREE_ORDER, bounds=bounds)
+        assert res.degenerate and math.isnan(res.j) and math.isnan(res.rho12_re)
 
 
 class TestWindowWithXrFixed:
@@ -1444,6 +1488,39 @@ class TestNewtonStopRules:
         # no start converges, so none agrees with another and all eight run
         assert not res.converged and res.starts == 8
         assert 0.0 < res.p_max <= full.p_max
+
+
+class TestThinStencil:
+    """The Hessian stencil reaches at least an ulp of t either side, so a
+    window thinner than about 1e-12 (eta_c below that) or a box a few ulps
+    wide still has differences of nonzero width: the search ends in an
+    OptResult with no 0/0 and no failed eigenvalue solve.  Below the power's
+    rounding the window's optimum is not resolved, so it ends unconverged."""
+
+    @staticmethod
+    def _fig3a_row():
+        (row,) = run_fig3a([0.0], [1e-12], workers=1).rows
+        assert row["error"] is None and row["p_max"] > 0.0 and row["converged"] is False
+
+    @staticmethod
+    def _thin_window():
+        p = params_from_scaled(2.0, 0.0, 0.0, temp=(1.0 - 1e-14) * 5780.0, temp_p=5780.0,
+                               r_p=0.9)
+        res = maximize_power(p)
+        assert not res.degenerate and res.p_max > 0.0 and res.converged is False
+
+    @staticmethod
+    def _ulp_box():
+        p = params_from_scaled(2.0, 0.0, 0.0, r_p=0.9)
+        res = maximize_power(p, free=_FREE_ORDER,
+                             bounds={"x_g": (2.0, float(np.nextafter(2.0, 3.0)))})
+        assert not res.degenerate and res.p_max > 0.0 and res.active_bounds[0] == "x_g"
+
+    @pytest.mark.parametrize("case", ["_fig3a_row", "_thin_window", "_ulp_box"])
+    def test_ends_in_an_optimum_without_warnings(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            getattr(self, case)()
 
 
 class TestCholeskySolve:
