@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoUniqueSteadyStateError, StepInstabilityError
-from .model import INFINITE, RateSet
+from .model import INFINITE, RateSet, _all_finite, _require_real, _require_real_array
 
 __all__ = [
     "DensityState",
@@ -40,6 +40,11 @@ _TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 # Row replaced by the normalization condition: the empty-state balance row,
 # whose content is implied by trace preservation.
 _NORM_ROW_INDEX = 3
+
+# Right-hand side of the replaced-row system: unit trace, every other row zero.
+_RHS = np.zeros(6)
+_RHS[_NORM_ROW_INDEX] = 1.0
+_RHS.setflags(write=False)
 
 # Condition-number gate beyond which the replaced-row solve is treated as
 # having no unique solution.
@@ -115,7 +120,9 @@ class Generator:
     degenerate levels, the antisymmetric ground combination decouples from
     all baths ("dark state") and the kernel is two-dimensional;
     ``dark_state_degenerate`` records that situation so the steady-state
-    solver can select the decoherence-continuity branch.
+    solver can select the decoherence-continuity branch.  ``matrix`` is
+    stored as a read-only float64 copy; one numpy cannot read as 6x6 finite
+    real numbers raises DomainError.
     """
 
     matrix: np.ndarray
@@ -124,10 +131,10 @@ class Generator:
     dark_state_degenerate: bool
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = _require_real_array("generator matrix", self.matrix)
         if m.shape != (6, 6):
             raise DomainError(f"generator matrix must be 6x6, got {m.shape}")
-        if not all(map(math.isfinite, m.ravel().tolist())):
+        if not _all_finite(m.ravel().tolist()):
             raise DomainError("generator matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -164,6 +171,8 @@ def build_generator(rates: RateSet, delta21: float = 0.0, tau: float = 0.0) -> G
         the coherence rows structurally rather than using a large number, so
         it is free of stiffness artifacts.
     """
+    tau = _require_real("tau", tau)
+    delta21 = _require_real("delta21", delta21)
     if tau != INFINITE:
         if not math.isfinite(tau):
             raise DomainError(f"tau must be finite or INFINITE, got {tau!r}")
@@ -237,8 +246,6 @@ def steady_state(gen: Generator) -> SteadySolution:
     A = gen.matrix
     M = A.copy()
     M[_NORM_ROW_INDEX] = _TRACE_ROW
-    rhs = np.zeros(6)
-    rhs[_NORM_ROW_INDEX] = 1.0
 
     dark_branch = False
     if gen.dark_state_degenerate:
@@ -256,12 +263,15 @@ def steady_state(gen: Generator) -> SteadySolution:
             f"(cond ~ {cond:.3e}); the transition network likely does not "
             "connect all four dot states")
     try:
-        v = np.linalg.solve(M, rhs)
+        v = np.linalg.solve(M, _RHS)
     except np.linalg.LinAlgError as exc:
         raise NoUniqueSteadyStateError(
             f"steady-state solve failed: {exc}") from exc
 
-    full_residual = float(np.abs(A @ v).max())
+    # numpy's max of |A v|, NaN if any entry is: a sum of magnitudes is NaN
+    # only when one of them is
+    residuals = list(map(abs, (A @ v).tolist()))
+    full_residual = max(residuals) if not math.isnan(sum(residuals)) else math.nan
     replaced_residual = float(abs(A[_NORM_ROW_INDEX] @ v))
     # the scale max(1, max |A_ij|) is >= 1, so it is taken only past the bare
     # tolerance; A is finite (Generator checks), so this float max is numpy's
@@ -271,7 +281,9 @@ def steady_state(gen: Generator) -> SteadySolution:
             f"replaced-row residual {replaced_residual:.3e} exceeds tolerance; "
             "the computed kernel vector is not a steady state")
 
-    state = DensityState.from_vector(v)
+    rho1, rho2, rho_e, rho0, re12, im12 = v.tolist()
+    state = DensityState(rho1=rho1, rho2=rho2, rho_e=rho_e, rho0=rho0,
+                         rho12=complex(re12, im12))
     state.validate(trace_tol=1e-9, pop_tol=1e-9, coherence_tol=1e-9)
     return SteadySolution(state=state, residual=full_residual,
                           replaced_row_residual=replaced_residual,

@@ -99,6 +99,31 @@ def _require_real(name: str, value) -> float:
     return float(value)
 
 
+def _all_finite(values: list) -> bool:
+    """True when every float of ``values`` is finite.  An inf or NaN entry
+    makes the sum inf or NaN, so a finite sum proves it, and only a sum that
+    overflows is read again entry by entry."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+# numpy dtype kinds read as real numbers: float, signed and unsigned integer,
+# and bool (0 and 1, as numpy casts it)
+_REAL_KINDS = "fiub"
+
+
+def _require_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float64 array, or DomainError naming ``name`` when numpy
+    cannot read it as a regular array of real numbers: ragged, or of string,
+    complex or object (None) entries."""
+    try:
+        arr = np.array(value)
+    except ValueError as exc:
+        raise DomainError(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in _REAL_KINDS:
+        raise DomainError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All physical knobs of the converter.
@@ -147,8 +172,11 @@ class ModelParams:
 
     def __post_init__(self):
         for name in _FIELDS:
-            value = _require_real(name, getattr(self, name))
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            # a Python float is stored as given; anything else is read once
+            if type(value) is not float:
+                value = _require_real(name, value)
+                object.__setattr__(self, name, value)
             if name != "tau" and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.eps_g <= 0.0:
@@ -244,6 +272,9 @@ def params_from_scaled(x_g: float, x_l: float, x_r: float, *,
     )
 
 
+_RATE_MATRICES = ("b_plus", "b_minus", "f_l_plus", "f_l_minus")
+
+
 @dataclass(frozen=True)
 class RateSet:
     """Evaluated dissipation coefficients feeding the evolution generator.
@@ -260,6 +291,12 @@ class RateSet:
         Left-lead injection / extraction coefficients.
     f_r_plus / f_r_minus : float
         Right-lead injection / extraction coefficients at the excited level.
+
+    The matrices are stored as read-only float64 views of one (4, 2, 2)
+    block, the two floats as Python floats.  DomainError names the field of
+    a matrix numpy cannot read as (2, 2) real numbers (a bool reads as 0 or
+    1) and of a float field that is not a real number or is a bool; it is
+    also raised for an entry that is not finite and non-negative.
     """
 
     b_plus: np.ndarray
@@ -270,15 +307,29 @@ class RateSet:
     f_r_minus: float
 
     def __post_init__(self):
-        entries = [self.f_r_plus, self.f_r_minus]
-        for name in ("b_plus", "b_minus", "f_l_plus", "f_l_minus"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (2, 2):
-                raise DomainError(f"RateSet.{name} must have shape (2, 2)")
-            arr.setflags(write=False)
+        # the four matrices as one read-only (4, 2, 2) block, each field a view
+        # of it; field by field only to name the one numpy cannot read
+        try:
+            block = np.array((self.b_plus, self.b_minus, self.f_l_plus, self.f_l_minus))
+        except ValueError:
+            block = None
+        if block is None or block.shape != (4, 2, 2) or block.dtype.kind not in _REAL_KINDS:
+            # four (2, 2) arrays of real numbers would stack, so one field raises
+            for name in _RATE_MATRICES:
+                if _require_real_array(f"RateSet.{name}", getattr(self, name)).shape != (2, 2):
+                    raise DomainError(f"RateSet.{name} must have shape (2, 2)")
+        block = block.astype(float, copy=False)
+        block.setflags(write=False)
+        for name, arr in zip(_RATE_MATRICES, block):
             object.__setattr__(self, name, arr)
-            entries += arr.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
+        entries = block.ravel().tolist()
+        for name in ("f_r_plus", "f_r_minus"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                value = _require_real(f"RateSet.{name}", value)
+                object.__setattr__(self, name, value)
+            entries.append(value)
+        if not _all_finite(entries):
             raise DomainError("RateSet entries must be finite")
         if min(entries) < 0.0:
             raise DomainError("RateSet entries must be non-negative")

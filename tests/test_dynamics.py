@@ -151,6 +151,36 @@ class TestGeneratorStructure:
         with pytest.raises(DomainError, match="must be 6x6"):
             self._generator(np.zeros(shape))
 
+    @pytest.mark.parametrize("kind", ["ragged", "string", "None", "complex"])
+    def test_malformed_matrix_refused(self, kind):
+        rows = np.ones((6, 6)).tolist()
+        if kind == "ragged":
+            rows[5] = rows[5][:5]
+        else:
+            rows[2][3] = {"string": "x", "None": None, "complex": 0.5j}[kind]
+        with pytest.raises(DomainError, match="^generator matrix must be an array of real numbers"):
+            self._generator(rows)
+
+    @pytest.mark.parametrize("bad", [[0.0, [0.0]], "x", None, True],
+                             ids=["ragged", "string", "None", "bool"])
+    @pytest.mark.parametrize("name", ["tau", "delta21"])
+    def test_malformed_tau_or_splitting_refused(self, name, bad):
+        r = build_rates(params_from_scaled(2.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+            build_generator(r, **{"delta21": 0.0, "tau": 0.0, name: bad})
+
+    @pytest.mark.parametrize("value", [-0.0, 1, np.float64(0.25)])
+    def test_real_tau_splitting_and_matrix_stored_as_float(self, value):
+        gen = build_generator(build_rates(params_from_scaled(2.0, 0.0, 0.0)), value, value)
+        for stored in (gen.delta21, gen.tau):
+            assert type(stored) is float and stored == value
+            assert math.copysign(1.0, stored) == math.copysign(1.0, value)
+        m = self._generator(np.full((6, 6), value).tolist()).matrix
+        assert m.dtype == np.float64 and np.all(m == value)
+        # numpy casts a bool to 0 or 1; only tau and delta21 refuse a bool
+        m = self._generator(np.eye(6, dtype=bool).tolist()).matrix
+        assert m.dtype == np.float64 and np.array_equal(m, np.eye(6))
+
     def test_negative_tau_rejected(self):
         r = build_rates(params_from_scaled(2.0, 0.0, 0.0))
         with pytest.raises(DomainError):

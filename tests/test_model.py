@@ -249,6 +249,43 @@ class TestRateSetChecks:
         # signed zeros are non-negative
         RateSet(**self._entries(f_l_minus=[[-0.0, 0.0], [0.0, -0.0]], f_r_plus=-0.0))
 
+    # one malformed value of each kind: a matrix numpy cannot read as real
+    # numbers, and a float field _require_real refuses
+    _BAD_MATRICES = {"ragged": [[0.5, 0.25], [0.25]], "string": [["x", 0.25], [0.25, 0.5]],
+                     "None": [[None, 0.25], [0.25, 0.5]], "complex": [[0.5j, 0.25], [0.25, 0.5]]}
+    _BAD_FLOATS = {"ragged": [0.5, [0.5]], "string": "x", "None": None, "bool": True}
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_MATRICES))
+    @pytest.mark.parametrize("name", ["b_plus", "b_minus", "f_l_plus", "f_l_minus"])
+    def test_malformed_matrix_refused(self, name, kind):
+        with pytest.raises(DomainError, match=rf"^RateSet\.{name} must be an array of real numbers"):
+            RateSet(**self._entries(**{name: self._BAD_MATRICES[kind]}))
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_FLOATS))
+    @pytest.mark.parametrize("name", ["f_r_plus", "f_r_minus"])
+    def test_malformed_float_refused(self, name, kind):
+        with pytest.raises(DomainError, match=rf"^RateSet\.{name} must be a real number, got "):
+            RateSet(**self._entries(**{name: self._BAD_FLOATS[kind]}))
+
+    @pytest.mark.parametrize("value", [-0.0, 1, np.float64(0.25)])
+    def test_real_floats_stored_as_float(self, value):
+        r = RateSet(**self._entries(f_r_plus=value, f_r_minus=value,
+                                    b_plus=[[value, value], [value, value]]))
+        for stored in (r.f_r_plus, r.f_r_minus):
+            assert type(stored) is float and stored == value
+            assert math.copysign(1.0, stored) == math.copysign(1.0, value)
+        assert r.b_plus.dtype == np.float64 and np.all(r.b_plus == value)
+
+    @pytest.mark.parametrize("name", ["b_plus", "b_minus", "f_l_plus", "f_l_minus"])
+    def test_bool_matrix_reads_as_zero_and_one(self, name):
+        # numpy casts a bool to 0 or 1 whatever the other fields hold; only
+        # the two float fields refuse a bool, as ModelParams does
+        eye = [[True, False], [False, True]]
+        for r in (RateSet(**self._entries(**{name: eye})),
+                  RateSet(eye, eye, eye, eye, 0.5, 0.5)):
+            assert getattr(r, name).dtype == np.float64
+            assert getattr(r, name).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
 
 class TestBuildRates:
     def test_photon_cross_terms_vanish_without_coupling(self):
